@@ -15,11 +15,15 @@ config from the workload name and the seed, then
   name a module looks it up by, alternates traced and untraced sweeps, and
   reports per-layer call counts, self times and sizes.
 
-Every sweep and CLI run is checked against a reference report of the same
-config; a run that fails a check counts all its rows as failed and makes the
-command exit 1.  The last line of standard output is one JSON object with
-``correct``, ``attempted``, ``failed`` (report rows) and ``metrics``; the line
-before it is a record of the environment and the details behind each metric.
+Every sweep and CLI run is checked byte for byte against a fully checked
+reference report of the same config, so every run yields the same rows.  The
+last line of standard output is one JSON object with ``correct``,
+``attempted``, ``failed`` and ``metrics``.  ``attempted`` is the rows of the
+config's report and ``failed`` the rows that fail without the expected-failure
+mark, plus error rows; both depend on the seed alone, not on how many runs fit
+in ``--seconds``.  If any run fails a check, every row counts as failed and
+the command exits 1.  The line before the result is a record of the
+environment and the details behind each metric.
 Trace spans are written to ``.perfbench/`` at the checkout root.
 """
 
@@ -54,6 +58,8 @@ OUT_DIR = ROOT / ".perfbench"
 LAYERS = ("qnumber", "fockspace", "audit", "qubits", "gates", "report", "cli")
 ROWS_PER_POINT = 9
 SETUP_SAMPLES = 5
+# Set-up samples a timed run reaches by its deadline, spread over its rounds.
+MIN_SETUP_SAMPLES = 25
 MIN_ROUNDS = 3
 MIN_TRACE_ROUNDS = 2
 # In-process sweep time per round, as a multiple of the round's CLI run time.
@@ -316,8 +322,7 @@ class Bench:
             "--out", str(work / f"cli-out.{self.fmt}"),
         ]
         self.env = dict(os.environ, PYTHONPATH=str(SRC))
-        self.attempted = 0
-        self.failed = 0
+        self.checked = 0
         self.problems: list[str] = []
 
     # -- checks ---------------------------------------------------------
@@ -352,15 +357,14 @@ class Bench:
         self.expected_exit = 1 if rep.unexpected_failures() else 0
         self.sha256 = hashlib.sha256(blob).hexdigest()
 
-    def tally(self, ok: bool, failed: int) -> None:
-        self.attempted += self.rows
-        self.failed += failed if ok else self.rows
+    @property
+    def failed(self) -> int:
+        return self.rows if self.problems else self.ref_failed
 
-    def check_sample(self, rep, blob: bytes, what: str) -> None:
-        ok = blob == self.blob
-        if not ok:
+    def check_sample(self, blob: bytes, what: str) -> None:
+        self.checked += 1
+        if blob != self.blob:
             self.problem(f"{what}: report bytes differ from the reference")
-        self.tally(ok, failed_rows(rep, self.report.ERROR_RESIDUAL))
 
     # -- timed pieces ---------------------------------------------------
 
@@ -374,9 +378,8 @@ class Bench:
             elapsed = time.perf_counter() - start
         except Exception:
             self.problem("in-process sweep raised:\n" + traceback.format_exc(limit=4))
-            self.tally(False, 0)
             return math.nan
-        self.check_sample(rep, blob, "in-process sweep")
+        self.check_sample(blob, "in-process sweep")
         return elapsed
 
     def cli_sample(self) -> tuple[float, float]:
@@ -385,13 +388,12 @@ class Bench:
         out.unlink(missing_ok=True)
         argv = [sys.executable, "-m", "qdgates.cli", *self.cli_args]
         elapsed, code, rss = run_process(argv, self.env, self.work / "cli-stderr.txt")
+        self.checked += 1
         same = out.is_file() and out.read_bytes() == self.blob
-        ok = code == self.expected_exit and same
-        if not ok:
+        if not (code == self.expected_exit and same):
             err = (self.work / "cli-stderr.txt").read_text(errors="replace")[-2000:]
             self.problem(f"cli run: exit {code} (expected {self.expected_exit}), output "
                          f"{'matches' if same else 'differs from'} the reference; {err}")
-        self.tally(ok, self.ref_failed)
         return elapsed, rss
 
     def setup_sample(self) -> float:
@@ -412,10 +414,17 @@ class Bench:
         sweeps: list[float] = []
         cli: list[float] = []
         rss: list[float] = []
-        deadline = time.perf_counter() + self.seconds
+        start = time.perf_counter()
+        deadline = start + self.seconds
         rounds = 0
         while rounds < MIN_ROUNDS or time.perf_counter() < deadline:
+            # one set-up sample a round, and more on workloads with few long
+            # rounds, so that the median rests on MIN_SETUP_SAMPLES samples
+            # taken across the whole run
+            share = min(1.0, (time.perf_counter() - start) / self.seconds) if self.seconds else 0.0
             setup.append(self.setup_sample())
+            while len(setup) < MIN_SETUP_SAMPLES * share:
+                setup.append(self.setup_sample())
             elapsed, peak = self.cli_sample()
             cli.append(elapsed)
             rss.append(peak)
@@ -472,7 +481,7 @@ class Bench:
                 blob = r.serialize(rep)
                 traced.append(time.perf_counter() - start)
                 r.parse_report(self.json_blob)
-            self.check_sample(rep, blob, "traced sweep")
+            self.check_sample(blob, "traced sweep")
             per_run.append(layer_metrics(spans, self.points))
             if rounds == 1:
                 kept.extend(spans)
@@ -484,10 +493,9 @@ class Bench:
         out.unlink(missing_ok=True)
         with tracer.run(0) as spans, contextlib.redirect_stdout(io.StringIO()):
             code = self.m["cli"].main(list(self.cli_args))
-        ok = code == self.expected_exit and out.is_file() and out.read_bytes() == self.blob
-        if not ok:
+        self.checked += 1
+        if not (code == self.expected_exit and out.is_file() and out.read_bytes() == self.blob):
             self.problem(f"in-process cli.main: exit {code} (expected {self.expected_exit})")
-        self.tally(ok, self.ref_failed)
         main = next(i for i, sp in enumerate(spans) if sp[0] == "cli.main")
         children = sum(sp[2] - sp[1] for sp in spans if sp[3] == main)
         metrics["cli.main.self_ms"] = ((spans[main][2] - spans[main][1] - children) * 1e3, "ms")
@@ -578,8 +586,9 @@ def main(argv=None) -> int:
         "config": bench.payload,
         "report_sha256": bench.sha256,
         "report_bytes": len(bench.blob),
-        "check_fail_share": {"value": bench.failed / bench.attempted, "unit": "ratio",
-                             "failed_rows": bench.failed, "attempted_rows": bench.attempted},
+        "check_fail_share": {"value": bench.failed / bench.rows, "unit": "ratio",
+                             "failed_rows": bench.failed, "attempted_rows": bench.rows,
+                             "runs_checked": bench.checked},
         "detail": detail,
         "problems": bench.problems,
     }
@@ -596,7 +605,7 @@ def main(argv=None) -> int:
     print(json.dumps(record, sort_keys=True))
     print(json.dumps({
         "correct": correct,
-        "attempted": bench.attempted,
+        "attempted": bench.rows,
         "failed": bench.failed,
         "metrics": {k: {"value": v, "unit": u} for k, (v, u) in metrics.items()},
     }))

@@ -1,10 +1,19 @@
 """Residual checks for the deformed-oscillator operator identities.
 
-Each check rebuilds the dressed operators on the requested space, forms both
-sides of one identity, and reports the largest-magnitude entry of the
-difference on the truncation-safe interior block.  Products of two ladder
-operators can touch one boundary level each, so identities are asserted on
-levels ``0 .. cutoff-3`` only.
+Each check forms both sides of one identity and reports the largest-magnitude
+entry of the difference on the truncation-safe interior block.  Products of
+two ladder operators can touch one boundary level each, so identities are
+asserted on levels ``0 .. cutoff-3`` only.
+
+The checks work on the ladder band (:func:`qdgates.fockspace.ladder_band`):
+``a_q`` has one nonzero off-diagonal ``v`` and the deformed number operator
+is the diagonal ``nu``, so every entry of every product below is a product
+of two band entries and each check costs O(cutoff).  The entries are formed
+in the same floating-point order as the dense matrix products, so the
+residuals are bit for bit those of the dense operators; the only entries
+left out are the zeros off the band.  :func:`run_algebra_checks` builds the
+band once per grid point; each ``check_*`` function called on its own builds
+it itself.
 
 The checks run in extended precision (``np.longdouble``).  At cutoff 16 and
 s close to 1 the deformed diagonal reaches ~1e5, where one float64 ulp is
@@ -20,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fockspace import FunctionChoice, TruncatedFockSpace, deformed_ladder_ops
+from .fockspace import FunctionChoice, TruncatedFockSpace, ladder_band
 from .qnumber import DeformationParam
 
 AUDIT_DTYPE = np.longdouble
@@ -69,26 +78,71 @@ def _require_audit_space(space: TruncatedFockSpace) -> None:
         )
 
 
-def _interior(m: np.ndarray) -> np.ndarray:
-    # drop the two truncation-corrupted top levels
-    return m[:-2, :-2]
+def _band(space, p, choice):
+    """``(v, nu, s)`` in the audit precision, after the cutoff check."""
+    _require_audit_space(space)
+    v, nu = ladder_band(space, p, choice.psi1, choice.psi2, dtype=AUDIT_DTYPE)
+    return v, nu, AUDIT_DTYPE(p.s)
 
 
-def _build(space, p, choice):
-    return deformed_ladder_ops(space, p, choice.psi1, choice.psi2, dtype=AUDIT_DTYPE)
+def _number_diagonals(v):
+    # interior diagonals of a_q a_q+ (v[i]**2) and a_q+ a_q (v[i-1]**2, 0 at i=0)
+    sq = np.concatenate((np.zeros(1, dtype=v.dtype), v * v))
+    return sq[1:-1], sq[:-2]
+
+
+def _qcommutator(v, nu, s):
+    aad, ada = _number_diagonals(v)
+    q = np.exp(s)
+    return np.max(np.abs(aad - q * ada - np.exp(-s * nu[:-2])))
+
+
+def _number_commutators(v, nu, s):
+    # interior entries (i, i+1) of [N, a_q] + a_q and (i+1, i) of [N, a_q+] - a_q+
+    w = v[:-2]
+    lower = nu[:-3] * w - w * nu[1:-2] + w
+    raise_ = nu[1:-2] * w - w * nu[:-3] - w
+    return max(np.max(np.abs(lower)), np.max(np.abs(raise_)))
+
+
+def _number_products(v, nu, s):
+    aad, ada = _number_diagonals(v)
+    n = nu[:-2]
+    d1 = ada - np.sinh(s * n) / np.sinh(s)
+    d2 = aad - np.sinh(s * (n + 1)) / np.sinh(s)
+    return max(np.max(np.abs(d1)), np.max(np.abs(d2)))
+
+
+def _shift_poly(f_coeffs: Sequence[float]):
+    coeffs = [float(c) for c in f_coeffs]
+    if not coeffs:
+        raise ValueError("shift-rule polynomial needs at least one coefficient")
+    if len(coeffs) - 1 > MAX_SHIFT_POLY_DEGREE:
+        raise ValueError(
+            f"shift-rule polynomial degree is capped at {MAX_SHIFT_POLY_DEGREE}, "
+            f"got degree {len(coeffs) - 1}"
+        )
+
+    def poly(x):
+        out = np.zeros_like(x)
+        for c in reversed(coeffs):
+            out = out * x + AUDIT_DTYPE(c)
+        return out
+
+    return poly
+
+
+def _shift_rule(v, nu, s, poly):
+    # interior entries (i, i+1) of a_q f(N) - f(N+1) a_q
+    w = v[:-2]
+    return np.max(np.abs(w * poly(nu[1:-2]) - poly(nu[:-3] + 1) * w))
 
 
 def check_qcommutator(
     space: TruncatedFockSpace, p: DeformationParam, choice: FunctionChoice, tol: float
 ) -> ConditionReport:
     """a_q a_q+ - q a_q+ a_q should equal q**(-N) on the interior block."""
-    _require_audit_space(space)
-    a_q, a_q_dag, n_def = _build(space, p, choice)
-    s = AUDIT_DTYPE(p.s)
-    q = np.exp(s)
-    lhs = a_q @ a_q_dag - q * (a_q_dag @ a_q)
-    rhs = np.diag(np.exp(-s * np.diag(n_def)))
-    residual = np.max(np.abs(_interior(lhs - rhs)))
+    residual = _qcommutator(*_band(space, p, choice))
     return ConditionReport.from_residual(QCOMMUTATOR, p, choice, space.cutoff, residual, tol)
 
 
@@ -100,11 +154,7 @@ def check_number_commutators(
     Holds for every function choice: N differs from the plain number
     operator by a multiple of the identity, which commutes with everything.
     """
-    _require_audit_space(space)
-    a_q, a_q_dag, n_def = _build(space, p, choice)
-    lower = n_def @ a_q - a_q @ n_def + a_q
-    raise_ = n_def @ a_q_dag - a_q_dag @ n_def - a_q_dag
-    residual = max(np.max(np.abs(_interior(lower))), np.max(np.abs(_interior(raise_))))
+    residual = _number_commutators(*_band(space, p, choice))
     return ConditionReport.from_residual(
         NUMBER_COMMUTATORS, p, choice, space.cutoff, residual, tol
     )
@@ -119,15 +169,7 @@ def check_number_products(
     sides genuinely disagree and the measured residual documents the gap
     rather than asserting the relation.
     """
-    _require_audit_space(space)
-    a_q, a_q_dag, n_def = _build(space, p, choice)
-    s = AUDIT_DTYPE(p.s)
-    nu = np.diag(n_def)
-    q_of_n = np.diag(np.sinh(s * nu) / np.sinh(s))
-    q_of_n1 = np.diag(np.sinh(s * (nu + 1)) / np.sinh(s))
-    d1 = a_q_dag @ a_q - q_of_n
-    d2 = a_q @ a_q_dag - q_of_n1
-    residual = max(np.max(np.abs(_interior(d1))), np.max(np.abs(_interior(d2))))
+    residual = _number_products(*_band(space, p, choice))
     return ConditionReport.from_residual(NUMBER_PRODUCTS, p, choice, space.cutoff, residual, tol)
 
 
@@ -144,27 +186,8 @@ def check_shift_rule(
     holds for every function choice.
     """
     _require_audit_space(space)
-    coeffs = [float(c) for c in f_coeffs]
-    if not coeffs:
-        raise ValueError("shift-rule polynomial needs at least one coefficient")
-    if len(coeffs) - 1 > MAX_SHIFT_POLY_DEGREE:
-        raise ValueError(
-            f"shift-rule polynomial degree is capped at {MAX_SHIFT_POLY_DEGREE}, "
-            f"got degree {len(coeffs) - 1}"
-        )
-    a_q, _, n_def = _build(space, p, choice)
-    nu = np.diag(n_def)
-
-    def poly(x):
-        out = np.zeros_like(x)
-        for c in reversed(coeffs):
-            out = out * x + AUDIT_DTYPE(c)
-        return out
-
-    f_n = np.diag(poly(nu))
-    f_n_plus = np.diag(poly(nu + 1))
-    d = a_q @ f_n - f_n_plus @ a_q
-    residual = np.max(np.abs(_interior(d)))
+    poly = _shift_poly(f_coeffs)
+    residual = _shift_rule(*_band(space, p, choice), poly)
     return ConditionReport.from_residual(SHIFT_RULE, p, choice, space.cutoff, residual, tol)
 
 
@@ -175,10 +198,18 @@ def run_algebra_checks(
     tol: float,
     f_coeffs: Sequence[float] = DEFAULT_SHIFT_POLY,
 ) -> list[ConditionReport]:
-    """All four identity checks at one grid point, in registry order."""
+    """All four identity checks at one grid point, in registry order.
+
+    The ladder band is built once and shared by the four checks.
+    """
+    band = _band(space, p, choice)
+
+    def report(condition_id, residual):
+        return ConditionReport.from_residual(condition_id, p, choice, space.cutoff, residual, tol)
+
     return [
-        check_qcommutator(space, p, choice, tol),
-        check_number_commutators(space, p, choice, tol),
-        check_number_products(space, p, choice, tol),
-        check_shift_rule(space, p, choice, f_coeffs, tol),
+        report(QCOMMUTATOR, _qcommutator(*band)),
+        report(NUMBER_COMMUTATORS, _number_commutators(*band)),
+        report(NUMBER_PRODUCTS, _number_products(*band)),
+        report(SHIFT_RULE, _shift_rule(*band, _shift_poly(f_coeffs))),
     ]

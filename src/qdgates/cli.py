@@ -93,7 +93,7 @@ def _config_from_args(args) -> SweepConfig:
 
 
 def _emit(report, args) -> None:
-    blob = serialize(report, args.fmt)
+    blob = serialize(report)
     if args.out:
         with open(args.out, "wb") as fh:
             fh.write(blob)

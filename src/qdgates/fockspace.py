@@ -1,19 +1,28 @@
-"""Truncated Fock-space matrices for standard and deformed ladder operators.
+"""Truncated Fock-space operators for standard and deformed ladder operators.
 
-Operators act on the retained levels ``0 .. cutoff-1`` as plain numpy
-arrays.  The deformed annihilation/creation pair is obtained by dressing the
-standard ladder matrices with a diagonal factor
+Operators act on the retained levels ``0 .. cutoff-1``.  The deformed
+annihilation/creation pair is obtained by dressing the standard ladder
+matrices with a diagonal factor
 
     F(n) = sqrt((q**n * psi1 - q**-n * psi2) / (n * (q - q**-1)))
 
 built from two positive functions of q, and the deformed number operator is
 the standard one shifted by ``ln(psi2)/s`` times the identity.
 
-The value of the dressing at ``n = 0`` is a removable 0/0 point when
-``psi1 == psi2`` and is assigned its limit ``psi * s / sinh(s)`` (under the
-square root); in the general case the expression is simply evaluated just
-off zero.  Either way the level-0 value multiplies only zero matrix entries,
-so any finite convention leaves the operators unchanged.
+Every one of these operators is diagonal or has a single nonzero
+off-diagonal, so :func:`ladder_band` stores them as two vectors: the band
+``sqrt(n) F(n)``, ``n = 1 .. cutoff-1``, shared by ``a_q`` (above the
+diagonal) and ``a_q_dag`` (below it), and the shifted number diagonal.
+:func:`deformed_ladder_ops` expands that band into dense matrices.
+
+The dressing at ``n = 0`` is a removable 0/0 point when ``psi1 == psi2``
+and is assigned its limit ``psi * s / sinh(s)`` (under the square root); in
+the general case the expression is simply evaluated just off zero.  The
+level-0 value would multiply only zero matrix entries, so the ladder band
+never evaluates it: the dressed operators exist whenever every level
+``n >= 1`` has a nonnegative radicand, even for ``psi1 < psi2``, where the
+off-zero stand-in is negative.  :func:`f_value` and :func:`dressing_diag`
+still evaluate level 0 when it is among the points they are asked for.
 
 Constructors accept a ``dtype`` so that callers needing identity residuals
 below one float64 ulp of the operator magnitude (the audit module) can run
@@ -22,7 +31,6 @@ the same pipeline in ``np.longdouble``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -136,30 +144,43 @@ class FunctionFamily:
 
 
 def _radicand(n, s, psi1, psi2):
-    """Square of the dressing factor; all arguments share one scalar type."""
+    """Squares of the dressing factor at the levels ``n`` (an array); all
+    arguments share one scalar type."""
+    zero = n == 0
     if psi1 == psi2:
-        if n == 0:
-            return psi1 * s / np.sinh(s)
-        return psi1 * np.sinh(n * s) / (n * np.sinh(s))
-    if n == 0:
-        n = type(s)(GENERAL_LIMIT_LEVEL)
-    return (np.exp(n * s) * psi1 - np.exp(-n * s) * psi2) / (2 * n * np.sinh(s))
+        # level 0 takes the limit; 1 keeps the unused 0/0 branch quiet
+        m = np.where(zero, 1, n)
+        return np.where(zero, psi1 * s / np.sinh(s), psi1 * np.sinh(m * s) / (m * np.sinh(s)))
+    m = np.where(zero, type(s)(GENERAL_LIMIT_LEVEL), n)
+    return (np.exp(m * s) * psi1 - np.exp(-m * s) * psi2) / (2 * m * np.sinh(s))
+
+
+def dressing_vector(
+    arguments: Sequence[float],
+    p: DeformationParam,
+    psi1: float,
+    psi2: float,
+    dtype=np.float64,
+) -> np.ndarray:
+    """Dressing eigenvalues F(n), one per evaluation point in ``arguments``.
+
+    Points may be negative: the shifted dressing of the second oscillator
+    in a pair evaluates at ``1 - n``, which drops below zero on a truncated
+    space.  A negative radicand raises :class:`RadicandError` naming the
+    first offending point.
+    """
+    r = _radicand(np.asarray(arguments, dtype=dtype), dtype(p.s), dtype(psi1), dtype(psi2))
+    bad = np.flatnonzero(r < 0)
+    if bad.size:
+        raise RadicandError(
+            f"negative radicand at level n={arguments[bad[0]]} with psi1={psi1}, psi2={psi2}"
+        )
+    return np.sqrt(r)
 
 
 def f_value(n: float, p: DeformationParam, psi1: float, psi2: float) -> float:
-    """Dressing eigenvalue at occupation ``n``.
-
-    Arguments may be negative: the shifted dressing of the second oscillator
-    in a pair evaluates at ``1 - n1``, which drops below zero on a truncated
-    space.  A negative radicand raises :class:`RadicandError` naming the
-    offending point.
-    """
-    r = _radicand(float(n), p.s, float(psi1), float(psi2))
-    if r < 0:
-        raise RadicandError(
-            f"negative radicand at level n={n} with psi1={psi1}, psi2={psi2}"
-        )
-    return float(math.sqrt(r))
+    """Dressing eigenvalue at occupation ``n`` (see :func:`dressing_vector`)."""
+    return float(dressing_vector([n], p, psi1, psi2)[0])
 
 
 def ladder_ops(
@@ -195,18 +216,27 @@ def dressing_diag(
     """
     if arguments is None:
         arguments = range(space.cutoff)
-    s = dtype(p.s)
-    g1 = dtype(psi1)
-    g2 = dtype(psi2)
-    values = np.zeros(space.cutoff, dtype=dtype)
-    for i, n in enumerate(arguments):
-        r = _radicand(dtype(n), s, g1, g2)
-        if r < 0:
-            raise RadicandError(
-                f"negative radicand at level n={n} with psi1={psi1}, psi2={psi2}"
-            )
-        values[i] = np.sqrt(r)
-    return np.diag(values)
+    return np.diag(dressing_vector(arguments, p, psi1, psi2, dtype=dtype))
+
+
+def ladder_band(
+    space: TruncatedFockSpace,
+    p: DeformationParam,
+    psi1: float,
+    psi2: float,
+    dtype=np.float64,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Nonzero entries of the dressed ladder pair and the shifted number operator.
+
+    Returns ``(v, nu)``: ``v[n-1] = sqrt(n) F(n)`` for ``n = 1 .. cutoff-1``
+    is the superdiagonal of ``a_q`` and the subdiagonal of ``a_q_dag``, and
+    ``nu[n] = n - ln(psi2)/s`` is the diagonal of the deformed number
+    operator.  ``F(0)`` is never evaluated.
+    """
+    levels = np.arange(space.cutoff).astype(dtype)
+    v = np.sqrt(levels[1:]) * dressing_vector(range(1, space.cutoff), p, psi1, psi2, dtype=dtype)
+    nu = levels - np.log(dtype(psi2)) / dtype(p.s)
+    return v, nu
 
 
 def deformed_ladder_ops(
@@ -216,17 +246,12 @@ def deformed_ladder_ops(
     psi2: float,
     dtype=np.float64,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Dressed ladder pair and the shifted number operator.
+    """Dressed ladder pair and the shifted number operator as dense matrices.
 
     Returns ``(a_q, a_q_dag, n_deformed)`` with ``a_q = a F(N)``,
-    ``a_q_dag = F(N) a_dag`` and ``n_deformed = N - ln(psi2)/s``.  When
-    ``psi1 == psi2`` the dressing is real symmetric and ``a_q_dag`` equals
-    the conjugate transpose of ``a_q``.
+    ``a_q_dag = F(N) a_dag`` and ``n_deformed = N - ln(psi2)/s``, expanded
+    from :func:`ladder_band`.  The band is real, so ``a_q_dag`` equals the
+    conjugate transpose of ``a_q``.
     """
-    a, a_dag, n_hat = ladder_ops(space, dtype=dtype)
-    f = dressing_diag(space, p, psi1, psi2, dtype=dtype)
-    a_q = a @ f
-    a_q_dag = f @ a_dag
-    shift = np.log(dtype(psi2)) / dtype(p.s)
-    n_deformed = n_hat - shift * np.eye(space.cutoff, dtype=dtype)
-    return a_q, a_q_dag, n_deformed
+    v, nu = ladder_band(space, p, psi1, psi2, dtype=dtype)
+    return np.diag(v, 1), np.diag(v, -1), np.diag(nu)

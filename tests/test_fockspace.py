@@ -3,6 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from qdgates.audit import (
+    ALGEBRA_CHECK_IDS,
+    check_number_commutators,
+    check_number_products,
+    check_qcommutator,
+    check_shift_rule,
+    run_algebra_checks,
+)
 from qdgates.fockspace import (
     FunctionChoice,
     FunctionFamily,
@@ -11,6 +19,7 @@ from qdgates.fockspace import (
     deformed_ladder_ops,
     dressing_diag,
     f_value,
+    ladder_band,
     ladder_ops,
 )
 from qdgates.qnumber import DeformationParam, q_number
@@ -136,6 +145,53 @@ class TestDeformedLadderOps:
         expected = [f_value(1 - n, p, 1.0, 1.0) for n in range(4)]
         assert np.allclose(np.diag(diag), expected, atol=1e-15)
 
+
+class TestLadderBand:
+    def test_band_entries(self):
+        # v[n-1] = sqrt(n) F(n); nu = n - ln(psi2)/s
+        space = TruncatedFockSpace(7)
+        p = DeformationParam(0.6)
+        v, nu = ladder_band(space, p, 2.0, 3.0)
+        expected_v = [math.sqrt(n) * f_value(n, p, 2.0, 3.0) for n in range(1, 7)]
+        assert np.allclose(v, expected_v, rtol=1e-15, atol=0)
+        assert np.allclose(nu, np.arange(7) - math.log(3.0) / p.s, rtol=1e-15, atol=1e-15)
+
+    def test_dense_wrapper_expands_the_band(self):
+        space = TruncatedFockSpace(6)
+        p = DeformationParam(0.4)
+        v, nu = ladder_band(space, p, 1.5, 1.5, dtype=np.longdouble)
+        a_q, a_q_dag, n_def = deformed_ladder_ops(space, p, 1.5, 1.5, dtype=np.longdouble)
+        assert a_q.dtype == np.longdouble
+        assert np.array_equal(a_q, np.diag(v, 1))
+        assert np.array_equal(a_q_dag, np.diag(v, -1))
+        assert np.array_equal(n_def, np.diag(nu))
+
+    def test_level_zero_is_not_evaluated_when_psi1_below_psi2(self):
+        # the off-zero stand-in at n=0 has a negative radicand here, but every
+        # level n >= 1 is valid and F(0) multiplies only zero entries
+        space = TruncatedFockSpace(16)
+        p = DeformationParam(0.5)
+        with pytest.raises(RadicandError, match="n=0"):
+            f_value(0, p, 1.0, 1.2)
+        a_q, a_q_dag, _ = deformed_ladder_ops(space, p, 1.0, 1.2)
+        assert np.all(np.isfinite(a_q))
+        assert a_q[0, 1] == f_value(1, p, 1.0, 1.2)
+        assert np.array_equal(a_q_dag, a_q.T)
+        choice = FunctionChoice(psi1=1.0, psi2=1.2)
+        reports = run_algebra_checks(space, p, choice, 1e-10)
+        assert [r.condition_id for r in reports] == list(ALGEBRA_CHECK_IDS)
+        assert check_number_commutators(space, p, choice, 1e-10).passed
+        assert check_shift_rule(space, p, choice, (1.0, 0.0, 1.0), 1e-10).passed
+        check_qcommutator(space, p, choice, 1e-10)
+        check_number_products(space, p, choice, 1e-10)
+
+    def test_dressing_diag_still_evaluates_level_zero(self):
+        with pytest.raises(RadicandError, match="n=0"):
+            dressing_diag(TruncatedFockSpace(4), DeformationParam(0.5), 1.0, 1.2)
+
+    def test_invalid_level_one_still_raises(self):
+        with pytest.raises(RadicandError, match="n=1"):
+            ladder_band(TruncatedFockSpace(8), DeformationParam(0.5), 1.0, 10.0)
 
 class TestFunctionChoice:
     def test_defaults_are_undeformed_compatible(self):

@@ -237,6 +237,16 @@ class TestCli:
         payload = json.loads(out.read_text())
         assert payload["config"]["s_grid"] == [0.2, 0.6]
 
+    def test_sweep_config_file_sets_the_output_format(self, tmp_path):
+        # the config's output_format wins; --format is not given, so its json default must not apply
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"s_grid": [0.5], "output_format": "csv"}))
+        out = tmp_path / "report.csv"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        expected = serialize(run_sweep(SweepConfig(s_grid=(0.5,), output_format="csv")))
+        assert out.read_bytes() == expected
+        assert out.read_text().splitlines()[0].startswith("check_id,")
+
     def test_config_errors_exit_two(self):
         assert main(["sweep", "--s-grid", "0.9,0.1"]) == 2
         assert main(["audit", "--psi", "bogus"]) == 2

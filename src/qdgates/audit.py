@@ -61,13 +61,19 @@ class ConditionReport:
 
     @classmethod
     def from_residual(cls, condition_id, p, choice, cutoff, residual, tolerance):
-        residual = float(residual)
+        value = float(residual)
         tolerance = float(tolerance)
-        if not math.isfinite(residual) or residual < 0:
-            raise ValueError(f"residual must be finite and nonnegative, got {residual!r}")
+        if math.isinf(value) and np.isfinite(residual):
+            magnitude = np.format_float_scientific(residual, precision=3)
+            raise ValueError(
+                f"{condition_id} residual {magnitude} is finite in longdouble "
+                f"but overflows float64"
+            )
+        if not math.isfinite(value) or value < 0:
+            raise ValueError(f"residual must be finite and nonnegative, got {value!r}")
         if tolerance <= 0:
             raise ValueError(f"tolerance must be positive, got {tolerance!r}")
-        return cls(condition_id, p.s, choice, cutoff, residual, tolerance, residual <= tolerance)
+        return cls(condition_id, p.s, choice, cutoff, value, tolerance, value <= tolerance)
 
 
 def _require_audit_space(space: TruncatedFockSpace) -> None:

@@ -20,16 +20,15 @@ from .qubits import (
     two_qubit_state,
 )
 from .report import (
+    ALGEBRA_LAYER,
     ConfigError,
     DEFAULT_LAW,
+    GATE_LAYER,
     LAW_PRODUCT,
     LAW_SQRT,
+    NORM_RATIO_LAYER,
     SweepConfig,
-    algebra_entries,
-    build_report,
-    gate_entries,
     infer_psi_from_norm,
-    norm_ratio_entries,
     run_sweep,
     serialize,
 )
@@ -118,23 +117,8 @@ def _exit_code(report) -> int:
     return 1 if report.unexpected_failures() else 0
 
 
-def _cmd_audit(args) -> int:
-    config = _config_from_args(args)
-    entries = []
-    for s in config.s_grid:
-        entries.extend(algebra_entries(config, s))
-    report = build_report(config, entries)
-    _print_entries(report)
-    _emit(report, args)
-    return _exit_code(report)
-
-
-def _cmd_gates(args) -> int:
-    config = _config_from_args(args)
-    entries = []
-    for s in config.s_grid:
-        entries.extend(gate_entries(config, s))
-    report = build_report(config, entries)
+def _cmd_layer(args, layer: str) -> int:
+    report = run_sweep(_config_from_args(args), layers=(layer,))
     _print_entries(report)
     _emit(report, args)
     return _exit_code(report)
@@ -143,7 +127,6 @@ def _cmd_gates(args) -> int:
 def _cmd_states(args) -> int:
     config = _config_from_args(args)
     space = TruncatedFockSpace(QUBIT_CUTOFF)
-    entries, samples = [], []
     for s in config.s_grid:
         p = DeformationParam(s)
         print(f"s={s:g} deformed-occupation bookkeeping:")
@@ -162,10 +145,7 @@ def _cmd_states(args) -> int:
                     f"({i}, {re:.12g}, {im:.12g})" for i, re, im in state.nonzero_triples()
                 )
                 print(f"  |{x}{y}>  {triples}")
-        point_entries, point_samples = norm_ratio_entries(config, s)
-        entries.extend(point_entries)
-        samples.extend(point_samples)
-    report = build_report(config, entries, samples)
+    report = run_sweep(config, layers=(NORM_RATIO_LAYER,))
     for r in report.norm_ratio:
         print(
             f"s={r.s:g} psi={r.psi:g} beta={r.beta:g}: measured={r.measured:.12g} "
@@ -210,8 +190,8 @@ def _cmd_sweep(args) -> int:
 
 
 _COMMANDS = {
-    "audit": _cmd_audit,
-    "gates": _cmd_gates,
+    "audit": lambda args: _cmd_layer(args, ALGEBRA_LAYER),
+    "gates": lambda args: _cmd_layer(args, GATE_LAYER),
     "states": _cmd_states,
     "infer": _cmd_infer,
     "sweep": _cmd_sweep,

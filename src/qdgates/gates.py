@@ -16,18 +16,19 @@ from enum import Enum
 
 import numpy as np
 
-from .fockspace import FunctionChoice, RadicandError, TruncatedFockSpace, dressing_diag, ladder_ops
+from .fockspace import FunctionChoice, RadicandError, TruncatedFockSpace
 from .qnumber import DeformationParam
 from .qubits import (
     OscillatorPairState,
     QUBIT_CUTOFF,
     TwoQubitState,
+    _dressed_amplitude,
+    _qubit_vector,
     basis_two_qubit_state,
     deformed_qubit_state,
     pair_index,
     quad_index,
     two_qubit_state,
-    vacuum,
 )
 
 _SQRT2 = math.sqrt(2.0)
@@ -109,6 +110,8 @@ def check_not_condition(
     """
     q = p.q
     residual = 0.0
+    # The targets evaluate to exactly 1 (1/1 at n_hat = 0, -1/-1 at
+    # n_hat = 1, for every q), so the residual is |psi1/psi2 - 1|.
     for n_hat in (0, 1):
         target_num = q ** (-n_hat) - n_hat * q ** (-n_hat) - n_hat * q ** (n_hat - 1)
         target_den = q**n_hat - n_hat * q**n_hat - n_hat * q ** (1 - n_hat)
@@ -137,22 +140,15 @@ def apply_hadamard(
         return OscillatorPairState(space, out)
     _require_deformed_args(p, choice)
     basis_up = deformed_qubit_state(1, p, choice, space).amplitudes
-    basis_down = _own_dressed_down_state(space, p, choice.psi3, choice.psi4)
+    # the down vector's second oscillator carries its own dressing at n = 1,
+    # which is the same argument-1 value the shifted dressing gives
+    basis_down = _qubit_vector(space, 0, _dressed_amplitude(0, p, choice.psi3, choice.psi4))
     pref_up = basis_up[pair_index(space, 1, 0)]
     pref_down = basis_down[pair_index(space, 0, 1)]
     c_up = amp_up / pref_up
     c_down = amp_down / pref_down
     out = (c_down * (basis_down + basis_up) + c_up * (basis_down - basis_up)) / _SQRT2
     return OscillatorPairState(space, out)
-
-
-def _own_dressed_down_state(space, p, g1, g2) -> np.ndarray:
-    # second oscillator dressed at its own occupation, as in the
-    # two-function-pair superposition construction
-    _, a_dag, _ = ladder_ops(space)
-    f_own = dressing_diag(space, p, g1, g2)
-    op = np.kron(np.eye(space.cutoff), f_own @ a_dag)
-    return op @ vacuum(space).amplitudes
 
 
 def apply_phase_shift(state: OscillatorPairState, theta: float) -> OscillatorPairState:
@@ -282,6 +278,10 @@ def check_cnot_condition(
             )
         return base**exponent
 
+    # With k_hat = k, both sides at either k are the same product,
+    # factor(1, 1/2) times a zeroth-power 1, so the residual is exactly 0;
+    # what the check really tests is that the radicand of factor(1, 1/2),
+    # (q*beta1 - beta2/q) / (q - 1/q), is not negative.
     residual = 0.0
     for k in (0, 1):
         k_hat = k  # the occupation the swapped target actually carries

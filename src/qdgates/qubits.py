@@ -2,10 +2,15 @@
 
 A qubit lives in a pair of oscillators carrying exactly one total quantum:
 occupation (1, 0) is spin up (label 1), occupation (0, 1) is spin down
-(label 0).  General (j, m) states occupy ``(j+m, j-m)``.  All states are
-produced by applying explicit creation matrices to the pair vacuum, so the
-same operator pipeline the audits verify also builds the states; deformation
-shows up purely as a scalar rescaling of the basis vectors.
+(label 0).  General (j, m) states occupy ``(j+m, j-m)``.  A basis qubit or a
+product of two is a single basis vector, so each is written as one amplitude
+at one index: 1 for the plain states, and for the deformed ones the dressing
+at argument 1 (see :func:`_dressed_amplitude`), the only dressing value the
+single quantum ever meets.  Applying the dressed ``np.kron`` creation
+matrices to the pair vacuum gives the same amplitudes bit for bit; that
+construction is kept only as the test oracle (``tests/test_state_oracle.py``).
+``jm_state`` still applies the plain creation matrices, since its towers
+hold more than one quantum.
 
 Basis ordering over the joint occupations (n1, n2) is row-major and fixed;
 four-oscillator states order (a1, a2, b1, b2) row-major, which is exactly
@@ -24,7 +29,7 @@ from .fockspace import (
     FunctionFamily,
     POWER_OF_Q,
     TruncatedFockSpace,
-    dressing_diag,
+    dressing_vector,
     ladder_ops,
 )
 from .qnumber import DeformationParam, q_factorial
@@ -102,29 +107,23 @@ def _check_label(x: int) -> None:
         raise ValueError(f"qubit label must be 0 or 1, got {x!r}")
 
 
+def _qubit_vector(space: TruncatedFockSpace, x: int, amplitude) -> np.ndarray:
+    amp = np.zeros(space.cutoff**2, dtype=complex)
+    amp[pair_index(space, x, 1 - x)] = amplitude
+    return amp
+
+
+def _two_qubit_vector(space: TruncatedFockSpace, x: int, y: int, amplitude) -> np.ndarray:
+    amp = np.zeros(space.cutoff**4, dtype=complex)
+    amp[quad_index(space, x, 1 - x, y, 1 - y)] = amplitude
+    return amp
+
+
 def pair_creation_ops(space: TruncatedFockSpace) -> tuple[np.ndarray, np.ndarray]:
     """Creation matrices for the two oscillators of a pair."""
     _, a_dag, _ = ladder_ops(space)
     eye = np.eye(space.cutoff)
     return np.kron(a_dag, eye), np.kron(eye, a_dag)
-
-
-def deformed_pair_creation_ops(
-    space: TruncatedFockSpace, p: DeformationParam, g1: float, g2: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Dressed creation matrices for a pair.
-
-    Oscillator 1 carries the dressing at its own occupation; oscillator 2
-    carries it at one minus the *first* oscillator's occupation, the form
-    appropriate when the pair holds a single quantum in total.
-    """
-    _, a_dag, _ = ladder_ops(space)
-    eye = np.eye(space.cutoff)
-    f_own = dressing_diag(space, p, g1, g2)
-    f_shift = dressing_diag(
-        space, p, g1, g2, arguments=[1 - n for n in range(space.cutoff)]
-    )
-    return np.kron(f_own @ a_dag, eye), np.kron(f_shift, a_dag)
 
 
 def vacuum(space: TruncatedFockSpace) -> OscillatorPairState:
@@ -137,9 +136,7 @@ def vacuum(space: TruncatedFockSpace) -> OscillatorPairState:
 def qubit_state(x: int, space: TruncatedFockSpace) -> OscillatorPairState:
     """Basis qubit: occupation (1, 0) for x = 1, (0, 1) for x = 0."""
     _check_label(x)
-    c1, c2 = pair_creation_ops(space)
-    op = c1 if x == 1 else c2
-    return OscillatorPairState(space, op @ vacuum(space).amplitudes)
+    return OscillatorPairState(space, _qubit_vector(space, x, 1.0))
 
 
 def jm_state(j: float, m: float, space: TruncatedFockSpace) -> OscillatorPairState:
@@ -167,16 +164,19 @@ def jm_state(j: float, m: float, space: TruncatedFockSpace) -> OscillatorPairSta
     return OscillatorPairState(space, amp)
 
 
-def _deformed_qubit_amplitudes(
-    x: int, p: DeformationParam, g1: float, g2: float, space: TruncatedFockSpace
-) -> np.ndarray:
-    c1, c2 = deformed_pair_creation_ops(space, p, g1, g2)
-    op = c1 if x == 1 else c2
-    amp = op @ vacuum(space).amplitudes
+def _dressed_amplitude(x: int, p: DeformationParam, g1: float, g2: float) -> float:
+    """Amplitude of the deformed basis qubit ``x`` dressed by ``(g1, g2)``.
+
+    The single quantum sits on a level whose dressing argument is 1 in both
+    constructions: the first oscillator's own dressing at n = 1 for x = 1,
+    the second oscillator's shifted dressing ``1 - n`` at the first
+    oscillator's n = 0 for x = 0.  No other level carries weight, so no
+    other level is evaluated; a negative radicand at argument 1 still raises.
+    """
     # deformed factorials of the occupations; identically 1 at qubit labels,
     # kept so the normalization has the same shape as for higher towers
     norm = math.sqrt(q_factorial(x, p) * q_factorial(1 - x, p))
-    return amp / norm
+    return dressing_vector([1], p, g1, g2)[0] / norm
 
 
 def deformed_qubit_state(
@@ -184,18 +184,15 @@ def deformed_qubit_state(
 ) -> OscillatorPairState:
     """Deformed basis qubit; same support as ``qubit_state``, rescaled by the dressing."""
     _check_label(x)
-    return OscillatorPairState(
-        space, _deformed_qubit_amplitudes(x, p, choice.psi1, choice.psi2, space)
-    )
+    amplitude = _dressed_amplitude(x, p, choice.psi1, choice.psi2)
+    return OscillatorPairState(space, _qubit_vector(space, x, amplitude))
 
 
 def basis_two_qubit_state(x: int, y: int, space: TruncatedFockSpace) -> TwoQubitState:
     """Undeformed product basis state |x>|y> over two oscillator pairs."""
     _check_label(x)
     _check_label(y)
-    return TwoQubitState(
-        space, np.kron(qubit_state(x, space).amplitudes, qubit_state(y, space).amplitudes)
-    )
+    return TwoQubitState(space, _two_qubit_vector(space, x, y, 1.0))
 
 
 def two_qubit_state(
@@ -210,9 +207,9 @@ def two_qubit_state(
     target by the beta pair of ``choice_b``."""
     _check_label(x)
     _check_label(y)
-    ctrl = _deformed_qubit_amplitudes(x, p, choice_a.psi1, choice_a.psi2, space)
-    tgt = _deformed_qubit_amplitudes(y, p, choice_b.beta1, choice_b.beta2, space)
-    return TwoQubitState(space, np.kron(ctrl, tgt))
+    ctrl = _dressed_amplitude(x, p, choice_a.psi1, choice_a.psi2)
+    tgt = _dressed_amplitude(y, p, choice_b.beta1, choice_b.beta2)
+    return TwoQubitState(space, _two_qubit_vector(space, x, y, ctrl * tgt))
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from . import __version__ as _tool_version
 from .audit import (
@@ -25,7 +25,7 @@ from .audit import (
     run_algebra_checks,
 )
 from .fockspace import CONSTANT_ONE, FunctionChoice, FunctionFamily, TruncatedFockSpace
-from .gates import check_cnot_condition, check_not_condition, cnot_truth_table
+from .gates import TruthTableRow, check_cnot_condition, check_not_condition, cnot_truth_table
 from .qnumber import DeformationParam
 from .qubits import QUBIT_CUTOFF, norm_ratio_experiment
 
@@ -36,6 +36,12 @@ CNOT_CONDITION = "cnot_condition"
 CNOT_TABLE = "cnot_table"
 CNOT_TABLE_DEFORMED = "cnot_table_deformed"
 NORM_RATIO = "norm_ratio"
+
+# The layers a sweep can run; `qdgates audit`, `gates` and `states` run one each.
+ALGEBRA_LAYER = "algebra"
+GATE_LAYER = "gates"
+NORM_RATIO_LAYER = "norm_ratio"
+SWEEP_LAYERS = (ALGEBRA_LAYER, GATE_LAYER, NORM_RATIO_LAYER)
 
 REGISTERED_CHECKS = (
     "qcommutator",
@@ -280,8 +286,10 @@ def _error_entry(check_id: str, s: float, cutoff: int, choice: FunctionChoice, e
     )
 
 
-def algebra_entries(config: SweepConfig, s: float) -> list[ReportEntry]:
-    p, choice = _point(config, s)
+def algebra_entries(
+    config: SweepConfig, p: DeformationParam, choice: FunctionChoice
+) -> list[ReportEntry]:
+    s = p.s
     space = TruncatedFockSpace(config.cutoff)
     try:
         reports = run_algebra_checks(space, p, choice, config.tolerance, DEFAULT_SHIFT_POLY)
@@ -299,8 +307,15 @@ def algebra_entries(config: SweepConfig, s: float) -> list[ReportEntry]:
     return out
 
 
-def gate_entries(config: SweepConfig, s: float) -> list[ReportEntry]:
-    p, choice = _point(config, s)
+def gate_entries(
+    config: SweepConfig,
+    p: DeformationParam,
+    choice: FunctionChoice,
+    plain_rows: list[TruthTableRow],
+) -> list[ReportEntry]:
+    """Gate rows at one grid point; ``plain_rows`` is the plain CNOT table,
+    which does not depend on s and is computed once per sweep."""
+    s = p.s
     tol = config.tolerance
     out = []
 
@@ -322,7 +337,6 @@ def gate_entries(config: SweepConfig, s: float) -> list[ReportEntry]:
     except ValueError as exc:
         out.append(_error_entry(CNOT_CONDITION, s, QUBIT_CUTOFF, choice, exc))
 
-    plain_rows = cnot_truth_table()
     residual = max(max(abs(r.amplitude - 1.0), r.off_support) for r in plain_rows)
     out.append(entry(CNOT_TABLE, residual, residual <= tol))
 
@@ -340,9 +354,9 @@ def gate_entries(config: SweepConfig, s: float) -> list[ReportEntry]:
 
 
 def norm_ratio_entries(
-    config: SweepConfig, s: float
+    config: SweepConfig, p: DeformationParam, choice: FunctionChoice
 ) -> tuple[list[ReportEntry], list[NormRatioSample]]:
-    p, choice = _point(config, s)
+    s = p.s
     space = TruncatedFockSpace(QUBIT_CUTOFF)
     try:
         result = norm_ratio_experiment(1, 0, p, choice.psi1, choice.beta1, space)
@@ -369,16 +383,22 @@ def norm_ratio_entries(
     return [entry], [sample]
 
 
-def run_sweep(config: SweepConfig) -> SweepReport:
-    """Every registered check at every grid point; deterministic for a fixed config."""
+def run_sweep(config: SweepConfig, layers: Sequence[str] = SWEEP_LAYERS) -> SweepReport:
+    """The checks of ``layers`` (default: all) at every grid point;
+    deterministic for a fixed config."""
     entries: list[ReportEntry] = []
     samples: list[NormRatioSample] = []
+    plain_rows = cnot_truth_table() if GATE_LAYER in layers else []
     for s in config.s_grid:
-        entries.extend(algebra_entries(config, s))
-        entries.extend(gate_entries(config, s))
-        point_entries, point_samples = norm_ratio_entries(config, s)
-        entries.extend(point_entries)
-        samples.extend(point_samples)
+        p, choice = _point(config, s)
+        if ALGEBRA_LAYER in layers:
+            entries.extend(algebra_entries(config, p, choice))
+        if GATE_LAYER in layers:
+            entries.extend(gate_entries(config, p, choice, plain_rows))
+        if NORM_RATIO_LAYER in layers:
+            point_entries, point_samples = norm_ratio_entries(config, p, choice)
+            entries.extend(point_entries)
+            samples.extend(point_samples)
     return build_report(config, entries, samples)
 
 

@@ -162,6 +162,11 @@ class TestReportContract:
         with pytest.raises(ValueError):
             ConditionReport.from_residual("x", p, UNIT, 16, 0.0, 0.0)
 
+    def test_float64_overflow_names_the_longdouble_magnitude(self):
+        p = DeformationParam(0.5)
+        with pytest.raises(ValueError, match=r"qcommutator residual 7\.941e\+379 .*overflows float64"):
+            ConditionReport.from_residual("qcommutator", p, UNIT, 1024, np.longdouble("7.941e379"), 1e-10)
+
     def test_rejects_small_cutoff(self):
         with pytest.raises(ValueError):
             check_qcommutator(TruncatedFockSpace(3), DeformationParam(0.5), UNIT, 1e-10)

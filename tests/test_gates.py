@@ -239,6 +239,27 @@ class TestCnotTruthTable:
         assert magnitudes[0] == pytest.approx(P_HALF.q**1.5, rel=1e-13)
 
 
+class TestLevelZeroDressing:
+    # psi1 < psi2 makes the level-0 stand-in radicand negative; the deformed
+    # gates only meet the dressing at argument 1, which is valid here
+    CHOICE = FunctionChoice(psi1=1.0, psi2=1.2, beta1=1.0, beta2=1.2)
+
+    def test_deformed_not_and_hadamard(self):
+        down = deformed_qubit_state(0, P_HALF, self.CHOICE, SPACE)
+        up = deformed_qubit_state(1, P_HALF, self.CHOICE, SPACE)
+        flipped = apply_not(down, deformed=True, p=P_HALF, choice=self.CHOICE)
+        assert np.allclose(flipped.amplitudes, up.amplitudes, atol=1e-15)
+        out = apply_hadamard(down, deformed=True, p=P_HALF, choice=self.CHOICE)
+        expected = (down.amplitudes + up.amplitudes) / math.sqrt(2)
+        assert np.allclose(out.amplitudes, expected, atol=1e-15)
+
+    def test_deformed_truth_table(self):
+        rows = cnot_truth_table(True, P_HALF, self.CHOICE, self.CHOICE)
+        magnitudes = [abs(r.amplitude) for r in rows]
+        assert max(magnitudes) - min(magnitudes) < 1e-15
+        assert all(r.off_support == 0.0 for r in rows)
+
+
 class TestCnotCondition:
     @pytest.mark.parametrize("s", S_GRID)
     def test_identity_for_all_function_pairs(self, s):

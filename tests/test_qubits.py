@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qdgates.fockspace import FunctionChoice, TruncatedFockSpace
+from qdgates.fockspace import FunctionChoice, RadicandError, TruncatedFockSpace, f_value
 from qdgates.qnumber import DeformationParam
 from qdgates.qubits import (
     basis_two_qubit_state,
@@ -125,6 +125,29 @@ class TestDeformedQubits:
             gap = np.max(np.abs(state.amplitudes - qubit_state(x, SPACE).amplitudes))
             assert gap <= s
             assert gap < 1e-12
+
+
+class TestLevelZeroDressing:
+    # psi1 < psi2: the level-0 stand-in radicand is negative, but level 0
+    # only ever multiplies zero amplitudes; argument 1 is valid
+    CHOICE = FunctionChoice(psi1=1.0, psi2=1.2, beta1=1.0, beta2=1.2)
+
+    @pytest.mark.parametrize("x", [0, 1])
+    def test_qubit_states_need_only_argument_one(self, x):
+        state = deformed_qubit_state(x, P_HALF, self.CHOICE, SPACE)
+        expected = f_value(1, P_HALF, 1.0, 1.2)
+        assert state.nonzero_triples() == [(pair_index(SPACE, x, 1 - x), expected, 0.0)]
+
+    def test_two_qubit_state_needs_only_argument_one(self):
+        state = two_qubit_state(0, 1, P_HALF, self.CHOICE, self.CHOICE, SPACE)
+        assert state.support() == ((0, 1, 1, 0),)
+        assert state.norm() == pytest.approx(f_value(1, P_HALF, 1.0, 1.2) ** 2, rel=1e-15)
+
+    def test_negative_radicand_at_argument_one_still_raises(self):
+        choice = FunctionChoice(psi1=1.0, psi2=10.0)
+        for x in (0, 1):
+            with pytest.raises(RadicandError, match="n=1"):
+                deformed_qubit_state(x, P_HALF, choice, SPACE)
 
 
 class TestTwoQubitStates:

@@ -5,14 +5,17 @@ import pytest
 
 from qdgates.cli import main
 from qdgates.fockspace import FunctionFamily
+from qdgates.gates import cnot_truth_table
 from qdgates.qnumber import DeformationParam
 from qdgates.qubits import TruncatedFockSpace, norm_ratio_experiment
 from qdgates.report import (
+    ALGEBRA_LAYER,
     ConfigError,
     ENTRY_COLUMNS,
     LAW_PRODUCT,
     LAW_SQRT,
     REGISTERED_CHECKS,
+    SWEEP_LAYERS,
     SweepConfig,
     infer_psi_from_norm,
     parse_report,
@@ -105,6 +108,40 @@ class TestRunSweep:
         assert len(errored) == 4
         assert all(e.residual == -1.0 and not e.passed for e in errored)
         assert report.unexpected_failures() == 4
+
+
+    def test_layers_partition_the_full_sweep(self):
+        cfg = config(s_grid=S_GRID, psi_family=POWER_ONE)
+        full = run_sweep(cfg)
+        parts = [run_sweep(cfg, layers=(layer,)) for layer in SWEEP_LAYERS]
+        merged = sorted(
+            (e for part in parts for e in part.entries), key=lambda e: (e.s, e.check_id)
+        )
+        assert merged == sorted(full.entries, key=lambda e: (e.s, e.check_id))
+        assert parts[2].norm_ratio == full.norm_ratio
+        assert not parts[0].norm_ratio and not parts[1].norm_ratio
+
+    def test_plain_truth_table_runs_once_per_sweep(self, monkeypatch):
+        import qdgates.report as report_module
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("deformed", args[0] if args else False))
+            return cnot_truth_table(*args, **kwargs)
+
+        monkeypatch.setattr(report_module, "cnot_truth_table", counted)
+        run_sweep(config(s_grid=S_GRID))
+        assert calls.count(False) == 1
+        assert calls.count(True) == len(S_GRID)
+
+    def test_float64_overflow_becomes_explained_error_rows(self):
+        report = run_sweep(config(s_grid=(0.9,), cutoff=1024), layers=(ALGEBRA_LAYER,))
+        assert len(report.entries) == 4
+        for e in report.entries:
+            assert e.residual == -1.0 and not e.passed
+            assert "finite in longdouble but overflows float64" in e.note
+            assert "e+379" in e.note
 
 
 class TestSerialization:

@@ -1,0 +1,200 @@
+"""The closed-form qubit and gate states against the creation-matrix oracle.
+
+The oracle is the earlier construction: dressed ``np.kron`` creation
+matrices over every retained level, applied to the pair vacuum, with
+two-qubit states formed as Kronecker products of pair states.  The closed
+form writes the one nonzero amplitude directly, computed with the same
+floating-point operations, so wherever the oracle succeeds every amplitude,
+truth-table row and norm ratio must agree bit for bit.  Where the oracle
+raises, it is because it also evaluates levels that carry no weight; the
+closed form may then succeed.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qdgates.fockspace import (
+    FunctionChoice,
+    RadicandError,
+    TruncatedFockSpace,
+    dressing_diag,
+    ladder_ops,
+)
+from qdgates.gates import (
+    _QUBIT_PATTERNS,
+    _SQRT2,
+    TruthTableRow,
+    _qubit_components,
+    apply_hadamard,
+    cnot_truth_table,
+)
+from qdgates.qnumber import DeformationParam, q_factorial
+from qdgates.qubits import (
+    basis_two_qubit_state,
+    deformed_qubit_state,
+    norm_ratio_experiment,
+    pair_creation_ops,
+    pair_index,
+    quad_index,
+    qubit_state,
+    two_qubit_state,
+    vacuum,
+)
+
+
+def deformed_pair_creation_ops(space, p, g1, g2):
+    """Dressed creation matrices for a pair.
+
+    Oscillator 1 carries the dressing at its own occupation; oscillator 2
+    carries it at one minus the *first* oscillator's occupation, the form
+    appropriate when the pair holds a single quantum in total.
+    """
+    _, a_dag, _ = ladder_ops(space)
+    eye = np.eye(space.cutoff)
+    f_own = dressing_diag(space, p, g1, g2)
+    f_shift = dressing_diag(space, p, g1, g2, arguments=[1 - n for n in range(space.cutoff)])
+    return np.kron(f_own @ a_dag, eye), np.kron(f_shift, a_dag)
+
+
+def oracle_qubit(x, space):
+    c1, c2 = pair_creation_ops(space)
+    return (c1 if x == 1 else c2) @ vacuum(space).amplitudes
+
+
+def oracle_deformed_qubit(x, p, g1, g2, space):
+    c1, c2 = deformed_pair_creation_ops(space, p, g1, g2)
+    amp = (c1 if x == 1 else c2) @ vacuum(space).amplitudes
+    return amp / math.sqrt(q_factorial(x, p) * q_factorial(1 - x, p))
+
+
+def oracle_basis_two_qubit(x, y, space):
+    return np.kron(oracle_qubit(x, space), oracle_qubit(y, space))
+
+
+def oracle_two_qubit(x, y, p, choice_a, choice_b, space):
+    ctrl = oracle_deformed_qubit(x, p, choice_a.psi1, choice_a.psi2, space)
+    tgt = oracle_deformed_qubit(y, p, choice_b.beta1, choice_b.beta2, space)
+    return np.kron(ctrl, tgt)
+
+
+def oracle_cnot_truth_table(p, choice_a, choice_b, space):
+    """The deformed table, each row built from oracle states as before."""
+
+    def state(x, y):
+        return oracle_two_qubit(x, y, p, choice_a, choice_b, space)
+
+    rows = []
+    for x, y in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        state_in = state(x, y)
+        nz = np.nonzero(state_in)[0]
+        if len(nz) != 1:
+            raise ValueError("two-qubit gate input must be a scaled product basis state")
+        amp = complex(state_in[nz[0]])
+        if x == 0:
+            state_out = state_in.copy()
+        else:
+            reference_in = state(x, y)
+            scale = amp / reference_in[quad_index(space, *_QUBIT_PATTERNS[(x, y)])]
+            state_out = scale * state(x, 1 - y)
+        expected = (x, y ^ x)
+        idx = quad_index(space, *_QUBIT_PATTERNS[expected])
+        off = float(np.max(np.abs(np.delete(state_out, idx))))
+        rows.append(TruthTableRow((x, y), expected, complex(state_out[idx]), off))
+    return rows
+
+
+def oracle_deformed_hadamard(state, p, choice):
+    """The deformed Hadamard with both basis vectors built by creation matrices."""
+    space = state.space
+    amp_down, amp_up = _qubit_components(state)
+    basis_up = oracle_deformed_qubit(1, p, choice.psi1, choice.psi2, space)
+    _, a_dag, _ = ladder_ops(space)
+    f_own = dressing_diag(space, p, choice.psi3, choice.psi4)
+    basis_down = np.kron(np.eye(space.cutoff), f_own @ a_dag) @ vacuum(space).amplitudes
+    c_up = amp_up / basis_up[pair_index(space, 1, 0)]
+    c_down = amp_down / basis_down[pair_index(space, 0, 1)]
+    return (c_down * (basis_down + basis_up) + c_up * (basis_down - basis_up)) / _SQRT2
+
+
+def oracle_norm_ratio(x, y, p, psi, beta, space):
+    deformed = oracle_two_qubit(
+        x, y, p, FunctionChoice(psi1=psi, psi2=psi), FunctionChoice(beta1=beta, beta2=beta), space
+    )
+    plain = oracle_basis_two_qubit(x, y, space)
+    return float(np.vdot(deformed, deformed).real / np.vdot(plain, plain).real)
+
+
+def bits(value):
+    """Every bit of an amplitude vector, a float or a truth table, signed zeros included."""
+    if isinstance(value, list):
+        return [
+            (r.input_bits, r.expected_bits, bits(np.complex128(r.amplitude)), bits(r.off_support))
+            for r in value
+        ]
+    value = np.asarray(value)
+    return value.dtype.str, value.shape, value.tobytes()
+
+
+def assert_matches_oracle(closed_form, oracle):
+    """Bitwise equality wherever the oracle succeeds; the closed form must
+    then succeed too.  Returns whether the oracle succeeded."""
+    try:
+        expected = oracle()
+    except RadicandError:
+        return False
+    assert bits(closed_form()) == bits(expected)
+    return True
+
+
+@st.composite
+def qubit_points(draw):
+    s = draw(st.floats(min_value=0.01, max_value=1.0, exclude_min=True))
+    q = math.exp(s)
+    value = st.one_of(
+        st.sampled_from((1.0, q, q**0.5, q**2)),
+        st.floats(min_value=0.01, max_value=100.0),
+    )
+    pairs = [(draw(value), draw(value)) for _ in range(3)]
+    choice = FunctionChoice(*pairs[0], *pairs[1], *pairs[2])
+    cutoff = draw(st.integers(min_value=2, max_value=6))
+    x, y = draw(st.integers(0, 1)), draw(st.integers(0, 1))
+    return TruncatedFockSpace(cutoff), DeformationParam(s), choice, x, y
+
+
+@settings(deadline=None)
+@given(qubit_points())
+def test_closed_form_equals_the_creation_matrix_oracle(point):
+    space, p, choice, x, y = point
+    assert_matches_oracle(
+        lambda: qubit_state(x, space).amplitudes, lambda: oracle_qubit(x, space)
+    )
+    assert_matches_oracle(
+        lambda: basis_two_qubit_state(x, y, space).amplitudes,
+        lambda: oracle_basis_two_qubit(x, y, space),
+    )
+    hadamard_inputs = [qubit_state(x, space)]
+    if assert_matches_oracle(
+        lambda: deformed_qubit_state(x, p, choice, space).amplitudes,
+        lambda: oracle_deformed_qubit(x, p, choice.psi1, choice.psi2, space),
+    ):
+        hadamard_inputs.append(deformed_qubit_state(x, p, choice, space))
+    assert_matches_oracle(
+        lambda: two_qubit_state(x, y, p, choice, choice, space).amplitudes,
+        lambda: oracle_two_qubit(x, y, p, choice, choice, space),
+    )
+    assert_matches_oracle(
+        lambda: cnot_truth_table(True, p, choice, choice, space),
+        lambda: oracle_cnot_truth_table(p, choice, choice, space),
+    )
+    assert_matches_oracle(
+        lambda: norm_ratio_experiment(x, y, p, choice.psi1, choice.beta1, space).measured,
+        lambda: oracle_norm_ratio(x, y, p, choice.psi1, choice.beta1, space),
+    )
+    for state in hadamard_inputs:
+        assert_matches_oracle(
+            lambda: apply_hadamard(state, True, p, choice).amplitudes,
+            lambda: oracle_deformed_hadamard(state, p, choice),
+        )

@@ -28,8 +28,9 @@ from .fockspace import (
     FunctionChoice,
     FunctionFamily,
     POWER_OF_Q,
+    RadicandError,
     TruncatedFockSpace,
-    dressing_vector,
+    _radicand,
     ladder_ops,
 )
 from .qnumber import DeformationParam, q_factorial
@@ -172,11 +173,16 @@ def _dressed_amplitude(x: int, p: DeformationParam, g1: float, g2: float) -> flo
     the second oscillator's shifted dressing ``1 - n`` at the first
     oscillator's n = 0 for x = 0.  No other level carries weight, so no
     other level is evaluated; a negative radicand at argument 1 still raises.
+    The value does not depend on ``x``.
     """
     # deformed factorials of the occupations; identically 1 at qubit labels,
     # kept so the normalization has the same shape as for higher towers
     norm = math.sqrt(q_factorial(x, p) * q_factorial(1 - x, p))
-    return dressing_vector([1], p, g1, g2)[0] / norm
+    # the dressing_vector formula on float64 scalars, without its array round-trip
+    r = _radicand(np.float64(1), np.float64(p.s), np.float64(g1), np.float64(g2))
+    if r < 0:
+        raise RadicandError(f"negative radicand at level n=1 with psi1={g1}, psi2={g2}")
+    return np.sqrt(r) / norm
 
 
 def deformed_qubit_state(
@@ -244,18 +250,27 @@ def norm_ratio_experiment(
     beta: float,
     space: TruncatedFockSpace,
 ) -> NormRatioResult:
-    """Squared-norm ratio of the deformed basis state to the undeformed one."""
+    """Squared-norm ratio of the deformed basis state to the undeformed one.
+
+    Both states are one amplitude at the same index and the plain amplitude
+    is 1, so the ratio is the square of the deformed amplitude, whatever
+    ``space`` is.  A ratio or prediction beyond float64 range raises.
+    """
     if not (psi > 0 and beta > 0):
         raise ValueError(f"psi and beta must be positive, got psi={psi!r}, beta={beta!r}")
-    deformed = two_qubit_state(
-        x, y, p, FunctionChoice(psi1=psi, psi2=psi), FunctionChoice(beta1=beta, beta2=beta), space
-    )
-    plain = basis_two_qubit_state(x, y, space)
-    measured = float(
-        np.vdot(deformed.amplitudes, deformed.amplitudes).real
-        / np.vdot(plain.amplitudes, plain.amplitudes).real
-    )
-    return NormRatioResult(measured, psi * beta, math.sqrt(psi * beta))
+    _check_label(x)
+    _check_label(y)
+    # in Python floats an overflow reads inf without a numpy warning
+    amplitude = float(_dressed_amplitude(x, p, psi, psi)) * float(_dressed_amplitude(y, p, beta, beta))
+    measured = amplitude * amplitude
+    product = psi * beta
+    if not (math.isfinite(measured) and math.isfinite(product)):
+        ratio = np.format_float_scientific(np.longdouble(amplitude) ** 2, precision=3)
+        prediction = np.format_float_scientific(np.longdouble(psi) * beta, precision=3)
+        raise ValueError(
+            f"norm ratio overflows float64: measured {ratio}, product prediction {prediction}"
+        )
+    return NormRatioResult(measured, product, math.sqrt(product))
 
 
 @dataclass(frozen=True)

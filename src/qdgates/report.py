@@ -89,6 +89,21 @@ class ConfigError(ValueError):
         super().__init__("; ".join(self.problems))
 
 
+def _first_bad_point(family: FunctionFamily, s_grid: Sequence[float]) -> float | None:
+    """The first valid grid strength at which ``family`` is not a finite
+    positive float (it overflows, underflows to 0 or is not a number)."""
+    for s in s_grid:
+        if not 0.0 < s <= 1.0:
+            continue  # reported as a grid problem
+        try:
+            value = family.evaluate(DeformationParam(s).q)
+        except OverflowError:
+            return s
+        if not (math.isfinite(value) and value > 0):
+            return s
+    return None
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     s_grid: tuple[float, ...]
@@ -110,6 +125,12 @@ class SweepConfig:
             problems.append("s_grid values must lie in (0, 1]")
         if any(b <= a for a, b in zip(self.s_grid, self.s_grid[1:])):
             problems.append("s_grid must be strictly increasing")
+        for name, family in (("psi_family", self.psi_family), ("beta_family", self.beta_family)):
+            s = _first_bad_point(family, self.s_grid)
+            if s is not None:
+                problems.append(
+                    f"{name} {family.label()} is not a finite positive float at s={s:g}"
+                )
         if not isinstance(self.cutoff, int) or self.cutoff < MIN_AUDIT_CUTOFF:
             problems.append(f"cutoff must be an integer >= {MIN_AUDIT_CUTOFF}")
         if not (isinstance(self.tolerance, (int, float)) and self.tolerance > 0):

@@ -54,6 +54,13 @@ class TestSweepConfig:
         c = config(s_grid=(0.1, 0.4), psi_family=POWER_ONE, cutoff=8, tolerance=1e-9)
         assert SweepConfig.from_payload(c.to_payload()) == c
 
+    @pytest.mark.parametrize("exponent,bad_s", [(900.0, 0.9), (-2000.0, 0.9), (math.nan, 0.1)])
+    def test_rejects_families_that_are_not_finite_positive_floats(self, exponent, bad_s):
+        # on (0.1, 0.9), q**900 overflows and q**-2000 underflows to 0 only at 0.9
+        family = FunctionFamily("power_of_q", exponent)
+        with pytest.raises(ConfigError, match=f"beta_family .* finite positive float at s={bad_s}"):
+            config(s_grid=(0.1, 0.9), beta_family=family)
+
 
 class TestRunSweep:
     def test_unit_functions_pass_everything(self):
@@ -289,3 +296,21 @@ class TestCli:
         assert main(["audit", "--psi", "bogus"]) == 2
         assert main(["audit", "--s", "0.5", "--s-grid", "0.1,0.2"]) == 2
         assert main(["audit", "--cutoff", "2"]) == 2
+
+    def test_overflowing_family_is_a_config_error(self, capsys):
+        assert main(["sweep", "--s-grid", "0.9", "--psi", "q^900"]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error: psi_family q^900 is not a finite positive float at s=0.9" in err
+
+    def test_norm_ratio_overflow_is_an_error_row(self, tmp_path):
+        out = tmp_path / "report.json"
+        assert main(["sweep", "--s", "1", "--psi", "q^400", "--beta", "q^400", "--out", str(out)]) == 1
+        blob = out.read_bytes()
+        assert b"NaN" not in blob and b"Infinity" not in blob
+        payload = json.loads(blob)
+        (row,) = [e for e in payload["entries"] if e["check_id"] == "norm_ratio"]
+        assert row["residual"] == -1.0 and not row["pass"]
+        assert row["note"] == (
+            "error: norm ratio overflows float64: measured 2.726e+347, product prediction 2.726e+347"
+        )
+        assert payload["norm_ratio"] == []

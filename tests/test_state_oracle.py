@@ -13,11 +13,16 @@ closed form may then succeed.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qdgates.gates as gates_module
+import qdgates.qubits as qubits_module
+import qdgates.report as report_module
 from qdgates.fockspace import (
     FunctionChoice,
+    FunctionFamily,
     RadicandError,
     TruncatedFockSpace,
     dressing_diag,
@@ -28,11 +33,13 @@ from qdgates.gates import (
     _SQRT2,
     TruthTableRow,
     _qubit_components,
+    apply_cnot,
     apply_hadamard,
     cnot_truth_table,
 )
 from qdgates.qnumber import DeformationParam, q_factorial
 from qdgates.qubits import (
+    QUBIT_CUTOFF,
     basis_two_qubit_state,
     deformed_qubit_state,
     norm_ratio_experiment,
@@ -43,6 +50,7 @@ from qdgates.qubits import (
     two_qubit_state,
     vacuum,
 )
+from qdgates.report import SweepConfig, run_sweep
 
 
 def deformed_pair_creation_ops(space, p, g1, g2):
@@ -198,3 +206,62 @@ def test_closed_form_equals_the_creation_matrix_oracle(point):
             lambda: apply_hadamard(state, True, p, choice).amplitudes,
             lambda: oracle_deformed_hadamard(state, p, choice),
         )
+
+
+def oracle_plain_cnot_truth_table(space):
+    """The plain table as before: product basis vectors through ``apply_cnot``."""
+    rows = []
+    for x, y in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        state_out = apply_cnot(basis_two_qubit_state(x, y, space)).amplitudes
+        expected = (x, y ^ x)
+        idx = quad_index(space, *_QUBIT_PATTERNS[expected])
+        off = float(np.max(np.abs(np.delete(state_out, idx))))
+        rows.append(TruthTableRow((x, y), expected, complex(state_out[idx]), off))
+    return rows
+
+
+@pytest.mark.parametrize("cutoff", [None, 2, 3, 6])
+def test_plain_truth_table_equals_the_vector_oracle(cutoff):
+    # None is the sweep's call, on the default qubit space
+    space = TruncatedFockSpace(cutoff) if cutoff else None
+    oracle = oracle_plain_cnot_truth_table(space or TruncatedFockSpace(QUBIT_CUTOFF))
+    assert bits(cnot_truth_table(space=space)) == bits(oracle)
+
+
+def test_deformed_table_keeps_a_self_quotient_that_is_not_one():
+    # at s = 0.5 with psi = q, beta = 1 the row amplitude is e**0.25, whose
+    # complex128 quotient by itself is 1 - 2**-53; the flipped rows carry it
+    p = DeformationParam(0.5)
+    space = TruncatedFockSpace(4)
+    choice = FunctionChoice.from_families(FunctionFamily.parse("q"), FunctionFamily.parse("1"), p.q)
+    amp = complex(oracle_two_qubit(1, 0, p, choice, choice, space)[quad_index(space, 1, 0, 0, 1)])
+    scale = amp / np.complex128(amp)
+    assert scale != 1 and scale * amp != amp
+    rows = cnot_truth_table(True, p, choice, choice, space)
+    assert bits(rows) == bits(oracle_cnot_truth_table(p, choice, choice, space))
+    assert rows[0].amplitude == amp and rows[2].amplitude != amp
+
+
+def test_run_sweep_builds_no_two_qubit_vectors(monkeypatch):
+    calls = []
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for module in (qubits_module, gates_module, report_module):
+        for name in ("two_qubit_state", "basis_two_qubit_state"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    q, q2 = FunctionFamily.parse("q"), FunctionFamily.parse("q^2")
+    run_sweep(SweepConfig(s_grid=(0.1, 0.5, 0.9), psi_family=q, beta_family=q2))
+    assert calls == []
+    # the counter does see a caller that still builds the vectors
+    p = DeformationParam(0.5)
+    space = TruncatedFockSpace(4)
+    choice = FunctionChoice.unit()
+    apply_cnot(qubits_module.two_qubit_state(1, 0, p, choice, choice, space), True, p, choice, choice)
+    assert calls == ["two_qubit_state", "two_qubit_state", "two_qubit_state"]

@@ -11,9 +11,9 @@ is the diagonal ``nu``, so every entry of every product below is a product
 of two band entries and each check costs O(cutoff).  The entries are formed
 in the same floating-point order as the dense matrix products, so the
 residuals are bit for bit those of the dense operators; the only entries
-left out are the zeros off the band.  :func:`run_algebra_checks` builds the
-band once per grid point; each ``check_*`` function called on its own builds
-it itself.
+left out are the zeros off the band.  :func:`algebra_residuals` builds the
+band once per grid point for all four checks; each ``check_*`` function
+called on its own builds it itself.
 
 The checks run in extended precision (``np.longdouble``).  At cutoff 16 and
 s close to 1 the deformed diagonal reaches ~1e5, where one float64 ulp is
@@ -61,19 +61,32 @@ class ConditionReport:
 
     @classmethod
     def from_residual(cls, condition_id, p, choice, cutoff, residual, tolerance):
-        value = float(residual)
         tolerance = float(tolerance)
-        if math.isinf(value) and np.isfinite(residual):
-            magnitude = np.format_float_scientific(residual, precision=3)
-            raise ValueError(
-                f"{condition_id} residual {magnitude} is finite in longdouble "
-                f"but overflows float64"
-            )
-        if not math.isfinite(value) or value < 0:
-            raise ValueError(f"residual must be finite and nonnegative, got {value!r}")
+        value = float_residual(condition_id, residual)
         if tolerance <= 0:
             raise ValueError(f"tolerance must be positive, got {tolerance!r}")
-        return cls(condition_id, p.s, choice, cutoff, value, tolerance, value <= tolerance)
+        return cls(condition_id, p.s, choice, cutoff, value, tolerance, passes(value, tolerance))
+
+
+def passes(residual: float, tolerance: float) -> bool:
+    """The pass rule of every audit, gate condition and report row."""
+    return residual <= tolerance
+
+
+def float_residual(condition_id: str, residual) -> float:
+    """``residual`` as a float64; a ValueError if it is not finite and
+    nonnegative there, naming the longdouble magnitude of one that only
+    overflows float64."""
+    value = float(residual)
+    if math.isinf(value) and np.isfinite(residual):
+        magnitude = np.format_float_scientific(residual, precision=3)
+        raise ValueError(
+            f"{condition_id} residual {magnitude} is finite in longdouble "
+            f"but overflows float64"
+        )
+    if not math.isfinite(value) or value < 0:
+        raise ValueError(f"residual must be finite and nonnegative, got {value!r}")
+    return value
 
 
 def _require_audit_space(space: TruncatedFockSpace) -> None:
@@ -197,6 +210,23 @@ def check_shift_rule(
     return ConditionReport.from_residual(SHIFT_RULE, p, choice, space.cutoff, residual, tol)
 
 
+def algebra_residuals(
+    space: TruncatedFockSpace,
+    p: DeformationParam,
+    choice: FunctionChoice,
+    f_coeffs: Sequence[float] = DEFAULT_SHIFT_POLY,
+) -> tuple:
+    """The four raw identity residuals at one grid point, in registry order
+    and in the audit precision, all from one ladder band."""
+    band = _band(space, p, choice)
+    return (
+        _qcommutator(*band),
+        _number_commutators(*band),
+        _number_products(*band),
+        _shift_rule(*band, _shift_poly(f_coeffs)),
+    )
+
+
 def run_algebra_checks(
     space: TruncatedFockSpace,
     p: DeformationParam,
@@ -204,18 +234,9 @@ def run_algebra_checks(
     tol: float,
     f_coeffs: Sequence[float] = DEFAULT_SHIFT_POLY,
 ) -> list[ConditionReport]:
-    """All four identity checks at one grid point, in registry order.
-
-    The ladder band is built once and shared by the four checks.
-    """
-    band = _band(space, p, choice)
-
-    def report(condition_id, residual):
-        return ConditionReport.from_residual(condition_id, p, choice, space.cutoff, residual, tol)
-
+    """All four identity checks at one grid point, in registry order."""
+    residuals = algebra_residuals(space, p, choice, f_coeffs)
     return [
-        report(QCOMMUTATOR, _qcommutator(*band)),
-        report(NUMBER_COMMUTATORS, _number_commutators(*band)),
-        report(NUMBER_PRODUCTS, _number_products(*band)),
-        report(SHIFT_RULE, _shift_rule(*band, _shift_poly(f_coeffs))),
+        ConditionReport.from_residual(cid, p, choice, space.cutoff, r, tol)
+        for cid, r in zip(ALGEBRA_CHECK_IDS, residuals)
     ]

@@ -7,7 +7,9 @@ scalar is factored out and outputs are compared by proportionality.  The
 single-state gates rebuild their outputs from the dressed-state
 constructors.  The CNOT truth table, which the sweep evaluates at every
 grid point, needs no state vectors: each of its rows maps one argument-1
-amplitude to another (see :func:`cnot_truth_table`).
+amplitude to another (see :func:`cnot_truth_table`).  The realizability
+conditions are closed forms too: the NOT condition is the distance of
+psi1/psi2 from 1, and the CNOT condition is the sign of one radicand.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from enum import Enum
 
 import numpy as np
 
+from .audit import passes
 from .fockspace import FunctionChoice, RadicandError, TruncatedFockSpace
 from .qnumber import DeformationParam
 from .qubits import (
@@ -104,20 +107,14 @@ def check_not_condition(
     """Eigenvalue condition under which the deformed flip is indistinguishable
     from the plain one.
 
-    At both qubit occupations the condition pins the ratio psi1/psi2 to the
-    same target value 1, so it is measured on the ratio: the verdict is then
+    At both qubit occupations the condition pins the ratio psi1/psi2 to a
+    target that is exactly 1 for every q (1/1 at n_hat = 0, -1/-1 at
+    n_hat = 1), so the residual is ``|psi1/psi2 - 1|``: the verdict is
     invariant under a common rescaling of the pair.  The flip, superposition
     and phase gates share this condition.
     """
-    q = p.q
-    residual = 0.0
-    # The targets evaluate to exactly 1 (1/1 at n_hat = 0, -1/-1 at
-    # n_hat = 1, for every q), so the residual is |psi1/psi2 - 1|.
-    for n_hat in (0, 1):
-        target_num = q ** (-n_hat) - n_hat * q ** (-n_hat) - n_hat * q ** (n_hat - 1)
-        target_den = q**n_hat - n_hat * q**n_hat - n_hat * q ** (1 - n_hat)
-        residual = max(residual, abs(choice.psi1 / choice.psi2 - target_num / target_den))
-    return GateConditionReport(Gate.NOT, p.s, choice, residual, float(tol), residual <= tol)
+    residual = abs(choice.psi1 / choice.psi2 - 1.0)
+    return GateConditionReport(Gate.NOT, p.s, choice, residual, float(tol), passes(residual, tol))
 
 
 def apply_hadamard(
@@ -268,37 +265,20 @@ def check_cnot_condition(
 ) -> GateConditionReport:
     """Both sides of the target-swap condition at the qubit occupations.
 
-    The condition is an identity in the control value k, so the residual is
-    expected to vanish for every positive (beta1, beta2).  Factors raised to
-    the zeroth power are removable artifacts of the written-out expression
-    (their denominators can vanish exactly where the exponent does); they
-    contribute 1 and are excluded from the residual.
+    With the swapped target carrying k_hat = k, both sides at either control
+    value k are the square root of the argument-1 radicand
+    ``(q*beta1 - q**-1*beta2) / (q - 1/q)`` times zeroth powers, so the
+    residual is exactly 0; what the check tests is that this radicand is not
+    negative (a negative one raises :class:`RadicandError`).
     """
     if not (beta1 > 0 and beta2 > 0):
         raise ValueError(f"beta1 and beta2 must be positive, got {beta1!r}, {beta2!r}")
     q = p.q
-    denom = q - 1.0 / q
-
-    def factor(argument: float, exponent: float) -> float:
-        if exponent == 0.0:
-            return 1.0
-        base = (q**argument * beta1 - q ** (-argument) * beta2) / (argument * denom)
-        if base < 0:
-            raise RadicandError(
-                f"negative radicand in swap-condition factor at argument {argument} "
-                f"with beta1={beta1}, beta2={beta2}"
-            )
-        return base**exponent
-
-    # With k_hat = k, both sides at either k are the same product,
-    # factor(1, 1/2) times a zeroth-power 1, so the residual is exactly 0;
-    # what the check really tests is that the radicand of factor(1, 1/2),
-    # (q*beta1 - beta2/q) / (q - 1/q), is not negative.
+    if (q * beta1 - q**-1 * beta2) / (q - 1.0 / q) < 0:
+        raise RadicandError(
+            f"negative radicand in swap-condition factor at argument 1 "
+            f"with beta1={beta1}, beta2={beta2}"
+        )
     residual = 0.0
-    for k in (0, 1):
-        k_hat = k  # the occupation the swapped target actually carries
-        lhs = factor(k_hat, k / 2) * factor(1 - k_hat + k, (1 - k) / 2)
-        rhs = factor(1 - k_hat, (1 - k) / 2) * factor(k_hat - 1 + k, k / 2)
-        residual = max(residual, abs(lhs - rhs))
     choice = FunctionChoice(beta1=beta1, beta2=beta2)
-    return GateConditionReport(Gate.CNOT, p.s, choice, residual, float(tol), residual <= tol)
+    return GateConditionReport(Gate.CNOT, p.s, choice, residual, float(tol), passes(residual, tol))

@@ -1,15 +1,18 @@
 """Sweep orchestration, the dressing-inference demo, and report serialization.
 
 A sweep runs every registered check at every grid point and collects flat
-report entries.  Failures never abort a sweep: the known mismatch of the
-number-product relation away from unit dressing is scientific content and is
-recorded as an expected failure.  Serialization is bit-deterministic: fixed
-schema, sorted keys, canonical row order, no timestamps.
+report entries, each from one row builder: a row passes when
+``residual <= tol``, and a check that raises a domain error becomes an error
+row (residual -1, fail) instead of aborting the sweep.  The known mismatch
+of the number-product relation away from unit dressing is scientific content
+and is recorded as an expected failure.  Serialization is bit-deterministic:
+fixed schema, sorted keys, canonical row order, no timestamps.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -22,7 +25,10 @@ from .audit import (
     DEFAULT_SHIFT_POLY,
     MIN_AUDIT_CUTOFF,
     NUMBER_PRODUCTS,
-    run_algebra_checks,
+    algebra_residuals,
+    float_residual,
+    passes,
+    run_algebra_checks,  # re-exported
 )
 from .fockspace import CONSTANT_ONE, FunctionChoice, FunctionFamily, TruncatedFockSpace
 from .gates import TruthTableRow, check_cnot_condition, check_not_condition, cnot_truth_table
@@ -44,10 +50,7 @@ NORM_RATIO_LAYER = "norm_ratio"
 SWEEP_LAYERS = (ALGEBRA_LAYER, GATE_LAYER, NORM_RATIO_LAYER)
 
 REGISTERED_CHECKS = (
-    "qcommutator",
-    "number_commutators",
-    "number_products",
-    "shift_rule",
+    *ALGEBRA_CHECK_IDS,
     NOT_CONDITION,
     CNOT_CONDITION,
     CNOT_TABLE,
@@ -55,6 +58,7 @@ REGISTERED_CHECKS = (
     NORM_RATIO,
 )
 
+# The report's one column list, in ReportEntry field order.
 ENTRY_COLUMNS = (
     "check_id",
     "s",
@@ -157,14 +161,24 @@ class SweepConfig:
                 return FunctionFamily.parse(d)
             return FunctionFamily(d.get("kind", CONSTANT_ONE), d.get("exponent", 0.0))
 
+        cutoff = payload.get("cutoff", 16)
+        tolerance = payload.get("tolerance", 1e-10)
+        problems = []
         if "s_grid" not in payload:
-            raise ConfigError(["config must define s_grid"])
+            problems.append("config must define s_grid")
+        # int() and float() below would turn 16.5 into 16 and true into 1
+        if isinstance(cutoff, bool) or (isinstance(cutoff, float) and not cutoff.is_integer()):
+            problems.append(f"cutoff must be an integer, got {cutoff!r}")
+        if isinstance(tolerance, bool):
+            problems.append(f"tolerance must be a number, got {tolerance!r}")
+        if problems:
+            raise ConfigError(problems)
         return cls(
             s_grid=tuple(payload["s_grid"]),
             psi_family=family(payload.get("psi_family", {"kind": CONSTANT_ONE})),
             beta_family=family(payload.get("beta_family", {"kind": CONSTANT_ONE})),
-            cutoff=int(payload.get("cutoff", 16)),
-            tolerance=float(payload.get("tolerance", 1e-10)),
+            cutoff=int(cutoff),
+            tolerance=float(tolerance),
             output_format=str(payload.get("output_format", "json")),
         )
 
@@ -186,18 +200,7 @@ class ReportEntry:
         return EXPECTED_FAIL_MARK not in self.note
 
     def to_payload(self) -> dict:
-        return {
-            "check_id": self.check_id,
-            "s": self.s,
-            "cutoff": self.cutoff,
-            "psi1": self.psi1,
-            "psi2": self.psi2,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "residual": self.residual,
-            "pass": self.passed,
-            "note": self.note,
-        }
+        return dict(zip(ENTRY_COLUMNS, vars(self).values()))
 
 
 @dataclass(frozen=True)
@@ -211,15 +214,7 @@ class NormRatioSample:
     matched_law: str
 
     def to_payload(self) -> dict:
-        return {
-            "s": self.s,
-            "psi": self.psi,
-            "beta": self.beta,
-            "measured": self.measured,
-            "prediction_product": self.prediction_product,
-            "prediction_sqrt": self.prediction_sqrt,
-            "matched_law": self.matched_law,
-        }
+        return dict(vars(self))
 
 
 @dataclass(frozen=True)
@@ -279,53 +274,45 @@ def build_report(
     )
 
 
-def _entry_from_condition(report, note: str = "") -> ReportEntry:
-    c = report.choice
-    return ReportEntry(
-        check_id=report.condition_id,
-        s=report.s,
-        cutoff=report.cutoff,
-        psi1=c.psi1,
-        psi2=c.psi2,
-        beta1=c.beta1,
-        beta2=c.beta2,
-        residual=report.residual,
-        passed=report.passed,
-        note=note,
-    )
-
-
 def _point(config: SweepConfig, s: float) -> tuple[DeformationParam, FunctionChoice]:
     p = DeformationParam(s)
     return p, FunctionChoice.from_families(config.psi_family, config.beta_family, p.q)
 
 
-def _error_entry(check_id: str, s: float, cutoff: int, choice: FunctionChoice, exc) -> ReportEntry:
+def _entry(check_id, s, cutoff, choice, tolerance, measure) -> ReportEntry:
+    """The one report row builder: ``measure()`` gives ``(residual, note)``,
+    and a ValueError it raises becomes an error row."""
+    try:
+        residual, note = measure()
+        passed = passes(residual, tolerance)
+    except ValueError as exc:
+        residual, passed, note = ERROR_RESIDUAL, False, f"error: {exc}"
     return ReportEntry(
         check_id, s, cutoff, choice.psi1, choice.psi2, choice.beta1, choice.beta2,
-        ERROR_RESIDUAL, False, f"error: {exc}",
+        residual, passed, note,
     )
 
 
 def algebra_entries(
     config: SweepConfig, p: DeformationParam, choice: FunctionChoice
 ) -> list[ReportEntry]:
-    s = p.s
     space = TruncatedFockSpace(config.cutoff)
-    try:
-        reports = run_algebra_checks(space, p, choice, config.tolerance, DEFAULT_SHIFT_POLY)
-    except ValueError as exc:
-        return [_error_entry(cid, s, config.cutoff, choice, exc) for cid in ALGEBRA_CHECK_IDS]
-    out = []
-    for rep in reports:
+    # one band per point; a failed build is not cached, so each row records it
+    residuals = functools.cache(lambda: algebra_residuals(space, p, choice, DEFAULT_SHIFT_POLY))
+
+    def measure(i, check_id):
         note = ""
-        if rep.condition_id == NUMBER_PRODUCTS and choice.psi1 * choice.psi2 != 1.0:
+        if check_id == NUMBER_PRODUCTS and choice.psi1 * choice.psi2 != 1.0:
             note = (
                 f"{EXPECTED_FAIL_MARK}: the dressed products match the deformed "
                 f"number spectrum only when psi1*psi2 == 1"
             )
-        out.append(_entry_from_condition(rep, note))
-    return out
+        return float_residual(check_id, residuals()[i]), note
+
+    return [
+        _entry(cid, p.s, config.cutoff, choice, config.tolerance, functools.partial(measure, i, cid))
+        for i, cid in enumerate(ALGEBRA_CHECK_IDS)
+    ]
 
 
 def gate_entries(
@@ -336,72 +323,51 @@ def gate_entries(
 ) -> list[ReportEntry]:
     """Gate rows at one grid point; ``plain_rows`` is the plain CNOT table,
     which does not depend on s and is computed once per sweep."""
-    s = p.s
     tol = config.tolerance
-    out = []
 
-    def entry(check_id, residual, passed, note=""):
-        return ReportEntry(
-            check_id, s, QUBIT_CUTOFF, choice.psi1, choice.psi2, choice.beta1,
-            choice.beta2, residual, passed, note,
-        )
-
-    try:
-        not_rep = check_not_condition(p, choice, tol)
-        out.append(entry(NOT_CONDITION, not_rep.residual, not_rep.realizable))
-    except ValueError as exc:
-        out.append(_error_entry(NOT_CONDITION, s, QUBIT_CUTOFF, choice, exc))
-
-    try:
-        cnot_rep = check_cnot_condition(p, choice.beta1, choice.beta2, tol)
-        out.append(entry(CNOT_CONDITION, cnot_rep.residual, cnot_rep.realizable))
-    except ValueError as exc:
-        out.append(_error_entry(CNOT_CONDITION, s, QUBIT_CUTOFF, choice, exc))
-
-    residual = max(max(abs(r.amplitude - 1.0), r.off_support) for r in plain_rows)
-    out.append(entry(CNOT_TABLE, residual, residual <= tol))
-
-    try:
-        dressed_rows = cnot_truth_table(deformed=True, p=p, choice_a=choice, choice_b=choice)
-        magnitudes = [abs(r.amplitude) for r in dressed_rows]
+    def deformed_table():
+        rows = cnot_truth_table(deformed=True, p=p, choice_a=choice, choice_b=choice)
+        magnitudes = [abs(r.amplitude) for r in rows]
         spread = max(magnitudes) - min(magnitudes)
-        off = max(r.off_support for r in dressed_rows)
-        residual = max(spread, off)
-        note = f"common row amplitude {magnitudes[0]:.17g}"
-        out.append(entry(CNOT_TABLE_DEFORMED, residual, residual <= tol, note))
-    except ValueError as exc:
-        out.append(_error_entry(CNOT_TABLE_DEFORMED, s, QUBIT_CUTOFF, choice, exc))
-    return out
+        residual = max(spread, max(r.off_support for r in rows))
+        return residual, f"common row amplitude {magnitudes[0]:.17g}"
+
+    measures = {
+        NOT_CONDITION: lambda: (check_not_condition(p, choice, tol).residual, ""),
+        CNOT_CONDITION: lambda: (
+            check_cnot_condition(p, choice.beta1, choice.beta2, tol).residual, ""
+        ),
+        CNOT_TABLE: lambda: (
+            max(max(abs(r.amplitude - 1.0), r.off_support) for r in plain_rows), ""
+        ),
+        CNOT_TABLE_DEFORMED: deformed_table,
+    }
+    return [_entry(cid, p.s, QUBIT_CUTOFF, choice, tol, m) for cid, m in measures.items()]
 
 
 def norm_ratio_entries(
     config: SweepConfig, p: DeformationParam, choice: FunctionChoice
 ) -> tuple[list[ReportEntry], list[NormRatioSample]]:
-    s = p.s
-    space = TruncatedFockSpace(QUBIT_CUTOFF)
-    try:
+    samples = []
+
+    def measure():
+        space = TruncatedFockSpace(QUBIT_CUTOFF)
         result = norm_ratio_experiment(1, 0, p, choice.psi1, choice.beta1, space)
-    except ValueError as exc:
-        return [_error_entry(NORM_RATIO, s, QUBIT_CUTOFF, choice, exc)], []
-    sample = NormRatioSample(
-        s=s,
-        psi=choice.psi1,
-        beta=choice.beta1,
-        measured=result.measured,
-        prediction_product=result.prediction_product,
-        prediction_sqrt=result.prediction_sqrt,
-        matched_law=result.matched_law(),
-    )
-    note = (
-        f"matches {sample.matched_law}; measured {result.measured:.17g}, "
-        f"product {result.prediction_product:.17g}, sqrt {result.prediction_sqrt:.17g}"
-    )
-    distance = result.distance_to_matched()
-    entry = ReportEntry(
-        NORM_RATIO, s, QUBIT_CUTOFF, choice.psi1, choice.psi2, choice.beta1,
-        choice.beta2, distance, distance <= config.tolerance, note,
-    )
-    return [entry], [sample]
+        law = result.matched_law()
+        samples.append(
+            NormRatioSample(
+                p.s, choice.psi1, choice.beta1, result.measured,
+                result.prediction_product, result.prediction_sqrt, law,
+            )
+        )
+        note = (
+            f"matches {law}; measured {result.measured:.17g}, "
+            f"product {result.prediction_product:.17g}, sqrt {result.prediction_sqrt:.17g}"
+        )
+        return result.distance_to_matched(), note
+
+    entry = _entry(NORM_RATIO, p.s, QUBIT_CUTOFF, choice, config.tolerance, measure)
+    return [entry], samples
 
 
 def run_sweep(config: SweepConfig, layers: Sequence[str] = SWEEP_LAYERS) -> SweepReport:
@@ -464,6 +430,15 @@ def infer_psi_from_norm(
     return PsiInference(psi, n_hat, classified, min(d0, d1), law)
 
 
+def _cell(value):
+    """A CSV cell: floats at round-trip precision, booleans spelled as in JSON."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    return value
+
+
 def serialize(report: SweepReport, output_format: str | None = None) -> bytes:
     """Deterministic bytes for a report; identical configs give identical bytes."""
     fmt = output_format or report.config.output_format
@@ -473,21 +448,7 @@ def serialize(report: SweepReport, output_format: str | None = None) -> bytes:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(ENTRY_COLUMNS)
-        for e in report.entries:
-            writer.writerow(
-                [
-                    e.check_id,
-                    f"{e.s:.17g}",
-                    e.cutoff,
-                    f"{e.psi1:.17g}",
-                    f"{e.psi2:.17g}",
-                    f"{e.beta1:.17g}",
-                    f"{e.beta2:.17g}",
-                    f"{e.residual:.17g}",
-                    "true" if e.passed else "false",
-                    e.note,
-                ]
-            )
+        writer.writerows([_cell(v) for v in vars(e).values()] for e in report.entries)
         return buf.getvalue().encode("utf-8")
     raise ValueError(f"unsupported format {fmt!r}; use 'json' or 'csv'")
 
@@ -495,21 +456,7 @@ def serialize(report: SweepReport, output_format: str | None = None) -> bytes:
 def parse_report(blob: bytes) -> SweepReport:
     """Rebuild a report from its JSON serialization (the inverse of serialize)."""
     payload = json.loads(blob.decode("utf-8"))
-    entries = tuple(
-        ReportEntry(
-            check_id=e["check_id"],
-            s=e["s"],
-            cutoff=e["cutoff"],
-            psi1=e["psi1"],
-            psi2=e["psi2"],
-            beta1=e["beta1"],
-            beta2=e["beta2"],
-            residual=e["residual"],
-            passed=e["pass"],
-            note=e.get("note", ""),
-        )
-        for e in payload["entries"]
-    )
+    entries = tuple(ReportEntry(*(e[c] for c in ENTRY_COLUMNS)) for e in payload["entries"])
     samples = tuple(NormRatioSample(**r) for r in payload.get("norm_ratio", []))
     return SweepReport(
         schema_version=payload["schema_version"],

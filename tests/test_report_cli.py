@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -12,8 +13,10 @@ from qdgates.report import (
     ALGEBRA_LAYER,
     ConfigError,
     ENTRY_COLUMNS,
+    GATE_LAYER,
     LAW_PRODUCT,
     LAW_SQRT,
+    NORM_RATIO_LAYER,
     REGISTERED_CHECKS,
     SWEEP_LAYERS,
     SweepConfig,
@@ -53,6 +56,17 @@ class TestSweepConfig:
     def test_payload_round_trip(self):
         c = config(s_grid=(0.1, 0.4), psi_family=POWER_ONE, cutoff=8, tolerance=1e-9)
         assert SweepConfig.from_payload(c.to_payload()) == c
+
+    @pytest.mark.parametrize(
+        "field,value", [("cutoff", 16.5), ("cutoff", True), ("cutoff", math.inf), ("tolerance", True)]
+    )
+    def test_payload_rejects_values_a_conversion_would_change(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be"):
+            SweepConfig.from_payload({"s_grid": [0.5], field: value})
+
+    def test_payload_accepts_an_integral_float_cutoff(self):
+        c = SweepConfig.from_payload({"s_grid": [0.5], "cutoff": 16.0})
+        assert c.cutoff == 16 and isinstance(c.cutoff, int)
 
     @pytest.mark.parametrize("exponent,bad_s", [(900.0, 0.9), (-2000.0, 0.9), (math.nan, 0.1)])
     def test_rejects_families_that_are_not_finite_positive_floats(self, exponent, bad_s):
@@ -108,7 +122,7 @@ class TestRunSweep:
         def broken(*args, **kwargs):
             raise ValueError("rigged dressing failure")
 
-        monkeypatch.setattr(report_module, "run_algebra_checks", broken)
+        monkeypatch.setattr(report_module, "algebra_residuals", broken)
         report = run_sweep(config(s_grid=(0.5,)))
         assert len(report.entries) == len(REGISTERED_CHECKS)
         errored = [e for e in report.entries if e.note.startswith("error:")]
@@ -145,10 +159,19 @@ class TestRunSweep:
     def test_float64_overflow_becomes_explained_error_rows(self):
         report = run_sweep(config(s_grid=(0.9,), cutoff=1024), layers=(ALGEBRA_LAYER,))
         assert len(report.entries) == 4
-        for e in report.entries:
+        rows = {e.check_id: e for e in report.entries}
+        # only the two checks whose residual overflows float64 are error rows,
+        # each with its own note
+        for check_id, magnitude in (("qcommutator", "7.941e+379"), ("number_products", "3.970e+379")):
+            e = rows[check_id]
             assert e.residual == -1.0 and not e.passed
             assert "finite in longdouble but overflows float64" in e.note
             assert "e+379" in e.note
+            assert e.note.startswith(f"error: {check_id} residual {magnitude} ")
+        commutators = rows["number_commutators"]
+        assert f"{commutators.residual:.3e}" == "1.780e+183" and not commutators.passed
+        assert commutators.note == ""
+        assert rows["shift_rule"].residual == 0.0 and rows["shift_rule"].passed
 
 
 class TestSerialization:
@@ -160,6 +183,23 @@ class TestSerialization:
         first = serialize(run_sweep(config(s_grid=S_GRID, psi_family=POWER_ONE)))
         second = serialize(run_sweep(config(s_grid=S_GRID, psi_family=POWER_ONE)))
         assert first == second
+
+    def test_report_bytes_are_pinned(self):
+        # a byte change across code versions, not only within one, fails here;
+        # these layers are float64 only, so the pin holds whatever longdouble is
+        cfg = config(
+            s_grid=(0.1, 0.5, 0.9),
+            psi_family=FunctionFamily.parse("q^0.5"),
+            beta_family=FunctionFamily.parse("q^2"),
+            tolerance=3e-16,
+        )
+        report = run_sweep(cfg, layers=(GATE_LAYER, NORM_RATIO_LAYER))
+        assert report.summary["total_pass"] == 12 and report.summary["total_fail"] == 3
+        digests = {fmt: hashlib.sha256(serialize(report, fmt)).hexdigest() for fmt in ("json", "csv")}
+        assert digests == {
+            "json": "2d3f0e8b9ec206d416150c9d456bd3cfab39e4fe562a19c00b188c5a5f37fe60",
+            "csv": "3cfcfd80c2d2f081b8d7c78dcabc4ee5545b9406fd230aa9591895ab8ef0849c",
+        }
 
     def test_csv_header_snapshot(self):
         report = run_sweep(config())

@@ -1,4 +1,5 @@
-"""The closed-form qubit and gate states against the creation-matrix oracle.
+"""The closed-form qubit and gate states against the creation-matrix oracle,
+and the closed-form gate conditions against their written-out expressions.
 
 The oracle is the earlier construction: dressed ``np.kron`` creation
 matrices over every retained level, applied to the pair vacuum, with
@@ -35,6 +36,8 @@ from qdgates.gates import (
     _qubit_components,
     apply_cnot,
     apply_hadamard,
+    check_cnot_condition,
+    check_not_condition,
     cnot_truth_table,
 )
 from qdgates.qnumber import DeformationParam, q_factorial
@@ -265,3 +268,84 @@ def test_run_sweep_builds_no_two_qubit_vectors(monkeypatch):
     choice = FunctionChoice.unit()
     apply_cnot(qubits_module.two_qubit_state(1, 0, p, choice, choice, space), True, p, choice, choice)
     assert calls == ["two_qubit_state", "two_qubit_state", "two_qubit_state"]
+
+
+def oracle_not_residual(p, choice):
+    """The flip condition with its targets written out at both occupations."""
+    q = p.q
+    residual = 0.0
+    for n_hat in (0, 1):
+        target_num = q ** (-n_hat) - n_hat * q ** (-n_hat) - n_hat * q ** (n_hat - 1)
+        target_den = q**n_hat - n_hat * q**n_hat - n_hat * q ** (1 - n_hat)
+        residual = max(residual, abs(choice.psi1 / choice.psi2 - target_num / target_den))
+    return residual
+
+
+def oracle_cnot_residual(p, beta1, beta2):
+    """Both sides of the target-swap condition as products of written-out
+    factors; zeroth powers are 1 and their bases are never evaluated."""
+    if not (beta1 > 0 and beta2 > 0):
+        raise ValueError(f"beta1 and beta2 must be positive, got {beta1!r}, {beta2!r}")
+    q = p.q
+    denom = q - 1.0 / q
+
+    def factor(argument, exponent):
+        if exponent == 0.0:
+            return 1.0
+        base = (q**argument * beta1 - q ** (-argument) * beta2) / (argument * denom)
+        if base < 0:
+            raise RadicandError(
+                f"negative radicand in swap-condition factor at argument {argument} "
+                f"with beta1={beta1}, beta2={beta2}"
+            )
+        return base**exponent
+
+    residual = 0.0
+    for k in (0, 1):
+        k_hat = k
+        lhs = factor(k_hat, k / 2) * factor(1 - k_hat + k, (1 - k) / 2)
+        rhs = factor(1 - k_hat, (1 - k) / 2) * factor(k_hat - 1 + k, k / 2)
+        residual = max(residual, abs(lhs - rhs))
+    return residual
+
+
+def outcome(call):
+    """The bits of a call's residual, or the type and text of what it raised."""
+    try:
+        return bits(call())
+    except (ArithmeticError, ValueError) as exc:  # q == 1.0 divides by zero
+        return type(exc), str(exc)
+
+
+@st.composite
+def condition_points(draw):
+    s = draw(st.floats(min_value=0.0, max_value=1.0, exclude_min=True))
+    value = st.one_of(
+        st.floats(min_value=0.01, max_value=100.0),
+        st.floats(min_value=-700.0, max_value=700.0).map(math.exp),
+        st.sampled_from((1e308, 1e-308, 5e-324)),
+    )
+    a, b = draw(value), draw(value)
+    if draw(st.booleans()):
+        # at or one ulp from beta2 = q**2 * beta1, where the CNOT radicand changes sign
+        q = math.exp(s)
+        edge = q * q * a
+        for _ in range(draw(st.integers(0, 1))):
+            edge = math.nextafter(edge, draw(st.sampled_from((0.0, math.inf))))
+        if 0 < edge < math.inf:
+            b = edge
+    return DeformationParam(s), a, b
+
+
+@settings(deadline=None)
+@given(condition_points())
+def test_closed_form_conditions_equal_the_written_out_ones(point):
+    p, a, b = point
+    choice = FunctionChoice(psi1=a, psi2=b)
+    assert outcome(lambda: check_not_condition(p, choice, 1e-10).residual) == outcome(
+        lambda: oracle_not_residual(p, choice)
+    )
+    assert outcome(lambda: check_cnot_condition(p, a, b, 1e-10).residual) == outcome(
+        lambda: oracle_cnot_residual(p, a, b)
+    )
+

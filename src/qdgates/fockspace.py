@@ -26,7 +26,10 @@ still evaluate level 0 when it is among the points they are asked for.
 
 Constructors accept a ``dtype`` so that callers needing identity residuals
 below one float64 ulp of the operator magnitude (the audit module) can run
-the same pipeline in ``np.longdouble``.
+the same pipeline in ``np.longdouble``.  In float64, numpy may evaluate
+``exp`` and ``sinh`` with SIMD kernels that differ from libm in the last bit,
+so no report value is computed here in float64: the qubit layer evaluates the
+one dressing value it needs, at argument 1, with ``math``.
 """
 
 from __future__ import annotations
@@ -143,18 +146,6 @@ class FunctionFamily:
         raise ValueError(f"cannot parse function family {text!r}; expected '1', 'q' or 'q^<float>'")
 
 
-def _radicand(n, s, psi1, psi2):
-    """Squares of the dressing factor at the levels ``n`` (an array); all
-    arguments share one scalar type."""
-    zero = n == 0
-    if psi1 == psi2:
-        # level 0 takes the limit; 1 keeps the unused 0/0 branch quiet
-        m = np.where(zero, 1, n)
-        return np.where(zero, psi1 * s / np.sinh(s), psi1 * np.sinh(m * s) / (m * np.sinh(s)))
-    m = np.where(zero, type(s)(GENERAL_LIMIT_LEVEL), n)
-    return (np.exp(m * s) * psi1 - np.exp(-m * s) * psi2) / (2 * m * np.sinh(s))
-
-
 def dressing_vector(
     arguments: Sequence[float],
     p: DeformationParam,
@@ -169,7 +160,16 @@ def dressing_vector(
     space.  A negative radicand raises :class:`RadicandError` naming the
     first offending point.
     """
-    r = _radicand(np.asarray(arguments, dtype=dtype), dtype(p.s), dtype(psi1), dtype(psi2))
+    n = np.asarray(arguments, dtype=dtype)
+    s, g1, g2 = dtype(p.s), dtype(psi1), dtype(psi2)
+    zero = n == 0
+    if g1 == g2:
+        # level 0 takes the limit; 1 keeps the unused 0/0 branch quiet
+        m = np.where(zero, 1, n)
+        r = np.where(zero, g1 * s / np.sinh(s), g1 * np.sinh(m * s) / (m * np.sinh(s)))
+    else:
+        m = np.where(zero, dtype(GENERAL_LIMIT_LEVEL), n)
+        r = (np.exp(m * s) * g1 - np.exp(-m * s) * g2) / (2 * m * np.sinh(s))
     bad = np.flatnonzero(r < 0)
     if bad.size:
         raise RadicandError(

@@ -28,7 +28,6 @@ from .qubits import (
     OscillatorPairState,
     TwoQubitState,
     _dressed_amplitude,
-    _qubit_vector,
     deformed_qubit_state,
     pair_index,
     quad_index,
@@ -138,13 +137,12 @@ def apply_hadamard(
         return OscillatorPairState(space, out)
     _require_deformed_args(p, choice)
     basis_up = deformed_qubit_state(1, p, choice, space).amplitudes
-    # the down vector's second oscillator carries its own dressing at n = 1,
-    # which is the same argument-1 value the shifted dressing gives
-    basis_down = _qubit_vector(space, 0, _dressed_amplitude(0, p, choice.psi3, choice.psi4))
-    pref_up = basis_up[pair_index(space, 1, 0)]
-    pref_down = basis_down[pair_index(space, 0, 1)]
-    c_up = amp_up / pref_up
-    c_down = amp_down / pref_down
+    # the down vector's second oscillator carries its own (psi3, psi4) dressing
+    # at n = 1, which is the same argument-1 value the shifted dressing gives
+    own = FunctionChoice(psi1=choice.psi3, psi2=choice.psi4)
+    basis_down = deformed_qubit_state(0, p, own, space).amplitudes
+    c_up = amp_up / basis_up[pair_index(space, 1, 0)]
+    c_down = amp_down / basis_down[pair_index(space, 0, 1)]
     out = (c_down * (basis_down + basis_up) + c_up * (basis_down - basis_up)) / _SQRT2
     return OscillatorPairState(space, out)
 
@@ -239,9 +237,8 @@ def cnot_truth_table(
         _require_deformed_args(p, choice_a)
         _require_deformed_args(p, choice_b)
         # both labels of a pair share the argument-1 dressing
-        amp = _dressed_amplitude(1, p, choice_a.psi1, choice_a.psi2) * _dressed_amplitude(
-            1, p, choice_b.beta1, choice_b.beta2
-        )
+        amp = _dressed_amplitude(p, choice_a.psi1, choice_a.psi2)
+        amp *= _dressed_amplitude(p, choice_b.beta1, choice_b.beta2)
     else:
         amp = 1.0
     if amp == 0:  # the input state would have no support at all
@@ -269,11 +266,15 @@ def check_cnot_condition(
     value k are the square root of the argument-1 radicand
     ``(q*beta1 - q**-1*beta2) / (q - 1/q)`` times zeroth powers, so the
     residual is exactly 0; what the check tests is that this radicand is not
-    negative (a negative one raises :class:`RadicandError`).
+    negative (a negative one raises :class:`RadicandError`).  Where ``exp(s)``
+    rounds to 1 (s below about 1.1e-16) the denominator is 0 and the check
+    raises a ValueError naming s.
     """
     if not (beta1 > 0 and beta2 > 0):
         raise ValueError(f"beta1 and beta2 must be positive, got {beta1!r}, {beta2!r}")
     q = p.q
+    if q == 1.0:
+        raise ValueError(f"q = exp(s) rounds to 1 at s={p.s!r}, so q - 1/q is 0")
     if (q * beta1 - q**-1 * beta2) / (q - 1.0 / q) < 0:
         raise RadicandError(
             f"negative radicand in swap-condition factor at argument 1 "

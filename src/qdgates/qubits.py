@@ -2,15 +2,16 @@
 
 A qubit lives in a pair of oscillators carrying exactly one total quantum:
 occupation (1, 0) is spin up (label 1), occupation (0, 1) is spin down
-(label 0).  General (j, m) states occupy ``(j+m, j-m)``.  A basis qubit or a
-product of two is a single basis vector, so each is written as one amplitude
-at one index: 1 for the plain states, and for the deformed ones the dressing
-at argument 1 (see :func:`_dressed_amplitude`), the only dressing value the
-single quantum ever meets.  Applying the dressed ``np.kron`` creation
-matrices to the pair vacuum gives the same amplitudes bit for bit; that
-construction is kept only as the test oracle (``tests/test_state_oracle.py``).
-``jm_state`` still applies the plain creation matrices, since its towers
-hold more than one quantum.
+(label 0).  General (j, m) states occupy ``(j+m, j-m)``.  Every state built
+here is a single scaled basis vector: one amplitude at one occupation
+pattern, written by :func:`_basis_vector`.  The amplitude is 1 for the
+vacuum, the plain qubits, their products and every ``jm_state`` (the
+creation-operator normalization cancels exactly); for the deformed qubits it
+is the dressing at argument 1 (see :func:`_dressed_amplitude`), the only
+dressing value the single quantum ever meets.  That value is computed with
+``math``, so it is the same on every host whatever SIMD kernels numpy picks.
+The dressed ``np.kron`` creation matrices applied to the pair vacuum are kept
+only as the test oracle (``tests/test_state_oracle.py``).
 
 Basis ordering over the joint occupations (n1, n2) is row-major and fixed;
 four-oscillator states order (a1, a2, b1, b2) row-major, which is exactly
@@ -30,10 +31,8 @@ from .fockspace import (
     POWER_OF_Q,
     RadicandError,
     TruncatedFockSpace,
-    _radicand,
-    ladder_ops,
 )
-from .qnumber import DeformationParam, q_factorial
+from .qnumber import DeformationParam
 
 # Qubit work occupies levels 0..1 only; cutoff 4 leaves margin.
 QUBIT_CUTOFF = 4
@@ -49,8 +48,10 @@ def quad_index(space: TruncatedFockSpace, n_a1: int, n_a2: int, n_b1: int, n_b2:
 
 
 @dataclass(frozen=True)
-class OscillatorPairState:
-    """Amplitude vector over the joint occupations of one oscillator pair."""
+class _OscillatorState:
+    """Amplitude vector over the joint occupations of ``OSCILLATORS`` oscillators."""
+
+    OSCILLATORS = 0
 
     space: TruncatedFockSpace
     amplitudes: np.ndarray
@@ -58,147 +59,109 @@ class OscillatorPairState:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def overlap(self, other: "OscillatorPairState") -> complex:
+    def overlap(self, other: "_OscillatorState") -> complex:
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
-    def support(self) -> tuple[tuple[int, int], ...]:
-        d = self.space.cutoff
-        return tuple(
-            (int(i) // d, int(i) % d) for i in np.nonzero(self.amplitudes)[0]
-        )
+    def support(self) -> tuple[tuple[int, ...], ...]:
+        """Occupation pattern of each nonzero amplitude, in basis order."""
+        shape = (self.space.cutoff,) * self.OSCILLATORS
+        occupations = np.unravel_index(np.flatnonzero(self.amplitudes), shape)
+        return tuple(map(tuple, np.transpose(occupations).tolist()))
 
     def nonzero_triples(self) -> list[tuple[int, float, float]]:
         """(basis index, real part, imaginary part) for each nonzero amplitude."""
         return [
             (int(i), float(self.amplitudes[i].real), float(self.amplitudes[i].imag))
-            for i in np.nonzero(self.amplitudes)[0]
+            for i in np.flatnonzero(self.amplitudes)
         ]
 
 
-@dataclass(frozen=True)
-class TwoQubitState:
+class OscillatorPairState(_OscillatorState):
+    """Amplitude vector over the joint occupations of one oscillator pair."""
+
+    OSCILLATORS = 2
+
+
+class TwoQubitState(_OscillatorState):
     """Amplitude vector over the joint occupations of two oscillator pairs."""
 
-    space: TruncatedFockSpace
-    amplitudes: np.ndarray
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def overlap(self, other: "TwoQubitState") -> complex:
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
-    def support(self) -> tuple[tuple[int, int, int, int], ...]:
-        d = self.space.cutoff
-        out = []
-        for i in np.nonzero(self.amplitudes)[0]:
-            i = int(i)
-            out.append((i // d**3, (i // d**2) % d, (i // d) % d, i % d))
-        return tuple(out)
-
-    def nonzero_triples(self) -> list[tuple[int, float, float]]:
-        return [
-            (int(i), float(self.amplitudes[i].real), float(self.amplitudes[i].imag))
-            for i in np.nonzero(self.amplitudes)[0]
-        ]
+    OSCILLATORS = 4
 
 
-def _check_label(x: int) -> None:
-    if x not in (0, 1):
-        raise ValueError(f"qubit label must be 0 or 1, got {x!r}")
+def _check_labels(*labels: int) -> None:
+    for x in labels:
+        if x not in (0, 1):
+            raise ValueError(f"qubit label must be 0 or 1, got {x!r}")
 
 
-def _qubit_vector(space: TruncatedFockSpace, x: int, amplitude) -> np.ndarray:
-    amp = np.zeros(space.cutoff**2, dtype=complex)
-    amp[pair_index(space, x, 1 - x)] = amplitude
+def _basis_vector(space: TruncatedFockSpace, occupations: tuple[int, ...], amplitude) -> np.ndarray:
+    """``amplitude`` at the basis vector of ``occupations``, one per oscillator."""
+    shape = (space.cutoff,) * len(occupations)
+    amp = np.zeros(math.prod(shape), dtype=complex)
+    amp[np.ravel_multi_index(occupations, shape)] = amplitude
     return amp
-
-
-def _two_qubit_vector(space: TruncatedFockSpace, x: int, y: int, amplitude) -> np.ndarray:
-    amp = np.zeros(space.cutoff**4, dtype=complex)
-    amp[quad_index(space, x, 1 - x, y, 1 - y)] = amplitude
-    return amp
-
-
-def pair_creation_ops(space: TruncatedFockSpace) -> tuple[np.ndarray, np.ndarray]:
-    """Creation matrices for the two oscillators of a pair."""
-    _, a_dag, _ = ladder_ops(space)
-    eye = np.eye(space.cutoff)
-    return np.kron(a_dag, eye), np.kron(eye, a_dag)
 
 
 def vacuum(space: TruncatedFockSpace) -> OscillatorPairState:
     """Both oscillators empty; unit amplitude on (0, 0)."""
-    amp = np.zeros(space.cutoff**2, dtype=complex)
-    amp[pair_index(space, 0, 0)] = 1.0
-    return OscillatorPairState(space, amp)
+    return OscillatorPairState(space, _basis_vector(space, (0, 0), 1.0))
 
 
 def qubit_state(x: int, space: TruncatedFockSpace) -> OscillatorPairState:
     """Basis qubit: occupation (1, 0) for x = 1, (0, 1) for x = 0."""
-    _check_label(x)
-    return OscillatorPairState(space, _qubit_vector(space, x, 1.0))
+    _check_labels(x)
+    return OscillatorPairState(space, _basis_vector(space, (x, 1 - x), 1.0))
 
 
 def jm_state(j: float, m: float, space: TruncatedFockSpace) -> OscillatorPairState:
     """Unit-norm angular-momentum state on occupations (j+m, j-m)."""
-    n1 = j + m
-    n2 = j - m
+    n1, n2 = j + m, j - m
     for name, value in (("j+m", n1), ("j-m", n2)):
         if abs(value - round(value)) > 1e-9:
             raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
-    n1 = int(round(n1))
-    n2 = int(round(n2))
+    n1, n2 = int(round(n1)), int(round(n2))
     if j < 0 or n1 < 0 or n2 < 0:
         raise ValueError(f"need j >= 0 and |m| <= j, got j={j}, m={m}")
     if n1 >= space.cutoff or n2 >= space.cutoff:
-        raise ValueError(
-            f"occupations ({n1}, {n2}) exceed the cutoff {space.cutoff}"
-        )
-    c1, c2 = pair_creation_ops(space)
-    amp = vacuum(space).amplitudes
-    for _ in range(n1):
-        amp = c1 @ amp
-    for _ in range(n2):
-        amp = c2 @ amp
-    amp = amp / math.sqrt(math.factorial(n1) * math.factorial(n2))
-    return OscillatorPairState(space, amp)
+        raise ValueError(f"occupations ({n1}, {n2}) exceed the cutoff {space.cutoff}")
+    return OscillatorPairState(space, _basis_vector(space, (n1, n2), 1.0))
 
 
-def _dressed_amplitude(x: int, p: DeformationParam, g1: float, g2: float) -> float:
-    """Amplitude of the deformed basis qubit ``x`` dressed by ``(g1, g2)``.
+def _dressed_amplitude(p: DeformationParam, g1: float, g2: float) -> float:
+    """Amplitude of a deformed basis qubit dressed by ``(g1, g2)``.
 
     The single quantum sits on a level whose dressing argument is 1 in both
     constructions: the first oscillator's own dressing at n = 1 for x = 1,
     the second oscillator's shifted dressing ``1 - n`` at the first
     oscillator's n = 0 for x = 0.  No other level carries weight, so no
     other level is evaluated; a negative radicand at argument 1 still raises.
-    The value does not depend on ``x``.
+    The value is the :mod:`fockspace` dressing formula at n = 1, in the same
+    floating-point steps, evaluated with ``math``.
     """
-    # deformed factorials of the occupations; identically 1 at qubit labels,
-    # kept so the normalization has the same shape as for higher towers
-    norm = math.sqrt(q_factorial(x, p) * q_factorial(1 - x, p))
-    # the dressing_vector formula on float64 scalars, without its array round-trip
-    r = _radicand(np.float64(1), np.float64(p.s), np.float64(g1), np.float64(g2))
+    s = p.s
+    sinh_s = math.sinh(s)
+    if g1 == g2:
+        r = g1 * sinh_s / sinh_s
+    else:
+        r = (math.exp(s) * g1 - math.exp(-s) * g2) / (2 * sinh_s)
     if r < 0:
         raise RadicandError(f"negative radicand at level n=1 with psi1={g1}, psi2={g2}")
-    return np.sqrt(r) / norm
+    return math.sqrt(r)
 
 
 def deformed_qubit_state(
     x: int, p: DeformationParam, choice: FunctionChoice, space: TruncatedFockSpace
 ) -> OscillatorPairState:
     """Deformed basis qubit; same support as ``qubit_state``, rescaled by the dressing."""
-    _check_label(x)
-    amplitude = _dressed_amplitude(x, p, choice.psi1, choice.psi2)
-    return OscillatorPairState(space, _qubit_vector(space, x, amplitude))
+    _check_labels(x)
+    amplitude = _dressed_amplitude(p, choice.psi1, choice.psi2)
+    return OscillatorPairState(space, _basis_vector(space, (x, 1 - x), amplitude))
 
 
 def basis_two_qubit_state(x: int, y: int, space: TruncatedFockSpace) -> TwoQubitState:
     """Undeformed product basis state |x>|y> over two oscillator pairs."""
-    _check_label(x)
-    _check_label(y)
-    return TwoQubitState(space, _two_qubit_vector(space, x, y, 1.0))
+    _check_labels(x, y)
+    return TwoQubitState(space, _basis_vector(space, (x, 1 - x, y, 1 - y), 1.0))
 
 
 def two_qubit_state(
@@ -211,11 +174,10 @@ def two_qubit_state(
 ) -> TwoQubitState:
     """Deformed product state: control dressed by the psi pair of ``choice_a``,
     target by the beta pair of ``choice_b``."""
-    _check_label(x)
-    _check_label(y)
-    ctrl = _dressed_amplitude(x, p, choice_a.psi1, choice_a.psi2)
-    tgt = _dressed_amplitude(y, p, choice_b.beta1, choice_b.beta2)
-    return TwoQubitState(space, _two_qubit_vector(space, x, y, ctrl * tgt))
+    _check_labels(x, y)
+    ctrl = _dressed_amplitude(p, choice_a.psi1, choice_a.psi2)
+    tgt = _dressed_amplitude(p, choice_b.beta1, choice_b.beta2)
+    return TwoQubitState(space, _basis_vector(space, (x, 1 - x, y, 1 - y), ctrl * tgt))
 
 
 @dataclass(frozen=True)
@@ -243,12 +205,7 @@ class NormRatioResult:
 
 
 def norm_ratio_experiment(
-    x: int,
-    y: int,
-    p: DeformationParam,
-    psi: float,
-    beta: float,
-    space: TruncatedFockSpace,
+    x: int, y: int, p: DeformationParam, psi: float, beta: float, space: TruncatedFockSpace
 ) -> NormRatioResult:
     """Squared-norm ratio of the deformed basis state to the undeformed one.
 
@@ -258,10 +215,9 @@ def norm_ratio_experiment(
     """
     if not (psi > 0 and beta > 0):
         raise ValueError(f"psi and beta must be positive, got psi={psi!r}, beta={beta!r}")
-    _check_label(x)
-    _check_label(y)
+    _check_labels(x, y)
     # in Python floats an overflow reads inf without a numpy warning
-    amplitude = float(_dressed_amplitude(x, p, psi, psi)) * float(_dressed_amplitude(y, p, beta, beta))
+    amplitude = _dressed_amplitude(p, psi, psi) * _dressed_amplitude(p, beta, beta)
     measured = amplitude * amplitude
     product = psi * beta
     if not (math.isfinite(measured) and math.isfinite(product)):

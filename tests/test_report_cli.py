@@ -1,9 +1,15 @@
 import hashlib
 import json
 import math
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qdgates
 from qdgates.cli import main
 from qdgates.fockspace import FunctionFamily
 from qdgates.gates import cnot_truth_table
@@ -201,6 +207,47 @@ class TestSerialization:
             "csv": "3cfcfd80c2d2f081b8d7c78dcabc4ee5545b9406fd230aa9591895ab8ef0849c",
         }
 
+    def test_report_bytes_do_not_depend_on_the_simd_level(self):
+        # numpy's AVX-512 exp/sinh kernels differ from libm in the last bit on
+        # some inputs; a report built with them switched off must be identical
+        try:
+            from numpy._core import _multiarray_umath as umath
+        except ImportError:  # numpy 1.x
+            from numpy.core import _multiarray_umath as umath
+        groups = [
+            name
+            for name in umath.__cpu_dispatch__
+            if (name.startswith("AVX512") or name == "X86_V4")
+            and umath.__cpu_features__.get(name)
+            and name not in umath.__cpu_baseline__
+        ]
+        if not groups:
+            pytest.skip("this host runs no AVX-512 numpy kernels")
+        rng = random.Random(1)
+        grid: set[float] = set()
+        while len(grid) < 100:
+            grid.add(round(rng.uniform(0.05, 1.0), 6))
+        payload = {"s_grid": sorted(grid), "psi_family": "q", "beta_family": "q^2", "cutoff": 16}
+        child = f"""
+import hashlib, json, sys
+from {umath.__name__} import __cpu_features__
+off = {groups!r}
+assert not any(__cpu_features__[name] for name in off), off
+from qdgates.report import SweepConfig, run_sweep, serialize
+report = run_sweep(SweepConfig.from_payload(json.loads(sys.argv[1])))
+print(hashlib.sha256(serialize(report)).hexdigest())
+"""
+        src = str(Path(qdgates.__file__).resolve().parent.parent)
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(groups))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        done = subprocess.run(
+            [sys.executable, "-c", child, json.dumps(payload)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        report = run_sweep(SweepConfig.from_payload(payload))
+        assert done.stdout.strip() == hashlib.sha256(serialize(report)).hexdigest()
+
     def test_csv_header_snapshot(self):
         report = run_sweep(config())
         blob = serialize(report, "csv").decode()
@@ -336,6 +383,17 @@ class TestCli:
         assert main(["audit", "--psi", "bogus"]) == 2
         assert main(["audit", "--s", "0.5", "--s-grid", "0.1,0.2"]) == 2
         assert main(["audit", "--cutoff", "2"]) == 2
+
+    @pytest.mark.parametrize("command", ["gates", "sweep"])
+    def test_strength_where_q_rounds_to_one_is_an_error_row(self, command, tmp_path):
+        # exp(1e-17) is 1.0, so the CNOT condition's q - 1/q is 0
+        out = tmp_path / "report.json"
+        assert main([command, "--s", "1e-17", "--out", str(out)]) == 1
+        entries = json.loads(out.read_bytes())["entries"]
+        errors = [e for e in entries if e["residual"] == -1.0]
+        assert [e["check_id"] for e in errors] == ["cnot_condition"]
+        assert errors[0]["note"] == "error: q = exp(s) rounds to 1 at s=1e-17, so q - 1/q is 0"
+        assert all(e["pass"] for e in entries if e is not errors[0])
 
     def test_overflowing_family_is_a_config_error(self, capsys):
         assert main(["sweep", "--s-grid", "0.9", "--psi", "q^900"]) == 2

@@ -3,12 +3,15 @@ and the closed-form gate conditions against their written-out expressions.
 
 The oracle is the earlier construction: dressed ``np.kron`` creation
 matrices over every retained level, applied to the pair vacuum, with
-two-qubit states formed as Kronecker products of pair states.  The closed
-form writes the one nonzero amplitude directly, computed with the same
-floating-point operations, so wherever the oracle succeeds every amplitude,
-truth-table row and norm ratio must agree bit for bit.  Where the oracle
-raises, it is because it also evaluates levels that carry no weight; the
-closed form may then succeed.
+two-qubit states formed as Kronecker products of pair states.  Its dressing
+is the ``fockspace`` formula evaluated level by level with ``math``, as the
+closed form evaluates it, so the comparison does not depend on which SIMD
+kernels numpy picks for ``exp`` and ``sinh``.  The closed form writes the one
+nonzero amplitude directly, computed with the same floating-point operations,
+so wherever the oracle succeeds every amplitude, truth-table row and norm
+ratio must agree bit for bit.  Where the oracle raises, it is because it
+also evaluates levels that carry no weight; the closed form may then
+succeed.
 """
 
 import math
@@ -22,11 +25,11 @@ import qdgates.gates as gates_module
 import qdgates.qubits as qubits_module
 import qdgates.report as report_module
 from qdgates.fockspace import (
+    GENERAL_LIMIT_LEVEL,
     FunctionChoice,
     FunctionFamily,
     RadicandError,
     TruncatedFockSpace,
-    dressing_diag,
     ladder_ops,
 )
 from qdgates.gates import (
@@ -45,8 +48,8 @@ from qdgates.qubits import (
     QUBIT_CUTOFF,
     basis_two_qubit_state,
     deformed_qubit_state,
+    jm_state,
     norm_ratio_experiment,
-    pair_creation_ops,
     pair_index,
     quad_index,
     qubit_state,
@@ -54,6 +57,31 @@ from qdgates.qubits import (
     vacuum,
 )
 from qdgates.report import SweepConfig, run_sweep
+
+
+def pair_creation_ops(space):
+    """Creation matrices for the two oscillators of a pair."""
+    _, a_dag, _ = ladder_ops(space)
+    eye = np.eye(space.cutoff)
+    return np.kron(a_dag, eye), np.kron(eye, a_dag)
+
+
+def libm_dressing(n, p, g1, g2):
+    """F(n) by the ``fockspace`` dressing formula, level 0 branches included,
+    evaluated with ``math`` instead of numpy."""
+    s = p.s
+    if g1 == g2:
+        r = g1 * s / math.sinh(s) if n == 0 else g1 * math.sinh(n * s) / (n * math.sinh(s))
+    else:
+        m = GENERAL_LIMIT_LEVEL if n == 0 else n
+        r = (math.exp(m * s) * g1 - math.exp(-m * s) * g2) / (2 * m * math.sinh(s))
+    if r < 0:
+        raise RadicandError(f"negative radicand at level n={n} with psi1={g1}, psi2={g2}")
+    return math.sqrt(r)
+
+
+def libm_dressing_diag(arguments, p, g1, g2):
+    return np.diag([libm_dressing(n, p, g1, g2) for n in arguments])
 
 
 def deformed_pair_creation_ops(space, p, g1, g2):
@@ -65,8 +93,8 @@ def deformed_pair_creation_ops(space, p, g1, g2):
     """
     _, a_dag, _ = ladder_ops(space)
     eye = np.eye(space.cutoff)
-    f_own = dressing_diag(space, p, g1, g2)
-    f_shift = dressing_diag(space, p, g1, g2, arguments=[1 - n for n in range(space.cutoff)])
+    f_own = libm_dressing_diag(range(space.cutoff), p, g1, g2)
+    f_shift = libm_dressing_diag([1 - n for n in range(space.cutoff)], p, g1, g2)
     return np.kron(f_own @ a_dag, eye), np.kron(f_shift, a_dag)
 
 
@@ -123,7 +151,7 @@ def oracle_deformed_hadamard(state, p, choice):
     amp_down, amp_up = _qubit_components(state)
     basis_up = oracle_deformed_qubit(1, p, choice.psi1, choice.psi2, space)
     _, a_dag, _ = ladder_ops(space)
-    f_own = dressing_diag(space, p, choice.psi3, choice.psi4)
+    f_own = libm_dressing_diag(range(space.cutoff), p, choice.psi3, choice.psi4)
     basis_down = np.kron(np.eye(space.cutoff), f_own @ a_dag) @ vacuum(space).amplitudes
     c_up = amp_up / basis_up[pair_index(space, 1, 0)]
     c_down = amp_down / basis_down[pair_index(space, 0, 1)]
@@ -313,7 +341,7 @@ def outcome(call):
     """The bits of a call's residual, or the type and text of what it raised."""
     try:
         return bits(call())
-    except (ArithmeticError, ValueError) as exc:  # q == 1.0 divides by zero
+    except ValueError as exc:
         return type(exc), str(exc)
 
 
@@ -345,7 +373,33 @@ def test_closed_form_conditions_equal_the_written_out_ones(point):
     assert outcome(lambda: check_not_condition(p, choice, 1e-10).residual) == outcome(
         lambda: oracle_not_residual(p, choice)
     )
-    assert outcome(lambda: check_cnot_condition(p, a, b, 1e-10).residual) == outcome(
-        lambda: oracle_cnot_residual(p, a, b)
-    )
+    cnot = outcome(lambda: check_cnot_condition(p, a, b, 1e-10).residual)
+    if p.q == 1.0:
+        # the written-out factors divide by q - 1/q == 0; the check names s instead
+        assert cnot == (ValueError, f"q = exp(s) rounds to 1 at s={p.s!r}, so q - 1/q is 0")
+    else:
+        assert cnot == outcome(lambda: oracle_cnot_residual(p, a, b))
+
+
+@pytest.mark.parametrize("cutoff", range(2, 9))
+def test_jm_state_equals_the_creation_matrix_oracle(cutoff):
+    # the oracle's sqrt(n) ladder factors cancel its 1/sqrt(n1! n2!) only to
+    # within one ulp; the closed form writes the exact amplitude 1
+    space = TruncatedFockSpace(cutoff)
+    c1, c2 = pair_creation_ops(space)
+    near_one = (math.nextafter(1.0, 0.0), 1.0, math.nextafter(1.0, 2.0))
+    for n1 in range(cutoff):
+        for n2 in range(cutoff):
+            amp = vacuum(space).amplitudes
+            for _ in range(n1):
+                amp = c1 @ amp
+            for _ in range(n2):
+                amp = c2 @ amp
+            oracle = amp / math.sqrt(math.factorial(n1) * math.factorial(n2))
+            state = jm_state((n1 + n2) / 2, (n1 - n2) / 2, space)
+            idx = pair_index(space, n1, n2)
+            assert state.support() == ((n1, n2),)
+            assert state.nonzero_triples() == [(idx, 1.0, 0.0)]
+            assert np.flatnonzero(oracle).tolist() == [idx]
+            assert oracle[idx].imag == 0.0 and oracle[idx].real in near_one
 

@@ -70,7 +70,7 @@ class FunctionChoice:
     ``psi1``/``psi2`` dress the control-side oscillator pair and ``beta1``/
     ``beta2`` the target side.  ``psi3``/``psi4`` belong to the second
     oscillator in the Hadamard construction and default to ``psi1``/``psi2``.
-    All six sit under square roots and must be strictly positive.
+    All six sit under square roots and must be finite positive numbers.
     """
 
     psi1: float = 1.0
@@ -87,8 +87,9 @@ class FunctionChoice:
             object.__setattr__(self, "psi4", self.psi2)
         for name in ("psi1", "psi2", "psi3", "psi4", "beta1", "beta2"):
             value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and value > 0):
-                raise ValueError(f"{name} must be strictly positive, got {value!r}")
+            number = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if not (number and 0 < value < np.inf):
+                raise ValueError(f"{name} must be finite and strictly positive, got {value!r}")
 
     @classmethod
     def unit(cls) -> "FunctionChoice":

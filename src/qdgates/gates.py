@@ -1,15 +1,15 @@
 """Qubit gate actions on oscillator-pair states and realizability checks.
 
-Gates are defined on (possibly scaled) basis states and extended linearly.
-A deformed gate differs from the plain one only by the common scalar the
-dressed basis vectors carry; when comparing against standard outputs, that
-scalar is factored out and outputs are compared by proportionality.  The
-single-state gates rebuild their outputs from the dressed-state
-constructors.  The CNOT truth table, which the sweep evaluates at every
-grid point, needs no state vectors: each of its rows maps one argument-1
-amplitude to another (see :func:`cnot_truth_table`).  The realizability
-conditions are closed forms too: the NOT condition is the distance of
-psi1/psi2 from 1, and the CNOT condition is the sign of one radicand.
+A deformed gate acts on the dressed basis vectors as the plain gate acts on
+the plain ones.  Each basis vector is one amplitude at one occupation
+pattern: 1.0 for a plain gate, the argument-1 dressing for a deformed one.
+Every gate takes one path: each input component becomes a coefficient on
+its basis vector (:func:`_coefficient`), and the output is the same
+combination of the gate's images of those vectors.  The CNOT truth table
+needs no state vectors: its flipped rows take the same step on the one
+two-qubit amplitude.  The realizability conditions are closed forms: the
+NOT condition is the distance of psi1/psi2 from 1, and the CNOT condition
+is the sign of one radicand.
 """
 
 from __future__ import annotations
@@ -22,16 +22,16 @@ from enum import Enum
 import numpy as np
 
 from .audit import passes
-from .fockspace import FunctionChoice, RadicandError, TruncatedFockSpace
+from .fockspace import FunctionChoice, RadicandError
 from .qnumber import DeformationParam
 from .qubits import (
     OscillatorPairState,
     TwoQubitState,
+    _basis_vector,
     _dressed_amplitude,
-    deformed_qubit_state,
+    _two_qubit_amplitude,
     pair_index,
     quad_index,
-    two_qubit_state,
 )
 
 _SQRT2 = math.sqrt(2.0)
@@ -67,9 +67,32 @@ def _qubit_components(state: OscillatorPairState) -> tuple[complex, complex]:
     return complex(state.amplitudes[idx_down]), complex(state.amplitudes[idx_up])
 
 
-def _require_deformed_args(p, choice) -> None:
-    if p is None or choice is None:
+def _is_deformed(deformed: bool, p, *choices) -> bool:
+    """``deformed``, once a deformed gate is known to have p and every choice."""
+    if deformed and (p is None or any(choice is None for choice in choices)):
         raise ValueError("deformed mode needs both a DeformationParam and a FunctionChoice")
+    return deformed
+
+
+def _coefficient(amp: complex, amplitude) -> np.complex128:
+    """``amp`` over the amplitude of its basis vector, as a complex128 quotient.
+
+    For ``amp == amplitude`` that quotient is not always exactly 1, where
+    Python's would be; report bytes depend on it until the schema changes.
+    """
+    return amp / np.complex128(amplitude)
+
+
+def _extend(state: OscillatorPairState, a_down: float, a_up: float, images) -> np.ndarray:
+    """The gate whose images of the down and up basis vectors, of amplitudes
+    ``a_down`` and ``a_up``, are ``images(down, up)``, extended linearly."""
+    space = state.space
+    image_down, image_up = images(
+        _basis_vector(space, (0, 1), a_down), _basis_vector(space, (1, 0), a_up)
+    )
+    amp_down, amp_up = _qubit_components(state)
+    c_up, c_down = _coefficient(amp_up, a_up), _coefficient(amp_down, a_down)
+    return c_down * image_down + c_up * image_up
 
 
 def apply_not(
@@ -80,24 +103,14 @@ def apply_not(
 ) -> OscillatorPairState:
     """Exchange the up and down components.
 
-    In deformed mode the coefficients are re-expressed in the dressed basis
-    and the flipped state is rebuilt through the dressed constructors, i.e.
-    the creation-operator exponents are interchanged.
+    The deformed flip interchanges the creation-operator exponents: it sends
+    each dressed basis vector to the other, which carries the same
+    (psi1, psi2) dressing.
     """
-    space = state.space
-    amp_down, amp_up = _qubit_components(state)
-    out = np.zeros_like(state.amplitudes)
-    if not deformed:
-        out[pair_index(space, 1, 0)] = amp_down
-        out[pair_index(space, 0, 1)] = amp_up
-        return OscillatorPairState(space, out)
-    _require_deformed_args(p, choice)
-    basis_up = deformed_qubit_state(1, p, choice, space)
-    basis_down = deformed_qubit_state(0, p, choice, space)
-    pref_up = basis_up.amplitudes[pair_index(space, 1, 0)]
-    pref_down = basis_down.amplitudes[pair_index(space, 0, 1)]
-    out = (amp_up / pref_up) * basis_down.amplitudes + (amp_down / pref_down) * basis_up.amplitudes
-    return OscillatorPairState(space, out)
+    a = 1.0
+    if _is_deformed(deformed, p, choice):
+        a = _dressed_amplitude(p, choice.psi1, choice.psi2)
+    return OscillatorPairState(state.space, _extend(state, a, a, lambda down, up: (up, down)))
 
 
 def check_not_condition(
@@ -128,23 +141,12 @@ def apply_hadamard(
     deformed mode the up vector is dressed by (psi1, psi2) and the down
     vector by (psi3, psi4), each oscillator carrying its own dressing.
     """
-    space = state.space
-    amp_down, amp_up = _qubit_components(state)
-    if not deformed:
-        out = np.zeros_like(state.amplitudes)
-        out[pair_index(space, 0, 1)] = (amp_down + amp_up) / _SQRT2
-        out[pair_index(space, 1, 0)] = (amp_down - amp_up) / _SQRT2
-        return OscillatorPairState(space, out)
-    _require_deformed_args(p, choice)
-    basis_up = deformed_qubit_state(1, p, choice, space).amplitudes
-    # the down vector's second oscillator carries its own (psi3, psi4) dressing
-    # at n = 1, which is the same argument-1 value the shifted dressing gives
-    own = FunctionChoice(psi1=choice.psi3, psi2=choice.psi4)
-    basis_down = deformed_qubit_state(0, p, own, space).amplitudes
-    c_up = amp_up / basis_up[pair_index(space, 1, 0)]
-    c_down = amp_down / basis_down[pair_index(space, 0, 1)]
-    out = (c_down * (basis_down + basis_up) + c_up * (basis_down - basis_up)) / _SQRT2
-    return OscillatorPairState(space, out)
+    a_up = a_down = 1.0
+    if _is_deformed(deformed, p, choice):
+        a_up = _dressed_amplitude(p, choice.psi1, choice.psi2)
+        a_down = _dressed_amplitude(p, choice.psi3, choice.psi4)
+    out = _extend(state, a_down, a_up, lambda down, up: (down + up, down - up)) / _SQRT2
+    return OscillatorPairState(state.space, out)
 
 
 def apply_phase_shift(state: OscillatorPairState, theta: float) -> OscillatorPairState:
@@ -180,6 +182,13 @@ def _basis_component(state: TwoQubitState) -> tuple[tuple[int, int], complex]:
     raise ValueError("two-qubit gate input has support outside the qubit patterns")
 
 
+def _cnot_amplitude(deformed: bool, p, choice_a, choice_b) -> float:
+    """Amplitude of the two-qubit basis vectors the controlled flip acts on."""
+    if _is_deformed(deformed, p, choice_a, choice_b):
+        return _two_qubit_amplitude(p, choice_a, choice_b)
+    return 1.0
+
+
 def apply_cnot(
     state: TwoQubitState,
     deformed: bool = False,
@@ -187,21 +196,14 @@ def apply_cnot(
     choice_a: FunctionChoice | None = None,
     choice_b: FunctionChoice | None = None,
 ) -> TwoQubitState:
-    """Flip the target qubit exactly when the control is up."""
-    space = state.space
+    """Flip the target qubit exactly when the control is up; a control-down
+    input comes back unchanged, after the same argument and dressing checks."""
     (x, y), amp = _basis_component(state)
+    amplitude = _cnot_amplitude(deformed, p, choice_a, choice_b)
     if x == 0:
-        return TwoQubitState(space, state.amplitudes.copy())
-    if not deformed:
-        out = np.zeros_like(state.amplitudes)
-        out[quad_index(space, *_QUBIT_PATTERNS[(x, 1 - y)])] = amp
-        return TwoQubitState(space, out)
-    _require_deformed_args(p, choice_a)
-    _require_deformed_args(p, choice_b)
-    reference_in = two_qubit_state(x, y, p, choice_a, choice_b, space)
-    reference_out = two_qubit_state(x, 1 - y, p, choice_a, choice_b, space)
-    scale = amp / reference_in.amplitudes[quad_index(space, *_QUBIT_PATTERNS[(x, y)])]
-    return TwoQubitState(space, scale * reference_out.amplitudes)
+        return TwoQubitState(state.space, state.amplitudes.copy())
+    image = _basis_vector(state.space, _QUBIT_PATTERNS[(x, 1 - y)], amplitude)
+    return TwoQubitState(state.space, _coefficient(amp, amplitude) * image)
 
 
 @dataclass(frozen=True)
@@ -220,7 +222,6 @@ def cnot_truth_table(
     p: DeformationParam | None = None,
     choice_a: FunctionChoice | None = None,
     choice_b: FunctionChoice | None = None,
-    space: TruncatedFockSpace | None = None,
 ) -> list[TruthTableRow]:
     """Run all four basis transitions of the controlled flip.
 
@@ -229,32 +230,19 @@ def cnot_truth_table(
     realizable; the caller inspects amplitudes (undeformed: exactly 1) or
     their spread (deformed).
 
-    Every input and output is one amplitude on one basis pattern, so the
-    rows are formed from that amplitude alone, in the floating-point steps of
-    :func:`apply_cnot` on the dressed states; ``space`` does not change them.
+    Every input and output is one amplitude on one basis pattern, so the rows
+    take :func:`apply_cnot`'s step on that amplitude alone.
     """
-    if deformed:
-        _require_deformed_args(p, choice_a)
-        _require_deformed_args(p, choice_b)
-        # both labels of a pair share the argument-1 dressing
-        amp = _dressed_amplitude(p, choice_a.psi1, choice_a.psi2)
-        amp *= _dressed_amplitude(p, choice_b.beta1, choice_b.beta2)
-    else:
-        amp = 1.0
+    amp = complex(_cnot_amplitude(deformed, p, choice_a, choice_b))
     if amp == 0:  # the input state would have no support at all
         raise ValueError("two-qubit gate input must be a scaled product basis state")
-    amp = complex(amp)
-    rows = []
-    for x, y in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        if x == 0:
-            amplitude, off = amp, 0.0
-        else:
-            # apply_cnot rescales the flipped reference by the input over its
-            # own reference, a complex128 quotient that is not always exactly 1
-            scale = amp / np.complex128(amp)
-            amplitude, off = complex(scale * amp), float(abs(scale * 0j))
-        rows.append(TruthTableRow((x, y), (x, y ^ x), amplitude, off))
-    return rows
+    # the flipped vector at its own pattern and at any other
+    on, off = _coefficient(amp, amp) * np.array([amp, 0j])
+    by_control = {0: (amp, 0.0), 1: (complex(on), float(abs(off)))}
+    return [
+        TruthTableRow((x, y), (x, y ^ x), *by_control[x])
+        for x, y in ((0, 0), (0, 1), (1, 0), (1, 1))
+    ]
 
 
 def check_cnot_condition(

@@ -158,6 +158,16 @@ def deformed_qubit_state(
     return OscillatorPairState(space, _basis_vector(space, (x, 1 - x), amplitude))
 
 
+def _two_qubit_amplitude(
+    p: DeformationParam, choice_a: FunctionChoice, choice_b: FunctionChoice
+) -> float:
+    """Amplitude of a deformed two-qubit basis state, whatever its labels: the
+    control's under the psi pair of ``choice_a`` times the target's under the
+    beta pair of ``choice_b``."""
+    control = _dressed_amplitude(p, choice_a.psi1, choice_a.psi2)
+    return control * _dressed_amplitude(p, choice_b.beta1, choice_b.beta2)
+
+
 def basis_two_qubit_state(x: int, y: int, space: TruncatedFockSpace) -> TwoQubitState:
     """Undeformed product basis state |x>|y> over two oscillator pairs."""
     _check_labels(x, y)
@@ -175,9 +185,8 @@ def two_qubit_state(
     """Deformed product state: control dressed by the psi pair of ``choice_a``,
     target by the beta pair of ``choice_b``."""
     _check_labels(x, y)
-    ctrl = _dressed_amplitude(p, choice_a.psi1, choice_a.psi2)
-    tgt = _dressed_amplitude(p, choice_b.beta1, choice_b.beta2)
-    return TwoQubitState(space, _basis_vector(space, (x, 1 - x, y, 1 - y), ctrl * tgt))
+    amplitude = _two_qubit_amplitude(p, choice_a, choice_b)
+    return TwoQubitState(space, _basis_vector(space, (x, 1 - x, y, 1 - y), amplitude))
 
 
 @dataclass(frozen=True)
@@ -217,7 +226,8 @@ def norm_ratio_experiment(
         raise ValueError(f"psi and beta must be positive, got psi={psi!r}, beta={beta!r}")
     _check_labels(x, y)
     # in Python floats an overflow reads inf without a numpy warning
-    amplitude = _dressed_amplitude(p, psi, psi) * _dressed_amplitude(p, beta, beta)
+    choice = FunctionChoice(psi1=psi, psi2=psi, beta1=beta, beta2=beta)
+    amplitude = _two_qubit_amplitude(p, choice, choice)
     measured = amplitude * amplitude
     product = psi * beta
     if not (math.isfinite(measured) and math.isfinite(product)):

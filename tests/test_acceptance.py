@@ -88,7 +88,7 @@ def test_04_controlled_flip_condition_is_an_identity():
 
 
 def test_05_controlled_flip_truth_table():
-    plain = cnot_truth_table(space=QUBIT_SPACE)
+    plain = cnot_truth_table()
     exact = all(r.amplitude == 1.0 and r.off_support == 0.0 for r in plain)
     transitions = [r.expected_bits for r in plain] == [(0, 0), (0, 1), (1, 1), (1, 0)]
     p = DeformationParam(0.5)
@@ -97,7 +97,6 @@ def test_05_controlled_flip_truth_table():
         p=p,
         choice_a=FunctionChoice(psi1=p.q, psi2=p.q),
         choice_b=FunctionChoice(beta1=p.q**2, beta2=p.q**2),
-        space=QUBIT_SPACE,
     )
     magnitudes = [abs(r.amplitude) for r in dressed]
     spread = max(magnitudes) - min(magnitudes)

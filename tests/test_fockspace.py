@@ -207,6 +207,15 @@ class TestFunctionChoice:
         with pytest.raises(ValueError):
             FunctionChoice(**kwargs)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("psi1", math.inf), ("beta1", math.inf), ("psi2", math.nan), ("psi3", True)],
+    )
+    def test_rejects_non_finite_and_boolean_values(self, field, value):
+        # an infinite pair used to give a NOT residual of nan, and True was stored as given
+        with pytest.raises(ValueError, match=f"^{field} must be finite and strictly positive"):
+            FunctionChoice(**{field: value})
+
     def test_from_families(self):
         q = math.exp(0.5)
         c = FunctionChoice.from_families(

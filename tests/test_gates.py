@@ -221,6 +221,22 @@ class TestCnotGate:
                 assert np.array_equal(dressed.amplitudes, plain.amplitudes)
 
 
+    @pytest.mark.parametrize("x", [0, 1])
+    @pytest.mark.parametrize(
+        "p,beta2,error,match",
+        [
+            (None, 1.0, ValueError, "needs both a DeformationParam"),
+            (P_HALF, 10.0, RadicandError, "negative radicand"),
+        ],
+        ids=["no-deformation", "negative-radicand"],
+    )
+    def test_deformed_gate_checks_its_arguments_for_any_control(self, x, p, beta2, error, match):
+        # a control-down input used to come back unchanged without these checks
+        choice = FunctionChoice(beta1=1.0, beta2=beta2)
+        with pytest.raises(error, match=match):
+            apply_cnot(basis_two_qubit_state(x, 0, SPACE), True, p, choice, choice)
+
+
 class TestCnotTruthTable:
     def test_plain_rows_have_exact_unit_amplitude(self):
         for row in cnot_truth_table():

@@ -166,8 +166,7 @@ def _cmd_infer(args) -> int:
         if args.ratio is not None:
             ratio = args.ratio
         else:
-            space = TruncatedFockSpace(QUBIT_CUTOFF)
-            ratio = norm_ratio_experiment(1, 0, p, psi, beta, space).measured
+            ratio = norm_ratio_experiment(p, psi, beta).measured
         inference = infer_psi_from_norm(ratio, beta, p, n_hat=args.n_hat, law=args.law)
         print(
             f"s={s:g} ratio={ratio:.12g} -> psi={inference.inferred_psi:.12g} "

@@ -21,8 +21,8 @@ the general case the expression is simply evaluated just off zero.  The
 level-0 value would multiply only zero matrix entries, so the ladder band
 never evaluates it: the dressed operators exist whenever every level
 ``n >= 1`` has a nonnegative radicand, even for ``psi1 < psi2``, where the
-off-zero stand-in is negative.  :func:`f_value` and :func:`dressing_diag`
-still evaluate level 0 when it is among the points they are asked for.
+off-zero stand-in is negative.  :func:`dressing_diag`, and :func:`f_value`
+and :func:`dressing_vector` when asked for it, still evaluate level 0.
 
 Constructors accept a ``dtype`` so that callers needing identity residuals
 below one float64 ulp of the operator magnitude (the audit module) can run
@@ -207,17 +207,9 @@ def dressing_diag(
     psi1: float,
     psi2: float,
     dtype=np.float64,
-    arguments: Sequence[float] | None = None,
 ) -> np.ndarray:
-    """Diagonal dressing matrix, one eigenvalue per retained level.
-
-    ``arguments`` overrides the evaluation points (default: the level
-    numbers themselves); the shifted second-oscillator dressing passes
-    ``1 - n`` here.
-    """
-    if arguments is None:
-        arguments = range(space.cutoff)
-    return np.diag(dressing_vector(arguments, p, psi1, psi2, dtype=dtype))
+    """Diagonal dressing matrix, one eigenvalue per retained level."""
+    return np.diag(dressing_vector(range(space.cutoff), p, psi1, psi2, dtype=dtype))
 
 
 def ladder_band(

@@ -1,7 +1,8 @@
 """Qubit gate actions on oscillator-pair states and realizability checks.
 
 A deformed gate acts on the dressed basis vectors as the plain gate acts on
-the plain ones.  Each basis vector is one amplitude at one occupation
+the plain ones; a gate is deformed exactly when it is given a dressing (p and
+every choice).  Each basis vector is one amplitude at one occupation
 pattern: 1.0 for a plain gate, the argument-1 dressing for a deformed one.
 Every gate takes one path: each input component becomes a coefficient on
 its basis vector (:func:`_coefficient`), and the output is the same
@@ -67,11 +68,13 @@ def _qubit_components(state: OscillatorPairState) -> tuple[complex, complex]:
     return complex(state.amplitudes[idx_down]), complex(state.amplitudes[idx_up])
 
 
-def _is_deformed(deformed: bool, p, *choices) -> bool:
-    """``deformed``, once a deformed gate is known to have p and every choice."""
-    if deformed and (p is None or any(choice is None for choice in choices)):
+def _is_deformed(p, *choices) -> bool:
+    """Whether a gate is dressed: given p and every choice it is, given none
+    of them it is plain, and given only some of them it raises."""
+    missing = [arg is None for arg in (p, *choices)]
+    if any(missing) and not all(missing):
         raise ValueError("deformed mode needs both a DeformationParam and a FunctionChoice")
-    return deformed
+    return not any(missing)
 
 
 def _coefficient(amp: complex, amplitude) -> np.complex128:
@@ -80,6 +83,8 @@ def _coefficient(amp: complex, amplitude) -> np.complex128:
     For ``amp == amplitude`` that quotient is not always exactly 1, where
     Python's would be; report bytes depend on it until the schema changes.
     """
+    if amplitude == 0:
+        raise ValueError("the dressed basis vector has amplitude 0 (zero dressing at argument 1)")
     return amp / np.complex128(amplitude)
 
 
@@ -97,7 +102,6 @@ def _extend(state: OscillatorPairState, a_down: float, a_up: float, images) -> n
 
 def apply_not(
     state: OscillatorPairState,
-    deformed: bool = False,
     p: DeformationParam | None = None,
     choice: FunctionChoice | None = None,
 ) -> OscillatorPairState:
@@ -108,7 +112,7 @@ def apply_not(
     (psi1, psi2) dressing.
     """
     a = 1.0
-    if _is_deformed(deformed, p, choice):
+    if _is_deformed(p, choice):
         a = _dressed_amplitude(p, choice.psi1, choice.psi2)
     return OscillatorPairState(state.space, _extend(state, a, a, lambda down, up: (up, down)))
 
@@ -131,18 +135,17 @@ def check_not_condition(
 
 def apply_hadamard(
     state: OscillatorPairState,
-    deformed: bool = False,
     p: DeformationParam | None = None,
     choice: FunctionChoice | None = None,
 ) -> OscillatorPairState:
     """Send each basis component x to ((-1)**x |x> + |1-x>) / sqrt(2).
 
-    The 1/sqrt(2) is applied so outputs of basis inputs stay unit norm.  In
-    deformed mode the up vector is dressed by (psi1, psi2) and the down
+    The 1/sqrt(2) is applied so outputs of basis inputs stay unit norm.  Given
+    a dressing, the up vector is dressed by (psi1, psi2) and the down
     vector by (psi3, psi4), each oscillator carrying its own dressing.
     """
     a_up = a_down = 1.0
-    if _is_deformed(deformed, p, choice):
+    if _is_deformed(p, choice):
         a_up = _dressed_amplitude(p, choice.psi1, choice.psi2)
         a_down = _dressed_amplitude(p, choice.psi3, choice.psi4)
     out = _extend(state, a_down, a_up, lambda down, up: (down + up, down - up)) / _SQRT2
@@ -182,16 +185,15 @@ def _basis_component(state: TwoQubitState) -> tuple[tuple[int, int], complex]:
     raise ValueError("two-qubit gate input has support outside the qubit patterns")
 
 
-def _cnot_amplitude(deformed: bool, p, choice_a, choice_b) -> float:
+def _cnot_amplitude(p, choice_a, choice_b) -> float:
     """Amplitude of the two-qubit basis vectors the controlled flip acts on."""
-    if _is_deformed(deformed, p, choice_a, choice_b):
+    if _is_deformed(p, choice_a, choice_b):
         return _two_qubit_amplitude(p, choice_a, choice_b)
     return 1.0
 
 
 def apply_cnot(
     state: TwoQubitState,
-    deformed: bool = False,
     p: DeformationParam | None = None,
     choice_a: FunctionChoice | None = None,
     choice_b: FunctionChoice | None = None,
@@ -199,11 +201,12 @@ def apply_cnot(
     """Flip the target qubit exactly when the control is up; a control-down
     input comes back unchanged, after the same argument and dressing checks."""
     (x, y), amp = _basis_component(state)
-    amplitude = _cnot_amplitude(deformed, p, choice_a, choice_b)
+    amplitude = _cnot_amplitude(p, choice_a, choice_b)
+    coefficient = _coefficient(amp, amplitude)
     if x == 0:
         return TwoQubitState(state.space, state.amplitudes.copy())
     image = _basis_vector(state.space, _QUBIT_PATTERNS[(x, 1 - y)], amplitude)
-    return TwoQubitState(state.space, _coefficient(amp, amplitude) * image)
+    return TwoQubitState(state.space, coefficient * image)
 
 
 @dataclass(frozen=True)
@@ -218,14 +221,13 @@ class TruthTableRow:
 
 
 def cnot_truth_table(
-    deformed: bool = False,
     p: DeformationParam | None = None,
     choice_a: FunctionChoice | None = None,
     choice_b: FunctionChoice | None = None,
 ) -> list[TruthTableRow]:
     """Run all four basis transitions of the controlled flip.
 
-    In deformed mode every row picks up the same scalar relative to the
+    Given a dressing, every row picks up the same scalar relative to the
     plain table, so the amplitudes are constant across rows once the gate is
     realizable; the caller inspects amplitudes (undeformed: exactly 1) or
     their spread (deformed).
@@ -233,9 +235,7 @@ def cnot_truth_table(
     Every input and output is one amplitude on one basis pattern, so the rows
     take :func:`apply_cnot`'s step on that amplitude alone.
     """
-    amp = complex(_cnot_amplitude(deformed, p, choice_a, choice_b))
-    if amp == 0:  # the input state would have no support at all
-        raise ValueError("two-qubit gate input must be a scaled product basis state")
+    amp = complex(_cnot_amplitude(p, choice_a, choice_b))
     # the flipped vector at its own pattern and at any other
     on, off = _coefficient(amp, amp) * np.array([amp, 0j])
     by_control = {0: (amp, 0.0), 1: (complex(on), float(abs(off)))}

@@ -10,8 +10,10 @@ creation-operator normalization cancels exactly); for the deformed qubits it
 is the dressing at argument 1 (see :func:`_dressed_amplitude`), the only
 dressing value the single quantum ever meets.  That value is computed with
 ``math``, so it is the same on every host whatever SIMD kernels numpy picks.
-The dressed ``np.kron`` creation matrices applied to the pair vacuum are kept
-only as the test oracle (``tests/test_state_oracle.py``).
+The norm ratio, ``norm_ratio_experiment(p, psi, beta)``, is that amplitude
+squared: the same for every label pair and every space.  The dressed
+``np.kron`` creation matrices applied to the pair vacuum are kept only as the
+test oracle (``tests/test_state_oracle.py``).
 
 Basis ordering over the joint occupations (n1, n2) is row-major and fixed;
 four-oscillator states order (a1, a2, b1, b2) row-major, which is exactly
@@ -191,20 +193,20 @@ def two_qubit_state(
 
 @dataclass(frozen=True)
 class NormRatioResult:
-    """Measured deformed/undeformed squared-norm ratio with both candidate laws.
+    """Measured deformed/undeformed squared-norm ratio at one (s, psi, beta),
+    with both candidate laws and the one it lies nearer.
 
     The construction itself decides which law it satisfies; neither
     prediction is privileged here.
     """
 
+    s: float
+    psi: float
+    beta: float
     measured: float
     prediction_product: float  # psi * beta
     prediction_sqrt: float  # sqrt(psi * beta)
-
-    def matched_law(self) -> str:
-        d_product = abs(self.measured - self.prediction_product)
-        d_sqrt = abs(self.measured - self.prediction_sqrt)
-        return "product" if d_product <= d_sqrt else "sqrt_product"
+    matched_law: str  # "product" or "sqrt_product"
 
     def distance_to_matched(self) -> float:
         return min(
@@ -213,18 +215,15 @@ class NormRatioResult:
         )
 
 
-def norm_ratio_experiment(
-    x: int, y: int, p: DeformationParam, psi: float, beta: float, space: TruncatedFockSpace
-) -> NormRatioResult:
-    """Squared-norm ratio of the deformed basis state to the undeformed one.
+def norm_ratio_experiment(p: DeformationParam, psi: float, beta: float) -> NormRatioResult:
+    """Squared-norm ratio of a deformed two-qubit basis state to the plain one.
 
     Both states are one amplitude at the same index and the plain amplitude
-    is 1, so the ratio is the square of the deformed amplitude, whatever
-    ``space`` is.  A ratio or prediction beyond float64 range raises.
+    is 1, so the ratio is the square of the deformed amplitude, whatever the
+    labels and the space.  A ratio or prediction beyond float64 range raises.
     """
     if not (psi > 0 and beta > 0):
         raise ValueError(f"psi and beta must be positive, got psi={psi!r}, beta={beta!r}")
-    _check_labels(x, y)
     # in Python floats an overflow reads inf without a numpy warning
     choice = FunctionChoice(psi1=psi, psi2=psi, beta1=beta, beta2=beta)
     amplitude = _two_qubit_amplitude(p, choice, choice)
@@ -236,7 +235,9 @@ def norm_ratio_experiment(
         raise ValueError(
             f"norm ratio overflows float64: measured {ratio}, product prediction {prediction}"
         )
-    return NormRatioResult(measured, product, math.sqrt(product))
+    sqrt = math.sqrt(product)
+    law = "product" if abs(measured - product) <= abs(measured - sqrt) else "sqrt_product"
+    return NormRatioResult(p.s, psi, beta, measured, product, sqrt, law)
 
 
 @dataclass(frozen=True)

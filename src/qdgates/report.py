@@ -33,7 +33,7 @@ from .audit import (
 from .fockspace import CONSTANT_ONE, FunctionChoice, FunctionFamily, TruncatedFockSpace
 from .gates import TruthTableRow, check_cnot_condition, check_not_condition, cnot_truth_table
 from .qnumber import DeformationParam
-from .qubits import QUBIT_CUTOFF, norm_ratio_experiment
+from .qubits import QUBIT_CUTOFF, NormRatioResult, norm_ratio_experiment
 
 SCHEMA_VERSION = "1"
 
@@ -108,6 +108,11 @@ def _first_bad_point(family: FunctionFamily, s_grid: Sequence[float]) -> float |
     return None
 
 
+def _is_number(value) -> bool:
+    """An int or float from a JSON payload, not a boolean."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     s_grid: tuple[float, ...]
@@ -156,27 +161,37 @@ class SweepConfig:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "SweepConfig":
+        if not isinstance(payload, dict):
+            raise ConfigError([f"config must be a JSON object, got {payload!r}"])
+        s_grid = payload.get("s_grid")
+        cutoff = payload.get("cutoff", 16)
+        tolerance = payload.get("tolerance", 1e-10)
+        families = {name: payload.get(name, "1") for name in ("psi_family", "beta_family")}
+        problems = []
+        if s_grid is None:
+            problems.append("config must define s_grid")
+        elif not (isinstance(s_grid, (list, tuple)) and all(map(_is_number, s_grid))):
+            problems.append(f"s_grid must be a list of numbers, got {s_grid!r}")
+        # int() and float() below would turn 16.5 into 16 and true into 1
+        if not _is_number(cutoff) or (isinstance(cutoff, float) and not cutoff.is_integer()):
+            problems.append(f"cutoff must be an integer, got {cutoff!r}")
+        if not _is_number(tolerance):
+            problems.append(f"tolerance must be a number, got {tolerance!r}")
+        for name, d in families.items():
+            if not (isinstance(d, str) or isinstance(d, dict) and _is_number(d.get("exponent", 0))):
+                problems.append(f"{name} must be a family string or object, got {d!r}")
+        if problems:
+            raise ConfigError(problems)
+
         def family(d) -> FunctionFamily:
             if isinstance(d, str):
                 return FunctionFamily.parse(d)
             return FunctionFamily(d.get("kind", CONSTANT_ONE), d.get("exponent", 0.0))
 
-        cutoff = payload.get("cutoff", 16)
-        tolerance = payload.get("tolerance", 1e-10)
-        problems = []
-        if "s_grid" not in payload:
-            problems.append("config must define s_grid")
-        # int() and float() below would turn 16.5 into 16 and true into 1
-        if isinstance(cutoff, bool) or (isinstance(cutoff, float) and not cutoff.is_integer()):
-            problems.append(f"cutoff must be an integer, got {cutoff!r}")
-        if isinstance(tolerance, bool):
-            problems.append(f"tolerance must be a number, got {tolerance!r}")
-        if problems:
-            raise ConfigError(problems)
         return cls(
-            s_grid=tuple(payload["s_grid"]),
-            psi_family=family(payload.get("psi_family", {"kind": CONSTANT_ONE})),
-            beta_family=family(payload.get("beta_family", {"kind": CONSTANT_ONE})),
+            s_grid=tuple(s_grid),
+            psi_family=family(families["psi_family"]),
+            beta_family=family(families["beta_family"]),
             cutoff=int(cutoff),
             tolerance=float(tolerance),
             output_format=str(payload.get("output_format", "json")),
@@ -204,26 +219,12 @@ class ReportEntry:
 
 
 @dataclass(frozen=True)
-class NormRatioSample:
-    s: float
-    psi: float
-    beta: float
-    measured: float
-    prediction_product: float
-    prediction_sqrt: float
-    matched_law: str
-
-    def to_payload(self) -> dict:
-        return dict(vars(self))
-
-
-@dataclass(frozen=True)
 class SweepReport:
     schema_version: str
     tool_version: str
     config: SweepConfig
     entries: tuple[ReportEntry, ...]
-    norm_ratio: tuple[NormRatioSample, ...]
+    norm_ratio: tuple[NormRatioResult, ...]
     summary: dict
 
     def unexpected_failures(self) -> int:
@@ -235,7 +236,7 @@ class SweepReport:
             "tool_version": self.tool_version,
             "config": self.config.to_payload(),
             "entries": [e.to_payload() for e in self.entries],
-            "norm_ratio": [r.to_payload() for r in self.norm_ratio],
+            "norm_ratio": [dict(vars(r)) for r in self.norm_ratio],
             "summary": self.summary,
         }
 
@@ -259,7 +260,7 @@ def _summarize(entries: Iterable[ReportEntry]) -> dict:
 def build_report(
     config: SweepConfig,
     entries: list[ReportEntry],
-    norm_ratio: list[NormRatioSample] | None = None,
+    norm_ratio: list[NormRatioResult] | None = None,
 ) -> SweepReport:
     """Assemble a report in canonical order (grid point, then check id)."""
     order = {s: i for i, s in enumerate(config.s_grid)}
@@ -326,7 +327,7 @@ def gate_entries(
     tol = config.tolerance
 
     def deformed_table():
-        rows = cnot_truth_table(deformed=True, p=p, choice_a=choice, choice_b=choice)
+        rows = cnot_truth_table(p, choice, choice)
         magnitudes = [abs(r.amplitude) for r in rows]
         spread = max(magnitudes) - min(magnitudes)
         residual = max(spread, max(r.off_support for r in rows))
@@ -347,21 +348,14 @@ def gate_entries(
 
 def norm_ratio_entries(
     config: SweepConfig, p: DeformationParam, choice: FunctionChoice
-) -> tuple[list[ReportEntry], list[NormRatioSample]]:
+) -> tuple[list[ReportEntry], list[NormRatioResult]]:
     samples = []
 
     def measure():
-        space = TruncatedFockSpace(QUBIT_CUTOFF)
-        result = norm_ratio_experiment(1, 0, p, choice.psi1, choice.beta1, space)
-        law = result.matched_law()
-        samples.append(
-            NormRatioSample(
-                p.s, choice.psi1, choice.beta1, result.measured,
-                result.prediction_product, result.prediction_sqrt, law,
-            )
-        )
+        result = norm_ratio_experiment(p, choice.psi1, choice.beta1)
+        samples.append(result)
         note = (
-            f"matches {law}; measured {result.measured:.17g}, "
+            f"matches {result.matched_law}; measured {result.measured:.17g}, "
             f"product {result.prediction_product:.17g}, sqrt {result.prediction_sqrt:.17g}"
         )
         return result.distance_to_matched(), note
@@ -374,7 +368,7 @@ def run_sweep(config: SweepConfig, layers: Sequence[str] = SWEEP_LAYERS) -> Swee
     """The checks of ``layers`` (default: all) at every grid point;
     deterministic for a fixed config."""
     entries: list[ReportEntry] = []
-    samples: list[NormRatioSample] = []
+    samples: list[NormRatioResult] = []
     plain_rows = cnot_truth_table() if GATE_LAYER in layers else []
     for s in config.s_grid:
         p, choice = _point(config, s)
@@ -457,7 +451,7 @@ def parse_report(blob: bytes) -> SweepReport:
     """Rebuild a report from its JSON serialization (the inverse of serialize)."""
     payload = json.loads(blob.decode("utf-8"))
     entries = tuple(ReportEntry(*(e[c] for c in ENTRY_COLUMNS)) for e in payload["entries"])
-    samples = tuple(NormRatioSample(**r) for r in payload.get("norm_ratio", []))
+    samples = tuple(NormRatioResult(**r) for r in payload.get("norm_ratio", []))
     return SweepReport(
         schema_version=payload["schema_version"],
         tool_version=payload["tool_version"],

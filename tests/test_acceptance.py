@@ -93,7 +93,6 @@ def test_05_controlled_flip_truth_table():
     transitions = [r.expected_bits for r in plain] == [(0, 0), (0, 1), (1, 1), (1, 0)]
     p = DeformationParam(0.5)
     dressed = cnot_truth_table(
-        deformed=True,
         p=p,
         choice_a=FunctionChoice(psi1=p.q, psi2=p.q),
         choice_b=FunctionChoice(beta1=p.q**2, beta2=p.q**2),
@@ -127,13 +126,13 @@ def test_07_norm_ratio_matches_exactly_one_law():
     worst = 0.0
     ambiguous = False
     for psi, beta in ((p.q, 1.0), (p.q, p.q), (p.q**2, p.q**2)):
-        r = norm_ratio_experiment(1, 0, p, psi, beta, QUBIT_SPACE)
+        r = norm_ratio_experiment(p, psi, beta)
         d_product = abs(r.measured - r.prediction_product)
         d_sqrt = abs(r.measured - r.prediction_sqrt)
         matches = (d_product <= 1e-10, d_sqrt <= 1e-10)
         ambiguous = ambiguous or sum(matches) != 1
         worst = max(worst, min(d_product, d_sqrt))
-        laws.add(r.matched_law())
+        laws.add(r.matched_law)
     # snapshot: the constructed states obey the product law, not its square root
     ok = not ambiguous and laws == {"product"}
     _verdict(7, "squared-norm ratio equals psi*beta (product law pinned)", ok,
@@ -147,7 +146,7 @@ def test_08_inference_round_trip():
         p = DeformationParam(s)
         beta = p.q
         for psi in (1 / p.q, 1.0, p.q**0.5, p.q, p.q**2):
-            ratio = norm_ratio_experiment(1, 0, p, psi, beta, QUBIT_SPACE).measured
+            ratio = norm_ratio_experiment(p, psi, beta).measured
             inferred = infer_psi_from_norm(ratio, beta, p).inferred_psi
             worst = max(worst, abs(inferred - psi) / psi)
         for n_hat in (1, 2):

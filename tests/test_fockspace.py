@@ -138,13 +138,6 @@ class TestDeformedLadderOps:
             reference = np.sinh(s * n) / np.sinh(s)
             assert abs(float(lower[n] - reference)) < 1e-13
 
-    def test_dressing_diag_custom_arguments(self):
-        space = TruncatedFockSpace(4)
-        p = DeformationParam(0.5)
-        diag = dressing_diag(space, p, 1.0, 1.0, arguments=[1 - n for n in range(4)])
-        expected = [f_value(1 - n, p, 1.0, 1.0) for n in range(4)]
-        assert np.allclose(np.diag(diag), expected, atol=1e-15)
-
 
 class TestLadderBand:
     def test_band_entries(self):

@@ -36,6 +36,26 @@ def superposition(c0, c1):
     return OscillatorPairState(SPACE, amp)
 
 
+# each gate on a basis input x, plain or dressed by p and one choice
+def _flip(x, p, choice):
+    return apply_not(qubit_state(x, SPACE), p, choice)
+
+
+def _superpose(x, p, choice):
+    return apply_hadamard(qubit_state(x, SPACE), p, choice)
+
+
+def _controlled_flip(x, p, choice):
+    return apply_cnot(basis_two_qubit_state(x, 1 - x, SPACE), p, choice, choice)
+
+
+def _table(x, p, choice):
+    return cnot_truth_table(p, choice, choice)
+
+
+GATE_IDS = ["not", "hadamard", "cnot", "truth-table"]
+
+
 class TestNotGate:
     def test_flips_both_basis_states(self):
         assert np.array_equal(
@@ -65,22 +85,15 @@ class TestNotGate:
     def test_deformed_flip_swaps_dressed_basis_states(self):
         choice = FunctionChoice(psi1=P_HALF.q, psi2=P_HALF.q)
         up = deformed_qubit_state(1, P_HALF, choice, SPACE)
-        flipped = apply_not(up, deformed=True, p=P_HALF, choice=choice)
+        flipped = apply_not(up, p=P_HALF, choice=choice)
         down = deformed_qubit_state(0, P_HALF, choice, SPACE)
         assert np.allclose(flipped.amplitudes, down.amplitudes, atol=1e-15)
 
     def test_deformed_involution(self):
         choice = FunctionChoice(psi1=2.0, psi2=2.0)
         state = deformed_qubit_state(0, P_HALF, choice, SPACE)
-        twice = apply_not(
-            apply_not(state, deformed=True, p=P_HALF, choice=choice),
-            deformed=True, p=P_HALF, choice=choice,
-        )
+        twice = apply_not(apply_not(state, P_HALF, choice), P_HALF, choice)
         assert np.allclose(twice.amplitudes, state.amplitudes, atol=1e-15)
-
-    def test_deformed_mode_needs_parameters(self):
-        with pytest.raises(ValueError):
-            apply_not(qubit_state(0, SPACE), deformed=True)
 
 
 class TestNotCondition:
@@ -141,17 +154,14 @@ class TestHadamard:
         choice = FunctionChoice(psi1=P_HALF.q, psi2=P_HALF.q)
         down = deformed_qubit_state(0, P_HALF, choice, SPACE)
         up = deformed_qubit_state(1, P_HALF, choice, SPACE)
-        out = apply_hadamard(down, deformed=True, p=P_HALF, choice=choice)
+        out = apply_hadamard(down, p=P_HALF, choice=choice)
         expected = (down.amplitudes + up.amplitudes) / math.sqrt(2)
         assert np.allclose(out.amplitudes, expected, atol=1e-14)
 
     def test_deformed_involution(self):
         choice = FunctionChoice(psi1=2.0, psi2=2.0)
         state = deformed_qubit_state(1, P_HALF, choice, SPACE)
-        twice = apply_hadamard(
-            apply_hadamard(state, deformed=True, p=P_HALF, choice=choice),
-            deformed=True, p=P_HALF, choice=choice,
-        )
+        twice = apply_hadamard(apply_hadamard(state, P_HALF, choice), P_HALF, choice)
         assert np.max(np.abs(twice.amplitudes - state.amplitudes)) < 1e-13
 
 
@@ -217,7 +227,7 @@ class TestCnotGate:
             for y in (0, 1):
                 state = two_qubit_state(x, y, P_HALF, unit, unit, SPACE)
                 plain = apply_cnot(basis_two_qubit_state(x, y, SPACE))
-                dressed = apply_cnot(state, deformed=True, p=P_HALF, choice_a=unit, choice_b=unit)
+                dressed = apply_cnot(state, p=P_HALF, choice_a=unit, choice_b=unit)
                 assert np.array_equal(dressed.amplitudes, plain.amplitudes)
 
 
@@ -234,7 +244,7 @@ class TestCnotGate:
         # a control-down input used to come back unchanged without these checks
         choice = FunctionChoice(beta1=1.0, beta2=beta2)
         with pytest.raises(error, match=match):
-            apply_cnot(basis_two_qubit_state(x, 0, SPACE), True, p, choice, choice)
+            apply_cnot(basis_two_qubit_state(x, 0, SPACE), p, choice, choice)
 
 
 class TestCnotTruthTable:
@@ -247,12 +257,20 @@ class TestCnotTruthTable:
     def test_deformed_rows_share_one_scalar(self):
         choice_a = FunctionChoice(psi1=P_HALF.q, psi2=P_HALF.q)
         choice_b = FunctionChoice(beta1=P_HALF.q**2, beta2=P_HALF.q**2)
-        rows = cnot_truth_table(deformed=True, p=P_HALF, choice_a=choice_a, choice_b=choice_b)
+        rows = cnot_truth_table(p=P_HALF, choice_a=choice_a, choice_b=choice_b)
         magnitudes = [abs(r.amplitude) for r in rows]
         assert max(magnitudes) - min(magnitudes) < 1e-12
         assert all(r.off_support == 0.0 for r in rows)
         # the common scalar is the product of the two dressing values
         assert magnitudes[0] == pytest.approx(P_HALF.q**1.5, rel=1e-13)
+
+    def test_a_dressing_alone_makes_the_table_deformed(self):
+        # psi = 2 dresses the control by sqrt(2) at argument 1; a table given
+        # the dressing without a separate switch used to read 1.0 on every row
+        choice = FunctionChoice(psi1=2.0, psi2=2.0)
+        rows = cnot_truth_table(p=P_HALF, choice_a=choice, choice_b=choice)
+        assert [abs(r.amplitude) for r in rows] == pytest.approx([math.sqrt(2)] * 4, rel=1e-15)
+        assert all(r.off_support == 0.0 for r in rows)
 
 
 class TestLevelZeroDressing:
@@ -263,17 +281,43 @@ class TestLevelZeroDressing:
     def test_deformed_not_and_hadamard(self):
         down = deformed_qubit_state(0, P_HALF, self.CHOICE, SPACE)
         up = deformed_qubit_state(1, P_HALF, self.CHOICE, SPACE)
-        flipped = apply_not(down, deformed=True, p=P_HALF, choice=self.CHOICE)
+        flipped = apply_not(down, p=P_HALF, choice=self.CHOICE)
         assert np.allclose(flipped.amplitudes, up.amplitudes, atol=1e-15)
-        out = apply_hadamard(down, deformed=True, p=P_HALF, choice=self.CHOICE)
+        out = apply_hadamard(down, p=P_HALF, choice=self.CHOICE)
         expected = (down.amplitudes + up.amplitudes) / math.sqrt(2)
         assert np.allclose(out.amplitudes, expected, atol=1e-15)
 
     def test_deformed_truth_table(self):
-        rows = cnot_truth_table(True, P_HALF, self.CHOICE, self.CHOICE)
+        rows = cnot_truth_table(P_HALF, self.CHOICE, self.CHOICE)
         magnitudes = [abs(r.amplitude) for r in rows]
         assert max(magnitudes) - min(magnitudes) < 1e-15
         assert all(r.off_support == 0.0 for r in rows)
+
+
+class TestZeroAmplitudeDressing:
+    # at s = 1 the argument-1 radicand of the pair (1, q**2) is exactly 0, so
+    # that dressed basis vector has amplitude 0 and no coefficient on it exists
+    P_ONE = DeformationParam(1.0)
+    ZERO = (1.0, P_ONE.q**2)
+    CASES = {
+        "not": (_flip, FunctionChoice(*ZERO)),
+        "hadamard-up": (_superpose, FunctionChoice(*ZERO, psi3=1.0, psi4=1.0)),
+        "hadamard-down": (_superpose, FunctionChoice(psi3=ZERO[0], psi4=ZERO[1])),
+        "cnot-control": (_controlled_flip, FunctionChoice(*ZERO)),
+        "cnot-target": (_controlled_flip, FunctionChoice(beta1=ZERO[0], beta2=ZERO[1])),
+        "truth-table": (_table, FunctionChoice(*ZERO)),
+    }
+
+    def test_the_dressing_vanishes_exactly(self):
+        up = deformed_qubit_state(1, self.P_ONE, FunctionChoice(*self.ZERO), SPACE)
+        assert not np.any(up.amplitudes)
+
+    @pytest.mark.parametrize("x", [0, 1])
+    @pytest.mark.parametrize("case", CASES)
+    def test_gate_raises_for_either_input(self, case, x):
+        gate, choice = self.CASES[case]
+        with pytest.raises(ValueError, match="dressed basis vector has amplitude 0"):
+            gate(x, self.P_ONE, choice)
 
 
 class TestCnotCondition:
@@ -300,3 +344,11 @@ class TestCnotCondition:
     def test_rejects_non_positive_functions(self):
         with pytest.raises(ValueError):
             check_cnot_condition(P_HALF, 0.0, 1.0, 1e-12)
+
+
+@pytest.mark.parametrize("given", ["p-only", "choice-only"])
+@pytest.mark.parametrize("gate", [_flip, _superpose, _controlled_flip, _table], ids=GATE_IDS)
+def test_deformed_mode_needs_parameters(gate, given):
+    p, choice = (P_HALF, None) if given == "p-only" else (None, FunctionChoice.unit())
+    with pytest.raises(ValueError, match="needs both a DeformationParam and a FunctionChoice"):
+        gate(1, p, choice)

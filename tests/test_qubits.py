@@ -177,38 +177,29 @@ class TestTwoQubitStates:
 
 class TestNormRatio:
     def test_trivial_choice_gives_unit_ratio(self):
-        r = norm_ratio_experiment(1, 0, P_HALF, 1.0, 1.0, SPACE)
+        r = norm_ratio_experiment(P_HALF, 1.0, 1.0)
         assert r.measured == 1.0
         assert r.prediction_product == 1.0
         assert r.prediction_sqrt == 1.0
 
     def test_measured_follows_product_law(self):
         q = P_HALF.q
-        r = norm_ratio_experiment(1, 0, P_HALF, q, 1.0, SPACE)
+        r = norm_ratio_experiment(P_HALF, q, 1.0)
         assert abs(r.measured - q) < 1e-12
         assert abs(r.measured - math.sqrt(q)) > 0.2
-        assert r.matched_law() == "product"
+        assert r.matched_law == "product"
 
     def test_second_grid_point(self):
         p = DeformationParam(0.3)
         psi = beta = p.q**2
-        r = norm_ratio_experiment(1, 1, p, psi, beta, SPACE)
+        r = norm_ratio_experiment(p, psi, beta)
         assert abs(r.measured - psi * beta) < 1e-10
-        assert r.matched_law() == "product"
+        assert r.matched_law == "product"
         assert r.distance_to_matched() < 1e-10
-
-    def test_ratio_is_pattern_independent(self):
-        q = P_HALF.q
-        ratios = {
-            norm_ratio_experiment(x, y, P_HALF, q, q**2, SPACE).measured
-            for x in (0, 1)
-            for y in (0, 1)
-        }
-        assert max(ratios) - min(ratios) < 1e-12
 
     def test_rejects_non_positive_functions(self):
         with pytest.raises(ValueError):
-            norm_ratio_experiment(1, 0, P_HALF, 0.0, 1.0, SPACE)
+            norm_ratio_experiment(P_HALF, 0.0, 1.0)
 
 
 class TestCaseTwoBookkeeping:

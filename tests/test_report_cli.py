@@ -14,7 +14,7 @@ from qdgates.cli import main
 from qdgates.fockspace import FunctionFamily
 from qdgates.gates import cnot_truth_table
 from qdgates.qnumber import DeformationParam
-from qdgates.qubits import TruncatedFockSpace, norm_ratio_experiment
+from qdgates.qubits import norm_ratio_experiment
 from qdgates.report import (
     ALGEBRA_LAYER,
     ConfigError,
@@ -154,7 +154,8 @@ class TestRunSweep:
         calls = []
 
         def counted(*args, **kwargs):
-            calls.append(kwargs.get("deformed", args[0] if args else False))
+            # a plain table is called with no arguments, a dressed one with its dressing
+            calls.append(bool(args or kwargs))
             return cnot_truth_table(*args, **kwargs)
 
         monkeypatch.setattr(report_module, "cnot_truth_table", counted)
@@ -278,10 +279,9 @@ class TestInference:
     @pytest.mark.parametrize("s", S_GRID)
     def test_round_trip_recovers_the_dressing(self, s):
         p = DeformationParam(s)
-        space = TruncatedFockSpace(4)
         beta = p.q
         for psi in (1 / p.q, 1.0, p.q**0.5, p.q, p.q**2):
-            ratio = norm_ratio_experiment(1, 0, p, psi, beta, space).measured
+            ratio = norm_ratio_experiment(p, psi, beta).measured
             inferred = infer_psi_from_norm(ratio, beta, p).inferred_psi
             assert abs(inferred - psi) <= 1e-10 * psi
 
@@ -383,6 +383,22 @@ class TestCli:
         assert main(["audit", "--psi", "bogus"]) == 2
         assert main(["audit", "--s", "0.5", "--s-grid", "0.1,0.2"]) == 2
         assert main(["audit", "--cutoff", "2"]) == 2
+
+    @pytest.mark.parametrize(
+        "payload,message",
+        [
+            ([0.5], "config must be a JSON object, got [0.5]"),
+            ({"s_grid": 0.5}, "s_grid must be a list of numbers, got 0.5"),
+            ({"s_grid": [0.5], "psi_family": 2}, "psi_family must be a family string or object, got 2"),
+        ],
+        ids=["list", "scalar-grid", "numeric-family"],
+    )
+    def test_malformed_config_file_is_a_config_error(self, payload, message, tmp_path, capsys):
+        # each of these used to end in a traceback and exit 1
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(payload))
+        assert main(["sweep", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
 
     @pytest.mark.parametrize("command", ["gates", "sweep"])
     def test_strength_where_q_rounds_to_one_is_an_error_row(self, command, tmp_path):

@@ -19,10 +19,11 @@ and deformed code each gate had before every gate took one path.
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qdgates.gates as gates_module
@@ -175,6 +176,12 @@ def oracle_norm_ratio(x, y, p, psi, beta, space):
     return float(np.vdot(deformed, deformed).real / np.vdot(plain, plain).real)
 
 
+ZERO_AMPLITUDE = (ValueError, "the dressed basis vector has amplitude 0 (zero dressing at argument 1)")
+# at s = 1 the argument-1 radicand of (psi1, psi2) = (1, q**2) is exactly 0
+ZERO_P = DeformationParam(1.0)
+ZERO_CHOICE = FunctionChoice(psi1=1.0, psi2=ZERO_P.q**2)
+
+
 def bits(value):
     """Every bit of an amplitude vector, a float or a truth table, signed zeros included."""
     if isinstance(value, list):
@@ -188,10 +195,16 @@ def bits(value):
 
 def assert_matches_oracle(closed_form, oracle):
     """Bitwise equality wherever the oracle succeeds; the closed form must
-    then succeed too.  Returns whether the oracle succeeded."""
+    then succeed too.  Where the oracle meets a basis vector of amplitude 0
+    (its table finds no support, its Hadamard divides by 0), the closed form
+    must raise the gates' error for it.  Returns whether the oracle succeeded."""
     try:
         expected = oracle()
     except RadicandError:
+        return False
+    except (ValueError, RuntimeWarning):
+        with pytest.raises(ValueError, match=re.escape(ZERO_AMPLITUDE[1])):
+            closed_form()
         return False
     assert bits(closed_form()) == bits(expected)
     return True
@@ -214,6 +227,7 @@ def qubit_points(draw):
 
 @settings(deadline=None)
 @given(qubit_points())
+@example((TruncatedFockSpace(4), ZERO_P, ZERO_CHOICE, 0, 1))
 def test_closed_form_equals_the_creation_matrix_oracle(point):
     space, p, choice, x, y = point
     assert_matches_oracle(
@@ -234,16 +248,16 @@ def test_closed_form_equals_the_creation_matrix_oracle(point):
         lambda: oracle_two_qubit(x, y, p, choice, choice, space),
     )
     assert_matches_oracle(
-        lambda: cnot_truth_table(True, p, choice, choice),
+        lambda: cnot_truth_table(p, choice, choice),
         lambda: oracle_cnot_truth_table(p, choice, choice, space),
     )
     assert_matches_oracle(
-        lambda: norm_ratio_experiment(x, y, p, choice.psi1, choice.beta1, space).measured,
+        lambda: norm_ratio_experiment(p, choice.psi1, choice.beta1).measured,
         lambda: oracle_norm_ratio(x, y, p, choice.psi1, choice.beta1, space),
     )
     for state in hadamard_inputs:
         assert_matches_oracle(
-            lambda: apply_hadamard(state, True, p, choice).amplitudes,
+            lambda: apply_hadamard(state, p, choice).amplitudes,
             lambda: oracle_deformed_hadamard(state, p, choice),
         )
 
@@ -277,7 +291,7 @@ def test_deformed_table_keeps_a_self_quotient_that_is_not_one():
     amp = complex(oracle_two_qubit(1, 0, p, choice, choice, space)[quad_index(space, 1, 0, 0, 1)])
     scale = amp / np.complex128(amp)
     assert scale != 1 and scale * amp != amp
-    rows = cnot_truth_table(True, p, choice, choice)
+    rows = cnot_truth_table(p, choice, choice)
     assert bits(rows) == bits(oracle_cnot_truth_table(p, choice, choice, space))
     assert rows[0].amplitude == amp and rows[2].amplitude != amp
 
@@ -303,7 +317,7 @@ def test_run_sweep_builds_no_two_qubit_vectors(monkeypatch):
     p = DeformationParam(0.5)
     space = TruncatedFockSpace(4)
     choice = FunctionChoice.unit()
-    apply_cnot(qubits_module.two_qubit_state(1, 0, p, choice, choice, space), True, p, choice, choice)
+    apply_cnot(qubits_module.two_qubit_state(1, 0, p, choice, choice, space), p, choice, choice)
     assert calls == ["two_qubit_state"]
 
 
@@ -353,20 +367,21 @@ def forked_phase(state, theta):
 
 def forked_cnot(state, deformed=False, p=None, choice_a=None, choice_b=None):
     """The controlled flip as written before the one gate path, except that the
-    deformed reference states are built before the control-down shortcut, so
-    that an invalid dressing raises for either control, as the gate now does."""
+    deformed reference states are built, and the input divided by its
+    reference amplitude, before the control-down shortcut, so that an invalid
+    dressing raises for either control, as the gate now does."""
     space = state.space
     (x, y), amp = _basis_component(state)
     if deformed:
         reference_in = two_qubit_state(x, y, p, choice_a, choice_b, space)
         reference_out = two_qubit_state(x, 1 - y, p, choice_a, choice_b, space)
+        scale = amp / reference_in.amplitudes[quad_index(space, *_QUBIT_PATTERNS[(x, y)])]
     if x == 0:
         return state.amplitudes.copy()
     if not deformed:
         out = np.zeros_like(state.amplitudes)
         out[quad_index(space, *_QUBIT_PATTERNS[(x, 1 - y)])] = amp
         return out
-    scale = amp / reference_in.amplitudes[quad_index(space, *_QUBIT_PATTERNS[(x, y)])]
     return scale * reference_out.amplitudes
 
 
@@ -377,6 +392,19 @@ def gate_outcome(call):
         return bits(call())
     except (ValueError, RuntimeWarning) as exc:
         return type(exc), str(exc)
+
+
+def forked_outcome(call):
+    """The gate_outcome of a forked body, where its division by a zero
+    amplitude (numpy's divide-by-zero, or for 0/0 invalid-value, warning) is
+    the ValueError the gates now raise before dividing."""
+    outcome = gate_outcome(call)
+    if outcome[0] is RuntimeWarning and outcome[1] in (
+        "divide by zero encountered in scalar divide",
+        "invalid value encountered in scalar divide",
+    ):
+        return ZERO_AMPLITUDE
+    return outcome
 
 
 def within_one_ulp(a, b):
@@ -390,6 +418,8 @@ finite_float = st.floats(allow_nan=False, allow_infinity=False)
 
 @settings(deadline=None)
 @given(qubit_points(), finite_complex, finite_complex, finite_float)
+@example((TruncatedFockSpace(4), ZERO_P, ZERO_CHOICE, 0, 1), 1 + 0j, 0j, 0.0)
+@example((TruncatedFockSpace(4), ZERO_P, ZERO_CHOICE, 1, 0), 2 + 1j, -1j, 0.0)
 def test_one_gate_path_equals_the_forked_gate_bodies(point, down, up, theta):
     space, p, choice, x, y = point
     pair = np.zeros(space.cutoff**2, dtype=complex)
@@ -408,7 +438,7 @@ def test_one_gate_path_equals_the_forked_gate_bodies(point, down, up, theta):
     )
     for gate, forked, state, choices, units, plain_agrees in cases:
         # the deformed gate keeps the deformed body's floating-point steps
-        assert gate_outcome(lambda: gate(state, True, p, *choices).amplitudes) == gate_outcome(
+        assert gate_outcome(lambda: gate(state, p, *choices).amplitudes) == forked_outcome(
             lambda: forked(state, True, p, *choices)
         )
         # a plain gate is that body at unit dressing, whose amplitudes are exactly 1.0

@@ -140,7 +140,7 @@ def _cmd_states(args) -> int:
         print(f"s={s:g} dressed basis amplitudes (index, re, im):")
         for x in (0, 1):
             for y in (0, 1):
-                state = two_qubit_state(x, y, p, choice, choice, space)
+                state = two_qubit_state(x, y, space, p, choice, choice)
                 triples = ", ".join(
                     f"({i}, {re:.12g}, {im:.12g})" for i, re, im in state.nonzero_triples()
                 )

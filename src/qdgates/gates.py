@@ -1,16 +1,16 @@
 """Qubit gate actions on oscillator-pair states and realizability checks.
 
 A deformed gate acts on the dressed basis vectors as the plain gate acts on
-the plain ones; a gate is deformed exactly when it is given a dressing (p and
-every choice).  Each basis vector is one amplitude at one occupation
-pattern: 1.0 for a plain gate, the argument-1 dressing for a deformed one.
-Every gate takes one path: each input component becomes a coefficient on
-its basis vector (:func:`_coefficient`), and the output is the same
-combination of the gate's images of those vectors.  The CNOT truth table
-needs no state vectors: its flipped rows take the same step on the one
-two-qubit amplitude.  The realizability conditions are closed forms: the
-NOT condition is the distance of psi1/psi2 from 1, and the CNOT condition
-is the sign of one radicand.
+the plain ones; a gate, like a state, is deformed exactly when given a
+dressing (p and every choice).  Its basis vectors are those of :mod:`qubits`:
+one amplitude at one occupation pattern, 1.0 when plain, the argument-1
+dressing (which raises where it vanishes) when dressed.  Every gate takes
+one path: each input component becomes a coefficient on its basis vector
+(:func:`_coefficient`), and the output is the same combination of the
+gate's images of those vectors.  The CNOT truth table needs no state
+vectors: its flipped rows take the same step on the one two-qubit amplitude.
+The realizability conditions are closed forms reported as ``ConditionReport``:
+the NOT condition is |psi1/psi2 - 1|, the CNOT one the sign of a radicand.
 """
 
 from __future__ import annotations
@@ -18,43 +18,29 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
-from .audit import passes
+from .audit import ConditionReport
 from .fockspace import FunctionChoice, RadicandError
 from .qnumber import DeformationParam
 from .qubits import (
+    QUBIT_CUTOFF,
     OscillatorPairState,
     TwoQubitState,
     _basis_vector,
     _dressed_amplitude,
+    _occupations,
+    _pair_amplitude,
     _two_qubit_amplitude,
     pair_index,
     quad_index,
 )
 
+NOT_CONDITION = "not_condition"
+CNOT_CONDITION = "cnot_condition"
+
 _SQRT2 = math.sqrt(2.0)
-
-
-class Gate(Enum):
-    NOT = "not"
-    HADAMARD = "hadamard"
-    PHASE = "phase"
-    CNOT = "cnot"
-
-
-@dataclass(frozen=True)
-class GateConditionReport:
-    """Outcome of one gate-realizability condition at one grid point."""
-
-    gate: Gate
-    s: float
-    choice: FunctionChoice
-    residual: float
-    tolerance: float
-    realizable: bool
 
 
 def _qubit_components(state: OscillatorPairState) -> tuple[complex, complex]:
@@ -68,23 +54,12 @@ def _qubit_components(state: OscillatorPairState) -> tuple[complex, complex]:
     return complex(state.amplitudes[idx_down]), complex(state.amplitudes[idx_up])
 
 
-def _is_deformed(p, *choices) -> bool:
-    """Whether a gate is dressed: given p and every choice it is, given none
-    of them it is plain, and given only some of them it raises."""
-    missing = [arg is None for arg in (p, *choices)]
-    if any(missing) and not all(missing):
-        raise ValueError("deformed mode needs both a DeformationParam and a FunctionChoice")
-    return not any(missing)
-
-
 def _coefficient(amp: complex, amplitude) -> np.complex128:
     """``amp`` over the amplitude of its basis vector, as a complex128 quotient.
 
     For ``amp == amplitude`` that quotient is not always exactly 1, where
     Python's would be; report bytes depend on it until the schema changes.
     """
-    if amplitude == 0:
-        raise ValueError("the dressed basis vector has amplitude 0 (zero dressing at argument 1)")
     return amp / np.complex128(amplitude)
 
 
@@ -93,7 +68,7 @@ def _extend(state: OscillatorPairState, a_down: float, a_up: float, images) -> n
     ``a_down`` and ``a_up``, are ``images(down, up)``, extended linearly."""
     space = state.space
     image_down, image_up = images(
-        _basis_vector(space, (0, 1), a_down), _basis_vector(space, (1, 0), a_up)
+        _basis_vector(space, _occupations(0), a_down), _basis_vector(space, _occupations(1), a_up)
     )
     amp_down, amp_up = _qubit_components(state)
     c_up, c_down = _coefficient(amp_up, a_up), _coefficient(amp_down, a_down)
@@ -111,15 +86,11 @@ def apply_not(
     each dressed basis vector to the other, which carries the same
     (psi1, psi2) dressing.
     """
-    a = 1.0
-    if _is_deformed(p, choice):
-        a = _dressed_amplitude(p, choice.psi1, choice.psi2)
+    a = _pair_amplitude(p, choice)
     return OscillatorPairState(state.space, _extend(state, a, a, lambda down, up: (up, down)))
 
 
-def check_not_condition(
-    p: DeformationParam, choice: FunctionChoice, tol: float
-) -> GateConditionReport:
+def check_not_condition(p: DeformationParam, choice: FunctionChoice, tol: float) -> ConditionReport:
     """Eigenvalue condition under which the deformed flip is indistinguishable
     from the plain one.
 
@@ -127,10 +98,10 @@ def check_not_condition(
     target that is exactly 1 for every q (1/1 at n_hat = 0, -1/-1 at
     n_hat = 1), so the residual is ``|psi1/psi2 - 1|``: the verdict is
     invariant under a common rescaling of the pair.  The flip, superposition
-    and phase gates share this condition.
+    and phase gates share this condition.  A ratio beyond float64 range raises.
     """
     residual = abs(choice.psi1 / choice.psi2 - 1.0)
-    return GateConditionReport(Gate.NOT, p.s, choice, residual, float(tol), passes(residual, tol))
+    return ConditionReport.from_residual(NOT_CONDITION, p, choice, QUBIT_CUTOFF, residual, tol)
 
 
 def apply_hadamard(
@@ -144,10 +115,8 @@ def apply_hadamard(
     a dressing, the up vector is dressed by (psi1, psi2) and the down
     vector by (psi3, psi4), each oscillator carrying its own dressing.
     """
-    a_up = a_down = 1.0
-    if _is_deformed(p, choice):
-        a_up = _dressed_amplitude(p, choice.psi1, choice.psi2)
-        a_down = _dressed_amplitude(p, choice.psi3, choice.psi4)
+    a_up = _pair_amplitude(p, choice)
+    a_down = 1.0 if choice is None else _dressed_amplitude(p, choice.psi3, choice.psi4)
     out = _extend(state, a_down, a_up, lambda down, up: (down + up, down - up)) / _SQRT2
     return OscillatorPairState(state.space, out)
 
@@ -164,32 +133,16 @@ def apply_phase_shift(state: OscillatorPairState, theta: float) -> OscillatorPai
     return OscillatorPairState(space, out)
 
 
-_QUBIT_PATTERNS = {
-    (0, 0): (0, 1, 0, 1),
-    (0, 1): (0, 1, 1, 0),
-    (1, 0): (1, 0, 0, 1),
-    (1, 1): (1, 0, 1, 0),
-}
-
-
 def _basis_component(state: TwoQubitState) -> tuple[tuple[int, int], complex]:
-    """The (x, y) pattern a scaled basis state occupies, plus its amplitude."""
-    space = state.space
-    nz = np.nonzero(state.amplitudes)[0]
-    if len(nz) != 1:
+    """The (x, y) labels of the pattern a scaled basis state occupies, and its amplitude."""
+    support = state.support()
+    if len(support) != 1:
         raise ValueError("two-qubit gate input must be a scaled product basis state")
-    idx = int(nz[0])
-    for bits, pattern in _QUBIT_PATTERNS.items():
-        if idx == quad_index(space, *pattern):
-            return bits, complex(state.amplitudes[idx])
-    raise ValueError("two-qubit gate input has support outside the qubit patterns")
-
-
-def _cnot_amplitude(p, choice_a, choice_b) -> float:
-    """Amplitude of the two-qubit basis vectors the controlled flip acts on."""
-    if _is_deformed(p, choice_a, choice_b):
-        return _two_qubit_amplitude(p, choice_a, choice_b)
-    return 1.0
+    pattern = support[0]
+    labels = pattern[::2]
+    if max(pattern) > 1 or _occupations(*labels) != pattern:
+        raise ValueError("two-qubit gate input has support outside the qubit patterns")
+    return labels, complex(state.amplitudes[quad_index(state.space, *pattern)])
 
 
 def apply_cnot(
@@ -201,11 +154,11 @@ def apply_cnot(
     """Flip the target qubit exactly when the control is up; a control-down
     input comes back unchanged, after the same argument and dressing checks."""
     (x, y), amp = _basis_component(state)
-    amplitude = _cnot_amplitude(p, choice_a, choice_b)
+    amplitude = _two_qubit_amplitude(p, choice_a, choice_b)
     coefficient = _coefficient(amp, amplitude)
     if x == 0:
         return TwoQubitState(state.space, state.amplitudes.copy())
-    image = _basis_vector(state.space, _QUBIT_PATTERNS[(x, 1 - y)], amplitude)
+    image = _basis_vector(state.space, _occupations(x, 1 - y), amplitude)
     return TwoQubitState(state.space, coefficient * image)
 
 
@@ -235,7 +188,7 @@ def cnot_truth_table(
     Every input and output is one amplitude on one basis pattern, so the rows
     take :func:`apply_cnot`'s step on that amplitude alone.
     """
-    amp = complex(_cnot_amplitude(p, choice_a, choice_b))
+    amp = complex(_two_qubit_amplitude(p, choice_a, choice_b))
     # the flipped vector at its own pattern and at any other
     on, off = _coefficient(amp, amp) * np.array([amp, 0j])
     by_control = {0: (amp, 0.0), 1: (complex(on), float(abs(off)))}
@@ -247,7 +200,7 @@ def cnot_truth_table(
 
 def check_cnot_condition(
     p: DeformationParam, beta1: float, beta2: float, tol: float
-) -> GateConditionReport:
+) -> ConditionReport:
     """Both sides of the target-swap condition at the qubit occupations.
 
     With the swapped target carrying k_hat = k, both sides at either control
@@ -256,10 +209,10 @@ def check_cnot_condition(
     residual is exactly 0; what the check tests is that this radicand is not
     negative (a negative one raises :class:`RadicandError`).  Where ``exp(s)``
     rounds to 1 (s below about 1.1e-16) the denominator is 0 and the check
-    raises a ValueError naming s.
+    raises a ValueError naming s; :class:`FunctionChoice` rejects a beta that
+    is not finite and positive.
     """
-    if not (beta1 > 0 and beta2 > 0):
-        raise ValueError(f"beta1 and beta2 must be positive, got {beta1!r}, {beta2!r}")
+    choice = FunctionChoice(beta1=beta1, beta2=beta2)
     q = p.q
     if q == 1.0:
         raise ValueError(f"q = exp(s) rounds to 1 at s={p.s!r}, so q - 1/q is 0")
@@ -268,6 +221,4 @@ def check_cnot_condition(
             f"negative radicand in swap-condition factor at argument 1 "
             f"with beta1={beta1}, beta2={beta2}"
         )
-    residual = 0.0
-    choice = FunctionChoice(beta1=beta1, beta2=beta2)
-    return GateConditionReport(Gate.CNOT, p.s, choice, residual, float(tol), passes(residual, tol))
+    return ConditionReport.from_residual(CNOT_CONDITION, p, choice, QUBIT_CUTOFF, 0.0, tol)

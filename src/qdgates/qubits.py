@@ -2,18 +2,19 @@
 
 A qubit lives in a pair of oscillators carrying exactly one total quantum:
 occupation (1, 0) is spin up (label 1), occupation (0, 1) is spin down
-(label 0).  General (j, m) states occupy ``(j+m, j-m)``.  Every state built
-here is a single scaled basis vector: one amplitude at one occupation
-pattern, written by :func:`_basis_vector`.  The amplitude is 1 for the
-vacuum, the plain qubits, their products and every ``jm_state`` (the
-creation-operator normalization cancels exactly); for the deformed qubits it
-is the dressing at argument 1 (see :func:`_dressed_amplitude`), the only
-dressing value the single quantum ever meets.  That value is computed with
-``math``, so it is the same on every host whatever SIMD kernels numpy picks.
-The norm ratio, ``norm_ratio_experiment(p, psi, beta)``, is that amplitude
-squared: the same for every label pair and every space.  The dressed
-``np.kron`` creation matrices applied to the pair vacuum are kept only as the
-test oracle (``tests/test_state_oracle.py``).
+(label 0), the map :func:`_occupations`.  General (j, m) states occupy
+``(j+m, j-m)``.  Every state built here is one amplitude at one occupation
+pattern, written by :func:`_basis_vector`.  A qubit state, like a gate, is
+dressed exactly when given a dressing (p and every choice); its amplitude
+is then the dressing at argument 1 (:func:`_dressed_amplitude`, which
+raises where it vanishes), the only dressing value the single quantum ever
+meets.  Otherwise it is 1, as for the vacuum and every ``jm_state`` (the
+creation-operator normalization cancels exactly).  The dressing is computed
+with ``math``, so it is the same on every host whatever SIMD kernels numpy
+picks.  The norm ratio, ``norm_ratio_experiment(p, psi, beta)``, is that
+amplitude squared, for every label pair and every space.  Dressed
+``np.kron`` creation matrices on the pair vacuum are kept only as the test
+oracle (``tests/test_state_oracle.py``).
 
 Basis ordering over the joint occupations (n1, n2) is row-major and fixed;
 four-oscillator states order (a1, a2, b1, b2) row-major, which is exactly
@@ -90,10 +91,21 @@ class TwoQubitState(_OscillatorState):
     OSCILLATORS = 4
 
 
-def _check_labels(*labels: int) -> None:
+def _occupations(*labels: int) -> tuple[int, ...]:
+    """The occupations ``(x, 1 - x, ...)`` of qubit labels, each 0 or 1."""
     for x in labels:
         if x not in (0, 1):
             raise ValueError(f"qubit label must be 0 or 1, got {x!r}")
+    return tuple(n for x in labels for n in (x, 1 - x))
+
+
+def _is_deformed(p, *choices) -> bool:
+    """Whether a state or gate is dressed: given p and every choice it is,
+    given none of them it is plain, and given only some of them it raises."""
+    missing = [arg is None for arg in (p, *choices)]
+    if any(missing) and not all(missing):
+        raise ValueError("deformed mode needs both a DeformationParam and a FunctionChoice")
+    return not any(missing)
 
 
 def _basis_vector(space: TruncatedFockSpace, occupations: tuple[int, ...], amplitude) -> np.ndarray:
@@ -107,12 +119,6 @@ def _basis_vector(space: TruncatedFockSpace, occupations: tuple[int, ...], ampli
 def vacuum(space: TruncatedFockSpace) -> OscillatorPairState:
     """Both oscillators empty; unit amplitude on (0, 0)."""
     return OscillatorPairState(space, _basis_vector(space, (0, 0), 1.0))
-
-
-def qubit_state(x: int, space: TruncatedFockSpace) -> OscillatorPairState:
-    """Basis qubit: occupation (1, 0) for x = 1, (0, 1) for x = 0."""
-    _check_labels(x)
-    return OscillatorPairState(space, _basis_vector(space, (x, 1 - x), 1.0))
 
 
 def jm_state(j: float, m: float, space: TruncatedFockSpace) -> OscillatorPairState:
@@ -136,9 +142,10 @@ def _dressed_amplitude(p: DeformationParam, g1: float, g2: float) -> float:
     constructions: the first oscillator's own dressing at n = 1 for x = 1,
     the second oscillator's shifted dressing ``1 - n`` at the first
     oscillator's n = 0 for x = 0.  No other level carries weight, so no
-    other level is evaluated; a negative radicand at argument 1 still raises.
-    The value is the :mod:`fockspace` dressing formula at n = 1, in the same
-    floating-point steps, evaluated with ``math``.
+    other level is evaluated; a negative or zero radicand at argument 1
+    raises, since no basis vector has amplitude 0.  The value is the
+    :mod:`fockspace` dressing formula at n = 1, in the same floating-point
+    steps, evaluated with ``math``.
     """
     s = p.s
     sinh_s = math.sinh(s)
@@ -148,47 +155,57 @@ def _dressed_amplitude(p: DeformationParam, g1: float, g2: float) -> float:
         r = (math.exp(s) * g1 - math.exp(-s) * g2) / (2 * sinh_s)
     if r < 0:
         raise RadicandError(f"negative radicand at level n=1 with psi1={g1}, psi2={g2}")
+    if r == 0:
+        raise ValueError("the dressed basis vector has amplitude 0 (zero dressing at argument 1)")
     return math.sqrt(r)
 
 
-def deformed_qubit_state(
-    x: int, p: DeformationParam, choice: FunctionChoice, space: TruncatedFockSpace
-) -> OscillatorPairState:
-    """Deformed basis qubit; same support as ``qubit_state``, rescaled by the dressing."""
-    _check_labels(x)
-    amplitude = _dressed_amplitude(p, choice.psi1, choice.psi2)
-    return OscillatorPairState(space, _basis_vector(space, (x, 1 - x), amplitude))
+def _pair_amplitude(p: DeformationParam | None, choice: FunctionChoice | None) -> float:
+    """A basis qubit's amplitude: 1.0 if plain, else the dressing of ``choice``'s psi pair."""
+    if _is_deformed(p, choice):
+        return _dressed_amplitude(p, choice.psi1, choice.psi2)
+    return 1.0
 
 
 def _two_qubit_amplitude(
-    p: DeformationParam, choice_a: FunctionChoice, choice_b: FunctionChoice
+    p: DeformationParam | None, choice_a: FunctionChoice | None, choice_b: FunctionChoice | None
 ) -> float:
-    """Amplitude of a deformed two-qubit basis state, whatever its labels: the
-    control's under the psi pair of ``choice_a`` times the target's under the
-    beta pair of ``choice_b``."""
+    """Amplitude of a two-qubit basis state, whatever its labels: 1.0 when
+    plain; when dressed, the control's under the psi pair of ``choice_a``
+    times the target's under the beta pair of ``choice_b``."""
+    if not _is_deformed(p, choice_a, choice_b):
+        return 1.0
     control = _dressed_amplitude(p, choice_a.psi1, choice_a.psi2)
     return control * _dressed_amplitude(p, choice_b.beta1, choice_b.beta2)
 
 
-def basis_two_qubit_state(x: int, y: int, space: TruncatedFockSpace) -> TwoQubitState:
-    """Undeformed product basis state |x>|y> over two oscillator pairs."""
-    _check_labels(x, y)
-    return TwoQubitState(space, _basis_vector(space, (x, 1 - x, y, 1 - y), 1.0))
+def qubit_state(
+    x: int,
+    space: TruncatedFockSpace,
+    p: DeformationParam | None = None,
+    choice: FunctionChoice | None = None,
+) -> OscillatorPairState:
+    """Basis qubit: occupation (1, 0) for x = 1, (0, 1) for x = 0, dressed
+    by the (psi1, psi2) pair of ``choice`` when given a dressing."""
+    occupations = _occupations(x)
+    amplitude = _pair_amplitude(p, choice)
+    return OscillatorPairState(space, _basis_vector(space, occupations, amplitude))
 
 
 def two_qubit_state(
     x: int,
     y: int,
-    p: DeformationParam,
-    choice_a: FunctionChoice,
-    choice_b: FunctionChoice,
     space: TruncatedFockSpace,
+    p: DeformationParam | None = None,
+    choice_a: FunctionChoice | None = None,
+    choice_b: FunctionChoice | None = None,
 ) -> TwoQubitState:
-    """Deformed product state: control dressed by the psi pair of ``choice_a``,
+    """Product basis state |x>|y> over two oscillator pairs; when given a
+    dressing, the control is dressed by the psi pair of ``choice_a`` and the
     target by the beta pair of ``choice_b``."""
-    _check_labels(x, y)
+    occupations = _occupations(x, y)
     amplitude = _two_qubit_amplitude(p, choice_a, choice_b)
-    return TwoQubitState(space, _basis_vector(space, (x, 1 - x, y, 1 - y), amplitude))
+    return TwoQubitState(space, _basis_vector(space, occupations, amplitude))
 
 
 @dataclass(frozen=True)
@@ -220,10 +237,9 @@ def norm_ratio_experiment(p: DeformationParam, psi: float, beta: float) -> NormR
 
     Both states are one amplitude at the same index and the plain amplitude
     is 1, so the ratio is the square of the deformed amplitude, whatever the
-    labels and the space.  A ratio or prediction beyond float64 range raises.
+    labels and the space.  A psi or beta that is not finite and positive, a
+    zero dressing, and a ratio or prediction beyond float64 range raise.
     """
-    if not (psi > 0 and beta > 0):
-        raise ValueError(f"psi and beta must be positive, got psi={psi!r}, beta={beta!r}")
     # in Python floats an overflow reads inf without a numpy warning
     choice = FunctionChoice(psi1=psi, psi2=psi, beta1=beta, beta2=beta)
     amplitude = _two_qubit_amplitude(p, choice, choice)

@@ -31,14 +31,19 @@ from .audit import (
     run_algebra_checks,  # re-exported
 )
 from .fockspace import CONSTANT_ONE, FunctionChoice, FunctionFamily, TruncatedFockSpace
-from .gates import TruthTableRow, check_cnot_condition, check_not_condition, cnot_truth_table
+from .gates import (
+    CNOT_CONDITION,
+    NOT_CONDITION,
+    TruthTableRow,
+    check_cnot_condition,
+    check_not_condition,
+    cnot_truth_table,
+)
 from .qnumber import DeformationParam
 from .qubits import QUBIT_CUTOFF, NormRatioResult, norm_ratio_experiment
 
 SCHEMA_VERSION = "1"
 
-NOT_CONDITION = "not_condition"
-CNOT_CONDITION = "cnot_condition"
 CNOT_TABLE = "cnot_table"
 CNOT_TABLE_DEFORMED = "cnot_table_deformed"
 NORM_RATIO = "norm_ratio"
@@ -144,6 +149,8 @@ class SweepConfig:
             problems.append(f"cutoff must be an integer >= {MIN_AUDIT_CUTOFF}")
         if not (isinstance(self.tolerance, (int, float)) and self.tolerance > 0):
             problems.append("tolerance must be positive")
+        elif self.tolerance == math.inf:
+            problems.append("tolerance must be finite")
         if self.output_format not in ("json", "csv"):
             problems.append("output_format must be 'json' or 'csv'")
         if problems:
@@ -407,16 +414,21 @@ def infer_psi_from_norm(
 
     The law is an explicit parameter because the ratio admits two readings
     (psi*beta, or its square root); the default is the one the constructed
-    states actually satisfy.
+    states actually satisfy.  A ratio (nan and inf included) that does not
+    invert to a finite positive psi raises.
     """
     if measured_norm_ratio <= 0 or beta <= 0:
         raise ValueError("measured ratio and beta must be positive")
-    if law == LAW_PRODUCT:
-        psi = measured_norm_ratio / beta
-    elif law == LAW_SQRT:
-        psi = measured_norm_ratio**2 / beta
-    else:
+    if law not in (LAW_PRODUCT, LAW_SQRT):
         raise ValueError(f"unknown inversion law {law!r}; use {LAW_PRODUCT!r} or {LAW_SQRT!r}")
+    try:
+        psi = measured_norm_ratio / beta if law == LAW_PRODUCT else measured_norm_ratio**2 / beta
+    except OverflowError:  # float ** raises where float * gives inf
+        psi = math.inf
+    if not 0 < psi < math.inf:
+        raise ValueError(
+            f"ratio {measured_norm_ratio!r} under law {law!r} gives no finite positive psi"
+        )
     log_psi = math.log(psi)
     d0 = abs(log_psi - n_hat * p.s)
     d1 = abs(log_psi - (n_hat - 1) * p.s)

@@ -67,9 +67,9 @@ def test_03_flip_condition_verdicts():
         p = DeformationParam(s)
         for value in (1.0, p.q, p.q**3):
             rep = check_not_condition(p, FunctionChoice(psi1=value, psi2=value), 1e-10)
-            ok = ok and rep.realizable
+            ok = ok and rep.passed
         rep = check_not_condition(p, FunctionChoice(psi1=2.0, psi2=1.0), 1e-10)
-        ok = ok and (not rep.realizable) and rep.residual > 1e-3
+        ok = ok and (not rep.passed) and rep.residual > 1e-3
         failing_floor = min(failing_floor, rep.residual)
     _verdict(3, "flip condition: equal pairs realizable, (2, 1) fails loudly", ok,
              f"failing residual {failing_floor:.3e}")

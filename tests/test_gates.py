@@ -1,11 +1,14 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from qdgates.audit import ConditionReport
 from qdgates.fockspace import FunctionChoice, RadicandError, TruncatedFockSpace
 from qdgates.gates import (
-    Gate,
+    CNOT_CONDITION,
+    NOT_CONDITION,
     apply_cnot,
     apply_hadamard,
     apply_not,
@@ -18,8 +21,6 @@ from qdgates.qnumber import DeformationParam
 from qdgates.qubits import (
     OscillatorPairState,
     TwoQubitState,
-    basis_two_qubit_state,
-    deformed_qubit_state,
     pair_index,
     quad_index,
     qubit_state,
@@ -46,11 +47,20 @@ def _superpose(x, p, choice):
 
 
 def _controlled_flip(x, p, choice):
-    return apply_cnot(basis_two_qubit_state(x, 1 - x, SPACE), p, choice, choice)
+    return apply_cnot(two_qubit_state(x, 1 - x, SPACE), p, choice, choice)
 
 
 def _table(x, p, choice):
     return cnot_truth_table(p, choice, choice)
+
+
+# each state on a basis label x, plain or dressed by p and one choice
+def _qubit(x, p, choice):
+    return qubit_state(x, SPACE, p, choice)
+
+
+def _two_qubit(x, p, choice):
+    return two_qubit_state(x, 1 - x, SPACE, p, choice, choice)
 
 
 GATE_IDS = ["not", "hadamard", "cnot", "truth-table"]
@@ -84,14 +94,14 @@ class TestNotGate:
 
     def test_deformed_flip_swaps_dressed_basis_states(self):
         choice = FunctionChoice(psi1=P_HALF.q, psi2=P_HALF.q)
-        up = deformed_qubit_state(1, P_HALF, choice, SPACE)
+        up = qubit_state(1, SPACE, P_HALF, choice)
         flipped = apply_not(up, p=P_HALF, choice=choice)
-        down = deformed_qubit_state(0, P_HALF, choice, SPACE)
+        down = qubit_state(0, SPACE, P_HALF, choice)
         assert np.allclose(flipped.amplitudes, down.amplitudes, atol=1e-15)
 
     def test_deformed_involution(self):
         choice = FunctionChoice(psi1=2.0, psi2=2.0)
-        state = deformed_qubit_state(0, P_HALF, choice, SPACE)
+        state = qubit_state(0, SPACE, P_HALF, choice)
         twice = apply_not(apply_not(state, P_HALF, choice), P_HALF, choice)
         assert np.allclose(twice.amplitudes, state.amplitudes, atol=1e-15)
 
@@ -102,14 +112,14 @@ class TestNotCondition:
         p = DeformationParam(s)
         for value in (1.0, p.q, p.q**3):
             rep = check_not_condition(p, FunctionChoice(psi1=value, psi2=value), 1e-10)
-            assert rep.realizable
+            assert rep.passed
             assert rep.residual < 1e-13
-            assert rep.gate is Gate.NOT
+            assert isinstance(rep, ConditionReport) and rep.condition_id == NOT_CONDITION
 
     @pytest.mark.parametrize("s", S_GRID)
     def test_unequal_functions_fail_loudly(self, s):
         rep = check_not_condition(DeformationParam(s), FunctionChoice(psi1=2.0, psi2=1.0), 1e-10)
-        assert not rep.realizable
+        assert not rep.passed
         assert rep.residual > 1e-3
 
     def test_verdict_survives_common_rescaling(self):
@@ -120,8 +130,13 @@ class TestNotCondition:
             unequal = check_not_condition(
                 P_HALF, FunctionChoice(psi1=2.0 * c, psi2=1.0 * c), 1e-10
             )
-            assert equal.realizable
-            assert not unequal.realizable
+            assert equal.passed
+            assert not unequal.passed
+
+    def test_overflowing_ratio_raises(self):
+        # psi1/psi2 is inf here; the report used to carry that inf as its residual
+        with pytest.raises(ValueError, match="residual must be finite and nonnegative, got inf"):
+            check_not_condition(P_HALF, FunctionChoice(psi1=1e308, psi2=0.5), 1e-10)
 
 
 class TestHadamard:
@@ -152,15 +167,15 @@ class TestHadamard:
 
     def test_deformed_superposes_dressed_basis_vectors(self):
         choice = FunctionChoice(psi1=P_HALF.q, psi2=P_HALF.q)
-        down = deformed_qubit_state(0, P_HALF, choice, SPACE)
-        up = deformed_qubit_state(1, P_HALF, choice, SPACE)
+        down = qubit_state(0, SPACE, P_HALF, choice)
+        up = qubit_state(1, SPACE, P_HALF, choice)
         out = apply_hadamard(down, p=P_HALF, choice=choice)
         expected = (down.amplitudes + up.amplitudes) / math.sqrt(2)
         assert np.allclose(out.amplitudes, expected, atol=1e-14)
 
     def test_deformed_involution(self):
         choice = FunctionChoice(psi1=2.0, psi2=2.0)
-        state = deformed_qubit_state(1, P_HALF, choice, SPACE)
+        state = qubit_state(1, SPACE, P_HALF, choice)
         twice = apply_hadamard(apply_hadamard(state, P_HALF, choice), P_HALF, choice)
         assert np.max(np.abs(twice.amplitudes - state.amplitudes)) < 1e-13
 
@@ -197,20 +212,20 @@ class TestPhaseShift:
 class TestCnotGate:
     def test_truth_table_transitions(self):
         for (x, y), expected in (((0, 0), (0, 0)), ((0, 1), (0, 1)), ((1, 0), (1, 1)), ((1, 1), (1, 0))):
-            out = apply_cnot(basis_two_qubit_state(x, y, SPACE))
-            assert out.support() == basis_two_qubit_state(*expected, SPACE).support()
+            out = apply_cnot(two_qubit_state(x, y, SPACE))
+            assert out.support() == two_qubit_state(*expected, SPACE).support()
             assert out.amplitudes[np.nonzero(out.amplitudes)[0][0]] == 1.0
 
     def test_scaled_input_keeps_its_coefficient(self):
-        state = basis_two_qubit_state(1, 0, SPACE)
+        state = two_qubit_state(1, 0, SPACE)
         scaled = TwoQubitState(SPACE, 0.5j * state.amplitudes)
         out = apply_cnot(scaled)
         assert out.amplitudes[quad_index(SPACE, 1, 0, 1, 0)] == 0.5j
 
     def test_rejects_superposition_input(self):
         amp = (
-            basis_two_qubit_state(0, 0, SPACE).amplitudes
-            + basis_two_qubit_state(1, 0, SPACE).amplitudes
+            two_qubit_state(0, 0, SPACE).amplitudes
+            + two_qubit_state(1, 0, SPACE).amplitudes
         ) / math.sqrt(2)
         with pytest.raises(ValueError, match="basis"):
             apply_cnot(TwoQubitState(SPACE, amp))
@@ -221,12 +236,37 @@ class TestCnotGate:
         with pytest.raises(ValueError, match="qubit"):
             apply_cnot(TwoQubitState(SPACE, amp))
 
+    @pytest.mark.parametrize("cutoff", [2, 3])
+    def test_decodes_exactly_the_four_qubit_patterns(self, cutoff):
+        # every single-support input: the four qubit patterns, each mapped to
+        # its flip with the amplitude kept, and nothing else
+        flips = {
+            (0, 1, 0, 1): (0, 1, 0, 1),
+            (0, 1, 1, 0): (0, 1, 1, 0),
+            (1, 0, 0, 1): (1, 0, 1, 0),
+            (1, 0, 1, 0): (1, 0, 0, 1),
+        }
+        space = TruncatedFockSpace(cutoff)
+        accepted = []
+        for pattern in itertools.product(range(cutoff), repeat=4):
+            amp = np.zeros(cutoff**4, dtype=complex)
+            amp[quad_index(space, *pattern)] = 0.5 - 2j
+            state = TwoQubitState(space, amp)
+            if pattern not in flips:
+                with pytest.raises(ValueError, match="outside the qubit patterns"):
+                    apply_cnot(state)
+                continue
+            accepted.append(pattern)
+            out = apply_cnot(state)
+            assert out.nonzero_triples() == [(quad_index(space, *flips[pattern]), 0.5, -2.0)]
+        assert sorted(accepted) == sorted(flips)
+
     def test_deformed_unit_functions_match_plain_gate(self):
         unit = FunctionChoice.unit()
         for x in (0, 1):
             for y in (0, 1):
-                state = two_qubit_state(x, y, P_HALF, unit, unit, SPACE)
-                plain = apply_cnot(basis_two_qubit_state(x, y, SPACE))
+                state = two_qubit_state(x, y, SPACE, P_HALF, unit, unit)
+                plain = apply_cnot(two_qubit_state(x, y, SPACE))
                 dressed = apply_cnot(state, p=P_HALF, choice_a=unit, choice_b=unit)
                 assert np.array_equal(dressed.amplitudes, plain.amplitudes)
 
@@ -244,7 +284,7 @@ class TestCnotGate:
         # a control-down input used to come back unchanged without these checks
         choice = FunctionChoice(beta1=1.0, beta2=beta2)
         with pytest.raises(error, match=match):
-            apply_cnot(basis_two_qubit_state(x, 0, SPACE), p, choice, choice)
+            apply_cnot(two_qubit_state(x, 0, SPACE), p, choice, choice)
 
 
 class TestCnotTruthTable:
@@ -279,8 +319,8 @@ class TestLevelZeroDressing:
     CHOICE = FunctionChoice(psi1=1.0, psi2=1.2, beta1=1.0, beta2=1.2)
 
     def test_deformed_not_and_hadamard(self):
-        down = deformed_qubit_state(0, P_HALF, self.CHOICE, SPACE)
-        up = deformed_qubit_state(1, P_HALF, self.CHOICE, SPACE)
+        down = qubit_state(0, SPACE, P_HALF, self.CHOICE)
+        up = qubit_state(1, SPACE, P_HALF, self.CHOICE)
         flipped = apply_not(down, p=P_HALF, choice=self.CHOICE)
         assert np.allclose(flipped.amplitudes, up.amplitudes, atol=1e-15)
         out = apply_hadamard(down, p=P_HALF, choice=self.CHOICE)
@@ -296,7 +336,8 @@ class TestLevelZeroDressing:
 
 class TestZeroAmplitudeDressing:
     # at s = 1 the argument-1 radicand of the pair (1, q**2) is exactly 0, so
-    # that dressed basis vector has amplitude 0 and no coefficient on it exists
+    # that dressed basis vector would have amplitude 0: no state or
+    # coefficient on it exists
     P_ONE = DeformationParam(1.0)
     ZERO = (1.0, P_ONE.q**2)
     CASES = {
@@ -308,9 +349,20 @@ class TestZeroAmplitudeDressing:
         "truth-table": (_table, FunctionChoice(*ZERO)),
     }
 
-    def test_the_dressing_vanishes_exactly(self):
-        up = deformed_qubit_state(1, self.P_ONE, FunctionChoice(*self.ZERO), SPACE)
-        assert not np.any(up.amplitudes)
+    def test_the_dressed_states_raise(self):
+        # they used to come back as all-zero vectors with no support
+        control = FunctionChoice(*self.ZERO)
+        target = FunctionChoice(beta1=self.ZERO[0], beta2=self.ZERO[1])
+        unit = FunctionChoice.unit()
+        builds = (
+            lambda x: qubit_state(x, SPACE, self.P_ONE, control),
+            lambda x: two_qubit_state(x, 1 - x, SPACE, self.P_ONE, control, unit),
+            lambda x: two_qubit_state(x, 1 - x, SPACE, self.P_ONE, unit, target),
+        )
+        for build in builds:
+            for x in (0, 1):
+                with pytest.raises(ValueError, match="dressed basis vector has amplitude 0"):
+                    build(x)
 
     @pytest.mark.parametrize("x", [0, 1])
     @pytest.mark.parametrize("case", CASES)
@@ -328,14 +380,14 @@ class TestCnotCondition:
         for beta1 in values:
             for beta2 in values:
                 rep = check_cnot_condition(p, beta1, beta2, 1e-12)
-                assert rep.realizable
+                assert rep.passed
                 assert rep.residual < 1e-12
-                assert rep.gate is Gate.CNOT
+                assert isinstance(rep, ConditionReport) and rep.condition_id == CNOT_CONDITION
 
     def test_zero_radicand_pair_still_passes(self):
         # beta1 = 1/q, beta2 = q makes the dressed value vanish exactly
         rep = check_cnot_condition(P_HALF, 1 / P_HALF.q, P_HALF.q, 1e-12)
-        assert rep.realizable and rep.residual == 0.0
+        assert rep.passed and rep.residual == 0.0
 
     def test_negative_radicand_raises(self):
         with pytest.raises(RadicandError, match="beta"):
@@ -347,7 +399,11 @@ class TestCnotCondition:
 
 
 @pytest.mark.parametrize("given", ["p-only", "choice-only"])
-@pytest.mark.parametrize("gate", [_flip, _superpose, _controlled_flip, _table], ids=GATE_IDS)
+@pytest.mark.parametrize(
+    "gate",
+    [_flip, _superpose, _controlled_flip, _table, _qubit, _two_qubit],
+    ids=[*GATE_IDS, "qubit-state", "two-qubit-state"],
+)
 def test_deformed_mode_needs_parameters(gate, given):
     p, choice = (P_HALF, None) if given == "p-only" else (None, FunctionChoice.unit())
     with pytest.raises(ValueError, match="needs both a DeformationParam and a FunctionChoice"):

@@ -6,9 +6,7 @@ import pytest
 from qdgates.fockspace import FunctionChoice, RadicandError, TruncatedFockSpace, f_value
 from qdgates.qnumber import DeformationParam
 from qdgates.qubits import (
-    basis_two_qubit_state,
     case2_consistency_table,
-    deformed_qubit_state,
     jm_state,
     norm_ratio_experiment,
     occupation_from_value,
@@ -57,7 +55,7 @@ class TestBasisStates:
 
     def test_amplitude_triples(self):
         assert qubit_state(1, SPACE).nonzero_triples() == [(pair_index(SPACE, 1, 0), 1.0, 0.0)]
-        quad = basis_two_qubit_state(1, 0, SPACE)
+        quad = two_qubit_state(1, 0, SPACE)
         assert quad.nonzero_triples() == [(quad_index(SPACE, 1, 0, 0, 1), 1.0, 0.0)]
 
 
@@ -98,14 +96,14 @@ class TestDeformedQubits:
     @pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
     @pytest.mark.parametrize("x", [0, 1])
     def test_unit_functions_reproduce_plain_qubits(self, s, x):
-        state = deformed_qubit_state(x, DeformationParam(s), FunctionChoice.unit(), SPACE)
+        state = qubit_state(x, SPACE, DeformationParam(s), FunctionChoice.unit())
         assert np.array_equal(state.amplitudes, qubit_state(x, SPACE).amplitudes)
 
     @pytest.mark.parametrize("x", [0, 1])
     def test_shared_function_scales_by_its_square_root(self, x):
         psi = P_HALF.q
         choice = FunctionChoice(psi1=psi, psi2=psi)
-        state = deformed_qubit_state(x, P_HALF, choice, SPACE)
+        state = qubit_state(x, SPACE, P_HALF, choice)
         expected = math.sqrt(psi) * qubit_state(x, SPACE).amplitudes
         assert np.allclose(state.amplitudes, expected, atol=1e-14)
 
@@ -114,14 +112,14 @@ class TestDeformedQubits:
         plain_support = qubit_state(x, SPACE).support()
         for psi in (1.0, P_HALF.q, P_HALF.q**2, 1 / P_HALF.q):
             choice = FunctionChoice(psi1=psi, psi2=psi)
-            assert deformed_qubit_state(x, P_HALF, choice, SPACE).support() == plain_support
+            assert qubit_state(x, SPACE, P_HALF, choice).support() == plain_support
 
     @pytest.mark.parametrize("s", [1e-2, 1e-3, 1e-4])
     def test_converges_to_plain_qubit_near_undeformed(self, s):
         # the only dressing factor touching a qubit level is pinned at 1,
         # so the gap is far below the linear-in-s bound
         for x in (0, 1):
-            state = deformed_qubit_state(x, DeformationParam(s), FunctionChoice.unit(), SPACE)
+            state = qubit_state(x, SPACE, DeformationParam(s), FunctionChoice.unit())
             gap = np.max(np.abs(state.amplitudes - qubit_state(x, SPACE).amplitudes))
             assert gap <= s
             assert gap < 1e-12
@@ -134,12 +132,12 @@ class TestLevelZeroDressing:
 
     @pytest.mark.parametrize("x", [0, 1])
     def test_qubit_states_need_only_argument_one(self, x):
-        state = deformed_qubit_state(x, P_HALF, self.CHOICE, SPACE)
+        state = qubit_state(x, SPACE, P_HALF, self.CHOICE)
         expected = f_value(1, P_HALF, 1.0, 1.2)
         assert state.nonzero_triples() == [(pair_index(SPACE, x, 1 - x), expected, 0.0)]
 
     def test_two_qubit_state_needs_only_argument_one(self):
-        state = two_qubit_state(0, 1, P_HALF, self.CHOICE, self.CHOICE, SPACE)
+        state = two_qubit_state(0, 1, SPACE, P_HALF, self.CHOICE, self.CHOICE)
         assert state.support() == ((0, 1, 1, 0),)
         assert state.norm() == pytest.approx(f_value(1, P_HALF, 1.0, 1.2) ** 2, rel=1e-15)
 
@@ -147,28 +145,28 @@ class TestLevelZeroDressing:
         choice = FunctionChoice(psi1=1.0, psi2=10.0)
         for x in (0, 1):
             with pytest.raises(RadicandError, match="n=1"):
-                deformed_qubit_state(x, P_HALF, choice, SPACE)
+                qubit_state(x, SPACE, P_HALF, choice)
 
 
 class TestTwoQubitStates:
     def test_basis_product_occupations(self):
-        state = basis_two_qubit_state(1, 0, SPACE)
+        state = two_qubit_state(1, 0, SPACE)
         assert state.support() == ((1, 0, 0, 1),)
         assert state.amplitudes[quad_index(SPACE, 1, 0, 0, 1)] == 1.0
-        assert basis_two_qubit_state(0, 0, SPACE).support() == ((0, 1, 0, 1),)
+        assert two_qubit_state(0, 0, SPACE).support() == ((0, 1, 0, 1),)
 
     def test_unit_functions_match_basis_product(self):
         unit = FunctionChoice.unit()
         for x in (0, 1):
             for y in (0, 1):
-                built = two_qubit_state(x, y, P_HALF, unit, unit, SPACE)
-                assert np.array_equal(built.amplitudes, basis_two_qubit_state(x, y, SPACE).amplitudes)
+                built = two_qubit_state(x, y, SPACE, P_HALF, unit, unit)
+                assert np.array_equal(built.amplitudes, two_qubit_state(x, y, SPACE).amplitudes)
 
     def test_control_and_target_scale_independently(self):
         q = P_HALF.q
         choice_a = FunctionChoice(psi1=q, psi2=q)
         choice_b = FunctionChoice(beta1=q**2, beta2=q**2)
-        state = two_qubit_state(1, 1, P_HALF, choice_a, choice_b, SPACE)
+        state = two_qubit_state(1, 1, SPACE, P_HALF, choice_a, choice_b)
         expected = math.sqrt(q) * math.sqrt(q**2)
         amp = state.amplitudes[quad_index(SPACE, 1, 0, 1, 0)]
         assert amp == pytest.approx(expected, rel=1e-14)

@@ -411,6 +411,48 @@ class TestCli:
         assert errors[0]["note"] == "error: q = exp(s) rounds to 1 at s=1e-17, so q - 1/q is 0"
         assert all(e["pass"] for e in entries if e is not errors[0])
 
+    @pytest.mark.parametrize("source", ["flag", "config-file"])
+    def test_non_finite_tolerance_is_a_config_error(self, source, tmp_path, capsys):
+        # an infinite tolerance used to pass every row and write "tolerance": Infinity
+        argv = ["gates", "--s", "0.5", "--tol", "inf"]
+        if source == "config-file":
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text('{"s_grid": [0.5], "tolerance": Infinity}')
+            argv = ["sweep", "--config", str(cfg)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "configuration error: tolerance must be finite\n"
+
+    @pytest.mark.parametrize(
+        "ratio,law",
+        [("nan", LAW_PRODUCT), ("inf", LAW_PRODUCT), ("1e200", LAW_SQRT), ("1e-300", LAW_SQRT)],
+        ids=["nan", "inf", "sqrt-overflow", "sqrt-underflow"],
+    )
+    def test_infer_rejects_a_ratio_with_no_finite_psi(self, ratio, law, capsys):
+        # these used to print psi=nan or psi=inf, end in an OverflowError
+        # traceback, or report a bare "math domain error"
+        assert main(["infer", "--s", "0.5", "--ratio", ratio, "--law", law]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"configuration error: ratio {float(ratio)!r} under law {law!r} "
+            f"gives no finite positive psi\n"
+        )
+
+    def test_zero_dressing_is_an_error_row_and_a_state_error(self, tmp_path, capsys):
+        # at s = 0.05, psi = q**-14890 is the smallest subnormal, whose
+        # argument-1 dressing rounds to 0; the norm ratio used to pass as 0
+        # and `states` used to print states with no amplitude
+        zero = ["--s", "0.05", "--psi", "q^-14890"]
+        message = "the dressed basis vector has amplitude 0 (zero dressing at argument 1)"
+        out = tmp_path / "report.json"
+        assert main(["sweep", *zero, "--out", str(out)]) == 1
+        rows = {e["check_id"]: e for e in json.loads(out.read_bytes())["entries"]}
+        for check_id in ("cnot_table_deformed", "norm_ratio"):
+            assert rows[check_id]["note"] == f"error: {message}"
+        capsys.readouterr()
+        assert main(["states", *zero]) == 2
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+
     def test_overflowing_family_is_a_config_error(self, capsys):
         assert main(["sweep", "--s-grid", "0.9", "--psi", "q^900"]) == 2
         err = capsys.readouterr().err

@@ -11,12 +11,8 @@ from .fockspace import (
     FunctionFamily,
     RadicandError,
     TruncatedFockSpace,
-    deformed_ladder_ops,
-    dressing_diag,
-    dressing_vector,
     f_value,
     ladder_band,
-    ladder_ops,
 )
 from .audit import (
     ConditionReport,
@@ -68,11 +64,7 @@ __all__ = [
     "FunctionChoice",
     "FunctionFamily",
     "RadicandError",
-    "ladder_ops",
-    "dressing_diag",
-    "dressing_vector",
     "ladder_band",
-    "deformed_ladder_ops",
     "f_value",
     "ConditionReport",
     "check_qcommutator",

@@ -15,7 +15,8 @@ left out are the zeros off the band.  :func:`algebra_residuals` builds the
 band once per grid point for all four checks; each ``check_*`` function
 called on its own builds it itself.
 
-The checks run in extended precision (``np.longdouble``).  At cutoff 16 and
+The checks run in the band's extended precision
+(:data:`qdgates.fockspace.BAND_DTYPE`, ``np.longdouble``).  At cutoff 16 and
 s close to 1 the deformed diagonal reaches ~1e5, where one float64 ulp is
 already ~3e-11; an absolute residual budget of 1e-12 is only meaningful with
 the wider accumulator.
@@ -29,10 +30,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .fockspace import FunctionChoice, TruncatedFockSpace, ladder_band
+from .fockspace import BAND_DTYPE, FunctionChoice, TruncatedFockSpace, ladder_band
 from .qnumber import DeformationParam
 
-AUDIT_DTYPE = np.longdouble
 MIN_AUDIT_CUTOFF = 4
 MAX_SHIFT_POLY_DEGREE = 4
 
@@ -98,10 +98,10 @@ def _require_audit_space(space: TruncatedFockSpace) -> None:
 
 
 def _band(space, p, choice):
-    """``(v, nu, s)`` in the audit precision, after the cutoff check."""
+    """``(v, nu, s)`` in the band precision, after the cutoff check."""
     _require_audit_space(space)
-    v, nu = ladder_band(space, p, choice.psi1, choice.psi2, dtype=AUDIT_DTYPE)
-    return v, nu, AUDIT_DTYPE(p.s)
+    v, nu = ladder_band(space, p, choice.psi1, choice.psi2)
+    return v, nu, BAND_DTYPE(p.s)
 
 
 def _number_diagonals(v):
@@ -145,7 +145,7 @@ def _shift_poly(f_coeffs: Sequence[float]):
     def poly(x):
         out = np.zeros_like(x)
         for c in reversed(coeffs):
-            out = out * x + AUDIT_DTYPE(c)
+            out = out * x + BAND_DTYPE(c)
         return out
 
     return poly
@@ -160,7 +160,12 @@ def _shift_rule(v, nu, s, poly):
 def check_qcommutator(
     space: TruncatedFockSpace, p: DeformationParam, choice: FunctionChoice, tol: float
 ) -> ConditionReport:
-    """a_q a_q+ - q a_q+ a_q should equal q**(-N) on the interior block."""
+    """a_q a_q+ - q a_q+ a_q should equal q**(-N) on the interior block.
+
+    The match requires psi1 == psi2: at level 0, where a_q+ a_q vanishes,
+    a_q a_q+ is F(1)**2 = (q psi1 - psi2/q)/(q - 1/q) against q**(-N) =
+    psi2.  Every level above matches for any choice.
+    """
     residual = _qcommutator(*_band(space, p, choice))
     return ConditionReport.from_residual(QCOMMUTATOR, p, choice, space.cutoff, residual, tol)
 
@@ -184,9 +189,11 @@ def check_number_products(
 ) -> ConditionReport:
     """a_q+ a_q against the deformed number [N], a_q a_q+ against [N+1].
 
-    The match requires psi1 * psi2 == 1; for every other choice the two
-    sides genuinely disagree and the measured residual documents the gap
-    rather than asserting the relation.
+    The match requires psi1 == psi2 == 1.  psi1 * psi2 == 1 is not enough:
+    it matches every level above 0, but at level 0 a_q+ a_q vanishes while
+    [N] is [-ln(psi2)/s], which is 0 only for psi2 == 1.  For every other
+    choice the two sides genuinely disagree and the measured residual
+    documents the gap rather than asserting the relation.
     """
     residual = _number_products(*_band(space, p, choice))
     return ConditionReport.from_residual(NUMBER_PRODUCTS, p, choice, space.cutoff, residual, tol)
@@ -204,9 +211,8 @@ def check_shift_rule(
     A structural property of lowering operators against diagonal functions;
     holds for every function choice.
     """
-    _require_audit_space(space)
-    poly = _shift_poly(f_coeffs)
-    residual = _shift_rule(*_band(space, p, choice), poly)
+    band = _band(space, p, choice)
+    residual = _shift_rule(*band, _shift_poly(f_coeffs))
     return ConditionReport.from_residual(SHIFT_RULE, p, choice, space.cutoff, residual, tol)
 
 
@@ -217,7 +223,7 @@ def algebra_residuals(
     f_coeffs: Sequence[float] = DEFAULT_SHIFT_POLY,
 ) -> tuple:
     """The four raw identity residuals at one grid point, in registry order
-    and in the audit precision, all from one ladder band."""
+    and in the band precision, all from one ladder band."""
     band = _band(space, p, choice)
     return (
         _qcommutator(*band),

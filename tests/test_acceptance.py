@@ -7,7 +7,7 @@ or in captured output on failure) before asserting.
 import math
 
 import numpy as np
-from oracle import band_matrices, plain_ladder
+from oracle import band_matrices, dense, plain_ladder
 
 from qdgates.cli import main
 from qdgates.fockspace import FunctionChoice, TruncatedFockSpace
@@ -108,7 +108,7 @@ def test_05_controlled_flip_truth_table():
 def test_06_superposition_and_phase_sanity():
     down, up = qubit_state(0, QUBIT_SPACE), qubit_state(1, QUBIT_SPACE)
     double_gap = max(
-        np.max(np.abs(apply_hadamard(apply_hadamard(state)).amplitudes - state.amplitudes))
+        np.max(np.abs(dense(apply_hadamard(apply_hadamard(state))) - dense(state)))
         for state in (down, up)
     )
     overlap = abs(apply_hadamard(down).overlap(apply_hadamard(up)))

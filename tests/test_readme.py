@@ -13,4 +13,6 @@ def python_blocks():
 def test_readme_python_example_runs(capsys):
     (block,) = python_blocks()
     exec(compile(block, str(README), "exec"), {})
-    assert capsys.readouterr().out
+    out = capsys.readouterr().out
+    # the Hadamard's |+> on its two patterns, at their row-major indices
+    assert out.splitlines()[-1] == "[(1, 0.7071067811865475, 0.0), (4, 0.7071067811865475, 0.0)]"

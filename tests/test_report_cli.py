@@ -339,6 +339,19 @@ class TestCli:
         # |10> occupies (1,0,0,1): index 1*64 + 0*16 + 0*4 + 1 at cutoff 4
         assert "|10>  (65, 1, 0)" in out
 
+    @pytest.mark.parametrize(
+        "argv,expected",
+        [
+            (["--s", "0.5", "--psi", "q"], "readme_example.txt"),
+            (["--s-grid", "0.1,0.5,0.9", "--psi", "q", "--beta", "q^2"], "three_point_grid.txt"),
+        ],
+    )
+    def test_states_stdout_is_pinned(self, argv, expected, capsys):
+        # the whole stdout, basis indices and amplitude digits included
+        assert main(["states", *argv]) == 0
+        pinned = Path(__file__).with_name("states_stdout") / expected
+        assert capsys.readouterr().out == pinned.read_text()
+
     def test_unexpected_failures_exit_one(self):
         # a tolerance below the extended-precision floor flips clean checks red
         assert main(["audit", "--s", "0.9", "--tol", "1e-30"]) == 1

@@ -12,16 +12,8 @@ from .fockspace import (
     RadicandError,
     TruncatedFockSpace,
     f_value,
-    ladder_band,
 )
-from .audit import (
-    ConditionReport,
-    check_number_commutators,
-    check_number_products,
-    check_qcommutator,
-    check_shift_rule,
-    run_algebra_checks,
-)
+from .audit import ALGEBRA_CHECK_IDS, algebra_residuals, ladder_band
 from .qubits import (
     CaseIIOccupation,
     NormRatioResult,
@@ -66,12 +58,8 @@ __all__ = [
     "RadicandError",
     "ladder_band",
     "f_value",
-    "ConditionReport",
-    "check_qcommutator",
-    "check_number_commutators",
-    "check_number_products",
-    "check_shift_rule",
-    "run_algebra_checks",
+    "ALGEBRA_CHECK_IDS",
+    "algebra_residuals",
     "OscillatorPairState",
     "TwoQubitState",
     "CaseIIOccupation",

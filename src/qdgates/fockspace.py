@@ -1,4 +1,4 @@
-"""Truncated Fock space, the dressing functions, and the deformed ladder band.
+"""Truncated Fock space, the dressing functions, and the dressing at one point.
 
 Operators act on the retained levels ``0 .. cutoff-1``.  The deformed
 annihilation/creation pair is the standard pair dressed by the diagonal
@@ -9,29 +9,16 @@ factor
 built from two positive functions of q, and the deformed number operator is
 the standard one shifted by ``ln(psi2)/s`` times the identity.
 
-The dressing is evaluated in exactly two places, one per precision:
-
-* :func:`f_value` is F at one point, in float64 with ``math`` (libm), so
-  its bits do not depend on the SIMD kernels numpy picks for ``exp`` and
-  ``sinh``.  It is the qubit layer's amplitude at argument 1.  It takes any
-  point: ``n = 0`` is a removable 0/0 point when ``psi1 == psi2``, assigned
-  its limit ``psi * s / sinh(s)`` (under the square root), and is evaluated
-  just off zero otherwise; a pair's second oscillator has its dressing
-  shifted to ``1 - n``, which is negative from ``n = 2`` up.
-* :func:`ladder_band` is the whole band in :data:`BAND_DTYPE`
-  (``np.longdouble``): every operator here is diagonal or has a single
-  nonzero off-diagonal, so it returns two vectors, the band ``sqrt(n)
-  F(n)``, ``n = 1 .. cutoff-1``, shared by ``a_q`` (above the diagonal) and
-  ``a_q_dag`` (below it), and the shifted number diagonal.  The audits need
-  identity residuals below one float64 ulp of the operator magnitude, so
-  the band is always extended precision.  The level-0 value would multiply
-  only zero matrix entries, so the band never evaluates it: the dressed
-  operators exist whenever every level ``n >= 1`` has a nonnegative
-  radicand, even for ``psi1 < psi2``, where the off-zero stand-in is
-  negative.
-
-No dense ``d x d`` operator is built here; the tests keep the dense
-matrices as their oracle.
+The dressing is evaluated in exactly two places, one per precision.
+:func:`f_value` is F at one point, in float64 with ``math`` (libm), so its
+bits do not depend on the SIMD kernels numpy picks for ``exp`` and ``sinh``.
+It is the qubit layer's amplitude at argument 1.  It takes any point:
+``n = 0`` is a removable 0/0 point when ``psi1 == psi2``, assigned its limit
+``psi * s / sinh(s)`` (under the square root), and is evaluated just off
+zero otherwise; a pair's second oscillator has its dressing shifted to
+``1 - n``, which is negative from ``n = 2`` up.  The whole band of levels
+``1 .. cutoff-1`` in extended precision is :func:`qdgates.audit.ladder_band`,
+kept with its only user, the algebra audit; this module needs no numpy.
 """
 
 from __future__ import annotations
@@ -39,12 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .qnumber import DeformationParam
-
-# The precision of the ladder band, and so of every algebra audit.
-BAND_DTYPE = np.longdouble
 
 # Stand-in evaluation point for the 0/0 dressing value when psi1 != psi2.
 GENERAL_LIMIT_LEVEL = 1e-8
@@ -93,7 +75,7 @@ class FunctionChoice:
         for name in ("psi1", "psi2", "psi3", "psi4", "beta1", "beta2"):
             value = getattr(self, name)
             number = isinstance(value, (int, float)) and not isinstance(value, bool)
-            if not (number and 0 < value < np.inf):
+            if not (number and 0 < value < math.inf):
                 raise ValueError(f"{name} must be finite and strictly positive, got {value!r}")
 
     @classmethod
@@ -154,7 +136,8 @@ class FunctionFamily:
 
 def f_value(n: float, p: DeformationParam, psi1: float, psi2: float) -> float:
     """Dressing eigenvalue F(n) at any point, computed with ``math``; a
-    negative radicand raises :class:`RadicandError` naming the point."""
+    negative radicand raises :class:`RadicandError` naming the point, and
+    one that overflows float64 a ValueError naming it."""
     s = p.s
     if psi1 == psi2:
         r = psi1 * s / math.sinh(s) if n == 0 else psi1 * math.sinh(n * s) / (n * math.sinh(s))
@@ -163,30 +146,8 @@ def f_value(n: float, p: DeformationParam, psi1: float, psi2: float) -> float:
         r = (math.exp(m * s) * psi1 - math.exp(-m * s) * psi2) / (2 * m * math.sinh(s))
     if r < 0:
         raise RadicandError(f"negative radicand at level n={n} with psi1={psi1}, psi2={psi2}")
-    return math.sqrt(r)
-
-
-def ladder_band(
-    space: TruncatedFockSpace, p: DeformationParam, psi1: float, psi2: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Nonzero entries of the dressed ladder pair and the shifted number operator.
-
-    Returns ``(v, nu)`` in :data:`BAND_DTYPE`: ``v[n-1] = sqrt(n) F(n)`` for
-    ``n = 1 .. cutoff-1`` is the superdiagonal of ``a_q`` and the subdiagonal
-    of ``a_q_dag``, and ``nu[n] = n - ln(psi2)/s`` is the diagonal of the
-    deformed number operator.  ``F(0)`` is never evaluated; a negative
-    radicand raises :class:`RadicandError` naming the first such level.
-    """
-    levels = np.arange(space.cutoff).astype(BAND_DTYPE)
-    n = levels[1:]
-    s, g1, g2 = BAND_DTYPE(p.s), BAND_DTYPE(psi1), BAND_DTYPE(psi2)
-    if g1 == g2:
-        r = g1 * np.sinh(n * s) / (n * np.sinh(s))
-    else:
-        r = (np.exp(n * s) * g1 - np.exp(-n * s) * g2) / (2 * n * np.sinh(s))
-    bad = np.flatnonzero(r < 0)
-    if bad.size:
-        raise RadicandError(
-            f"negative radicand at level n={int(bad[0]) + 1} with psi1={psi1}, psi2={psi2}"
+    if not math.isfinite(r):
+        raise ValueError(
+            f"dressing radicand overflows float64 at level n={n} with psi1={psi1}, psi2={psi2}"
         )
-    return np.sqrt(n) * np.sqrt(r), levels - np.log(g2) / s
+    return math.sqrt(r)

@@ -7,8 +7,9 @@ occupation pattern, so every gate is scalar arithmetic on the down and up
 amplitudes (or the one two-qubit amplitude): each becomes a coefficient on
 its basis vector (:func:`_coefficient`), and the output is the same
 combination of the gate's images of those vectors.  The realizability
-conditions are closed forms reported as ``ConditionReport``: the NOT
-condition is |psi1/psi2 - 1|, the CNOT one the sign of a radicand.
+conditions are closed forms that return their float64 residual, which the
+report judges: the NOT condition is |psi1/psi2 - 1|, the CNOT one the sign
+of a radicand.
 """
 
 from __future__ import annotations
@@ -17,11 +18,10 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .audit import ConditionReport
+from .audit import float_residual
 from .fockspace import FunctionChoice, RadicandError
 from .qnumber import DeformationParam
 from .qubits import (
-    QUBIT_CUTOFF,
     OscillatorPairState,
     TwoQubitState,
     _dressed_amplitude,
@@ -81,7 +81,7 @@ def apply_not(
     return OscillatorPairState(state.space, _extend(state, a, a, ((0.0, a), (a, 0.0))))
 
 
-def check_not_condition(p: DeformationParam, choice: FunctionChoice, tol: float) -> ConditionReport:
+def check_not_condition(p: DeformationParam, choice: FunctionChoice) -> float:
     """Eigenvalue condition under which the deformed flip is indistinguishable
     from the plain one.
 
@@ -91,8 +91,7 @@ def check_not_condition(p: DeformationParam, choice: FunctionChoice, tol: float)
     invariant under a common rescaling of the pair.  The flip, superposition
     and phase gates share this condition.  A ratio beyond float64 range raises.
     """
-    residual = abs(choice.psi1 / choice.psi2 - 1.0)
-    return ConditionReport.from_residual(NOT_CONDITION, p, choice, QUBIT_CUTOFF, residual, tol)
+    return float_residual(NOT_CONDITION, abs(choice.psi1 / choice.psi2 - 1.0))
 
 
 def apply_hadamard(
@@ -184,9 +183,7 @@ def cnot_truth_table(
     ]
 
 
-def check_cnot_condition(
-    p: DeformationParam, beta1: float, beta2: float, tol: float
-) -> ConditionReport:
+def check_cnot_condition(p: DeformationParam, beta1: float, beta2: float) -> float:
     """Both sides of the target-swap condition at the qubit occupations.
 
     With the swapped target carrying k_hat = k, both sides at either control
@@ -198,7 +195,7 @@ def check_cnot_condition(
     raises a ValueError naming s; :class:`FunctionChoice` rejects a beta that
     is not finite and positive.
     """
-    choice = FunctionChoice(beta1=beta1, beta2=beta2)
+    FunctionChoice(beta1=beta1, beta2=beta2)  # rejects a beta that is not finite and positive
     q = p.q
     if q == 1.0:
         raise ValueError(f"q = exp(s) rounds to 1 at s={p.s!r}, so q - 1/q is 0")
@@ -207,4 +204,4 @@ def check_cnot_condition(
             f"negative radicand in swap-condition factor at argument 1 "
             f"with beta1={beta1}, beta2={beta2}"
         )
-    return ConditionReport.from_residual(CNOT_CONDITION, p, choice, QUBIT_CUTOFF, 0.0, tol)
+    return 0.0

@@ -20,6 +20,7 @@ Basis indices are row-major over the occupations, (n1, n2) for a pair and
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -39,16 +40,18 @@ QUBIT_CUTOFF = 4
 @dataclass(frozen=True)
 class _OscillatorState:
     """Amplitudes on the occupation patterns of ``OSCILLATORS`` oscillators;
-    any pattern not listed has amplitude 0."""
+    any pattern not listed has amplitude 0, and every amplitude is finite."""
 
     space: TruncatedFockSpace
     amplitudes: dict[tuple[int, ...], complex]
 
     def __post_init__(self):
         d = self.space.cutoff
-        for pattern in self.amplitudes:
+        for pattern, a in self.amplitudes.items():
             if len(pattern) != self.OSCILLATORS or not all(0 <= n < d for n in pattern):
                 raise ValueError(f"{pattern} is not {self.OSCILLATORS} occupations below {d}")
+            if not cmath.isfinite(a):
+                raise ValueError(f"amplitude {a!r} at {pattern} is not finite")
 
     def norm(self) -> float:
         return math.hypot(*map(abs, self.amplitudes.values()))

@@ -1,9 +1,11 @@
 """Sweep orchestration, the dressing-inference demo, and report serialization.
 
 A sweep runs every registered check at every grid point and collects flat
-report entries, each from one row builder: a row passes when
-``residual <= tol``, and a check that raises a domain error becomes an error
-row (residual -1, fail) instead of aborting the sweep.  The known mismatch
+report entries, each from one row builder, :func:`_entry`, the only place a
+residual becomes a verdict: a row passes when its residual, a finite
+nonnegative float64, is at most ``tol``; a check that raises a domain error,
+or measures a residual that is no such float, becomes an error row
+(residual -1, fail) instead of aborting the sweep.  The known mismatch
 of the number-product relation away from unit dressing is scientific content
 and is recorded as an expected failure.  Serialization is bit-deterministic:
 fixed schema, sorted keys, canonical row order, no timestamps.
@@ -27,8 +29,6 @@ from .audit import (
     NUMBER_PRODUCTS,
     algebra_residuals,
     float_residual,
-    passes,
-    run_algebra_checks,  # re-exported
 )
 from .fockspace import CONSTANT_ONE, FunctionChoice, FunctionFamily, TruncatedFockSpace
 from .gates import (
@@ -288,11 +288,14 @@ def _point(config: SweepConfig, s: float) -> tuple[DeformationParam, FunctionCho
 
 
 def _entry(check_id, s, cutoff, choice, tolerance, measure) -> ReportEntry:
-    """The one report row builder: ``measure()`` gives ``(residual, note)``,
-    and a ValueError it raises becomes an error row."""
+    """The one report row builder and pass rule: ``measure()`` gives
+    ``(residual, note)``; a ValueError it raises, or one
+    :func:`~qdgates.audit.float_residual` raises on its residual, becomes an
+    error row."""
     try:
-        residual, note = measure()
-        passed = passes(residual, tolerance)
+        raw, note = measure()
+        residual = float_residual(check_id, raw)
+        passed = residual <= tolerance
     except ValueError as exc:
         residual, passed, note = ERROR_RESIDUAL, False, f"error: {exc}"
     return ReportEntry(
@@ -315,7 +318,7 @@ def algebra_entries(
                 f"{EXPECTED_FAIL_MARK}: the dressed products match the deformed "
                 f"number spectrum only when psi1*psi2 == 1"
             )
-        return float_residual(check_id, residuals()[i]), note
+        return residuals()[i], note
 
     return [
         _entry(cid, p.s, config.cutoff, choice, config.tolerance, functools.partial(measure, i, cid))
@@ -341,10 +344,8 @@ def gate_entries(
         return residual, f"common row amplitude {magnitudes[0]:.17g}"
 
     measures = {
-        NOT_CONDITION: lambda: (check_not_condition(p, choice, tol).residual, ""),
-        CNOT_CONDITION: lambda: (
-            check_cnot_condition(p, choice.beta1, choice.beta2, tol).residual, ""
-        ),
+        NOT_CONDITION: lambda: (check_not_condition(p, choice), ""),
+        CNOT_CONDITION: lambda: (check_cnot_condition(p, choice.beta1, choice.beta2), ""),
         CNOT_TABLE: lambda: (
             max(max(abs(r.amplitude - 1.0), r.off_support) for r in plain_rows), ""
         ),

@@ -2,7 +2,7 @@
 
 The package builds no ``d x d`` operator and no dense state vector, and
 evaluates the dressing in two places: :func:`qdgates.fockspace.f_value`
-(float64, ``math``) and :func:`qdgates.fockspace.ladder_band` (longdouble,
+(float64, ``math``) and :func:`qdgates.audit.ladder_band` (longdouble,
 vectorized).  The helpers here are the plain ladder matrices, the band
 expanded into dense deformed ones, a state's amplitudes written out as a
 vector over every joint occupation, and the dressing level by level in each
@@ -13,7 +13,8 @@ import math
 
 import numpy as np
 
-from qdgates.fockspace import GENERAL_LIMIT_LEVEL, RadicandError, ladder_band
+from qdgates.audit import ladder_band
+from qdgates.fockspace import GENERAL_LIMIT_LEVEL, RadicandError
 
 LD = np.longdouble
 
@@ -46,7 +47,7 @@ def dense(state):
 
 def band_matrices(space, p, psi1, psi2):
     """``a_q``, ``a_q_dag`` and the deformed number operator as dense
-    matrices, expanded from :func:`qdgates.fockspace.ladder_band`."""
+    matrices, expanded from :func:`qdgates.audit.ladder_band`."""
     v, nu = ladder_band(space, p, psi1, psi2)
     return np.diag(v, 1), np.diag(v, -1), np.diag(nu)
 

@@ -20,7 +20,8 @@ from qdgates.gates import (
 )
 from qdgates.qnumber import DeformationParam, q_factorial, q_number
 from qdgates.qubits import norm_ratio_experiment, qubit_state
-from qdgates.report import infer_psi_from_norm, run_algebra_checks
+from qdgates.audit import algebra_residuals
+from qdgates.report import infer_psi_from_norm
 
 S_GRID = (0.1, 0.5, 0.9)
 AUDIT_SPACE = TruncatedFockSpace(16)
@@ -54,10 +55,10 @@ def test_01_ladder_limit_recovery():
 def test_02_algebra_audit_at_unit_functions():
     worst = 0.0
     for s in S_GRID:
-        reports = run_algebra_checks(
-            AUDIT_SPACE, DeformationParam(s), FunctionChoice.unit(), 1e-12, (1.0, 0.0, 1.0)
+        residuals = algebra_residuals(
+            AUDIT_SPACE, DeformationParam(s), FunctionChoice.unit(), (1.0, 0.0, 1.0)
         )
-        worst = max(worst, max(r.residual for r in reports))
+        worst = max(worst, float(max(residuals)))
     _verdict(2, "all four operator identities below 1e-12", worst < 1e-12, f"worst {worst:.3e}")
 
 
@@ -67,11 +68,11 @@ def test_03_flip_condition_verdicts():
     for s in S_GRID:
         p = DeformationParam(s)
         for value in (1.0, p.q, p.q**3):
-            rep = check_not_condition(p, FunctionChoice(psi1=value, psi2=value), 1e-10)
-            ok = ok and rep.passed
-        rep = check_not_condition(p, FunctionChoice(psi1=2.0, psi2=1.0), 1e-10)
-        ok = ok and (not rep.passed) and rep.residual > 1e-3
-        failing_floor = min(failing_floor, rep.residual)
+            residual = check_not_condition(p, FunctionChoice(psi1=value, psi2=value))
+            ok = ok and residual <= 1e-10
+        residual = check_not_condition(p, FunctionChoice(psi1=2.0, psi2=1.0))
+        ok = ok and (not residual <= 1e-10) and residual > 1e-3
+        failing_floor = min(failing_floor, residual)
     _verdict(3, "flip condition: equal pairs realizable, (2, 1) fails loudly", ok,
              f"failing residual {failing_floor:.3e}")
 
@@ -82,8 +83,7 @@ def test_04_controlled_flip_condition_is_an_identity():
         p = DeformationParam(s)
         for beta1 in (1 / p.q, 1.0, p.q):
             for beta2 in (1 / p.q, 1.0, p.q):
-                rep = check_cnot_condition(p, beta1, beta2, 1e-12)
-                worst = max(worst, rep.residual)
+                worst = max(worst, check_cnot_condition(p, beta1, beta2))
     _verdict(4, "target-swap condition residual below 1e-12 for 9 function pairs",
              worst < 1e-12, f"worst {worst:.3e}")
 

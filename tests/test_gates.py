@@ -5,11 +5,8 @@ import numpy as np
 import pytest
 from oracle import basis_index, dense
 
-from qdgates.audit import ConditionReport
 from qdgates.fockspace import FunctionChoice, RadicandError, TruncatedFockSpace
 from qdgates.gates import (
-    CNOT_CONDITION,
-    NOT_CONDITION,
     apply_cnot,
     apply_hadamard,
     apply_not,
@@ -107,32 +104,27 @@ class TestNotCondition:
     def test_realizable_for_shared_functions(self, s):
         p = DeformationParam(s)
         for value in (1.0, p.q, p.q**3):
-            rep = check_not_condition(p, FunctionChoice(psi1=value, psi2=value), 1e-10)
-            assert rep.passed
-            assert rep.residual < 1e-13
-            assert isinstance(rep, ConditionReport) and rep.condition_id == NOT_CONDITION
+            residual = check_not_condition(p, FunctionChoice(psi1=value, psi2=value))
+            assert isinstance(residual, float)
+            assert residual < 1e-13
 
     @pytest.mark.parametrize("s", S_GRID)
     def test_unequal_functions_fail_loudly(self, s):
-        rep = check_not_condition(DeformationParam(s), FunctionChoice(psi1=2.0, psi2=1.0), 1e-10)
-        assert not rep.passed
-        assert rep.residual > 1e-3
+        residual = check_not_condition(DeformationParam(s), FunctionChoice(psi1=2.0, psi2=1.0))
+        assert not residual <= 1e-10
+        assert residual > 1e-3
 
     def test_verdict_survives_common_rescaling(self):
         for c in (1e-6, 1.0, 1e6):
-            equal = check_not_condition(
-                P_HALF, FunctionChoice(psi1=3.0 * c, psi2=3.0 * c), 1e-10
-            )
-            unequal = check_not_condition(
-                P_HALF, FunctionChoice(psi1=2.0 * c, psi2=1.0 * c), 1e-10
-            )
-            assert equal.passed
-            assert not unequal.passed
+            equal = check_not_condition(P_HALF, FunctionChoice(psi1=3.0 * c, psi2=3.0 * c))
+            unequal = check_not_condition(P_HALF, FunctionChoice(psi1=2.0 * c, psi2=1.0 * c))
+            assert equal <= 1e-10
+            assert not unequal <= 1e-10
 
     def test_overflowing_ratio_raises(self):
-        # psi1/psi2 is inf here; the report used to carry that inf as its residual
+        # psi1/psi2 is inf here; a report row once carried that inf as its residual
         with pytest.raises(ValueError, match="residual must be finite and nonnegative, got inf"):
-            check_not_condition(P_HALF, FunctionChoice(psi1=1e308, psi2=0.5), 1e-10)
+            check_not_condition(P_HALF, FunctionChoice(psi1=1e308, psi2=0.5))
 
 
 class TestHadamard:
@@ -367,23 +359,21 @@ class TestCnotCondition:
         values = (1 / p.q, 1.0, p.q)
         for beta1 in values:
             for beta2 in values:
-                rep = check_cnot_condition(p, beta1, beta2, 1e-12)
-                assert rep.passed
-                assert rep.residual < 1e-12
-                assert isinstance(rep, ConditionReport) and rep.condition_id == CNOT_CONDITION
+                residual = check_cnot_condition(p, beta1, beta2)
+                assert isinstance(residual, float)
+                assert residual < 1e-12
 
     def test_zero_radicand_pair_still_passes(self):
         # beta1 = 1/q, beta2 = q makes the dressed value vanish exactly
-        rep = check_cnot_condition(P_HALF, 1 / P_HALF.q, P_HALF.q, 1e-12)
-        assert rep.passed and rep.residual == 0.0
+        assert check_cnot_condition(P_HALF, 1 / P_HALF.q, P_HALF.q) == 0.0
 
     def test_negative_radicand_raises(self):
         with pytest.raises(RadicandError, match="beta"):
-            check_cnot_condition(P_HALF, 1.0, 10.0, 1e-12)
+            check_cnot_condition(P_HALF, 1.0, 10.0)
 
     def test_rejects_non_positive_functions(self):
         with pytest.raises(ValueError):
-            check_cnot_condition(P_HALF, 0.0, 1.0, 1e-12)
+            check_cnot_condition(P_HALF, 0.0, 1.0)
 
 
 @pytest.mark.parametrize("given", ["p-only", "choice-only"])

@@ -7,14 +7,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qdgates
+import qdgates.report as report_module
+from qdgates.audit import float_residual
 from qdgates.cli import main
 from qdgates.fockspace import FunctionFamily
 from qdgates.gates import cnot_truth_table
 from qdgates.qnumber import DeformationParam
-from qdgates.qubits import norm_ratio_experiment
+from qdgates.qubits import NormRatioResult, norm_ratio_experiment
 from qdgates.report import (
     ALGEBRA_LAYER,
     ConfigError,
@@ -64,7 +67,14 @@ class TestSweepConfig:
         assert SweepConfig.from_payload(c.to_payload()) == c
 
     @pytest.mark.parametrize(
-        "field,value", [("cutoff", 16.5), ("cutoff", True), ("cutoff", math.inf), ("tolerance", True)]
+        "field,value",
+        [
+            ("cutoff", 16.5),
+            ("cutoff", True),
+            ("cutoff", math.inf),
+            ("tolerance", True),
+            ("tolerance", 0.0),
+        ],
     )
     def test_payload_rejects_values_a_conversion_would_change(self, field, value):
         with pytest.raises(ConfigError, match=f"{field} must be"):
@@ -123,8 +133,6 @@ class TestRunSweep:
         assert all(r.matched_law == "product" for r in report.norm_ratio)
 
     def test_domain_errors_become_entries_instead_of_aborting(self, monkeypatch):
-        import qdgates.report as report_module
-
         def broken(*args, **kwargs):
             raise ValueError("rigged dressing failure")
 
@@ -136,6 +144,35 @@ class TestRunSweep:
         assert all(e.residual == -1.0 and not e.passed for e in errored)
         assert report.unexpected_failures() == 4
 
+
+    @pytest.mark.parametrize(
+        "value", [math.nan, math.inf, np.longdouble("1e400")], ids=["nan", "inf", "longdouble"]
+    )
+    @pytest.mark.parametrize(
+        "layer,check_id,target,rigged",
+        [
+            (ALGEBRA_LAYER, "qcommutator", "algebra_residuals", lambda v: (v, 0.0, 0.0, 0.0)),
+            (GATE_LAYER, "not_condition", "check_not_condition", lambda v: v),
+            (
+                NORM_RATIO_LAYER,
+                "norm_ratio",
+                "norm_ratio_experiment",
+                lambda v: NormRatioResult(0.5, 1.0, 1.0, v, 1.0, 1.0, "product"),
+            ),
+        ],
+        ids=SWEEP_LAYERS,
+    )
+    def test_a_residual_that_is_no_float64_is_an_error_row(
+        self, monkeypatch, layer, check_id, target, rigged, value
+    ):
+        # every layer's rows pass through the one row builder, which used to
+        # refuse such a residual for algebra rows only and write NaN for others
+        monkeypatch.setattr(report_module, target, lambda *args, **kwargs: rigged(value))
+        with pytest.raises(ValueError) as refused:
+            float_residual(check_id, value)
+        (row,) = [e for e in run_sweep(config(), layers=(layer,)).entries if e.check_id == check_id]
+        assert row.residual == -1.0 and not row.passed
+        assert row.note == f"error: {refused.value}"
 
     def test_layers_partition_the_full_sweep(self):
         cfg = config(s_grid=S_GRID, psi_family=POWER_ONE)
@@ -149,8 +186,6 @@ class TestRunSweep:
         assert not parts[0].norm_ratio and not parts[1].norm_ratio
 
     def test_plain_truth_table_runs_once_per_sweep(self, monkeypatch):
-        import qdgates.report as report_module
-
         calls = []
 
         def counted(*args, **kwargs):
@@ -480,6 +515,31 @@ class TestCli:
         assert main(["sweep", "--s-grid", "0.9", "--psi", "q^900"]) == 2
         err = capsys.readouterr().err
         assert "configuration error: psi_family q^900 is not a finite positive float at s=0.9" in err
+
+    def test_overflowing_dressing_is_an_error_row_and_a_state_error(self, tmp_path, capsys):
+        # psi = q**709.7 is 1.65e308 at s = 1, and its argument-1 radicand
+        # psi * sinh(1) / sinh(1) overflows; the deformed table used to write
+        # a NaN residual, the norm ratio a bare unpacking error, and `states`
+        # inf amplitudes
+        overflow = ["--s", "1", "--psi", "q^709.7"]
+        psi = FunctionFamily.parse("q^709.7").evaluate(DeformationParam(1.0).q)
+        message = f"dressing radicand overflows float64 at level n=1 with psi1={psi}, psi2={psi}"
+        out = tmp_path / "report.json"
+        assert main(["sweep", *overflow, "--out", str(out)]) == 1
+
+        def refuse(constant):
+            raise AssertionError(f"report holds {constant}")
+
+        entries = json.loads(out.read_bytes(), parse_constant=refuse)["entries"]
+        rows = {e["check_id"]: e for e in entries}
+        for check_id in ("cnot_table_deformed", "norm_ratio"):
+            assert rows[check_id]["residual"] == -1.0 and not rows[check_id]["pass"]
+            assert rows[check_id]["note"] == f"error: {message}"
+        capsys.readouterr()
+        assert main(["states", *overflow]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"configuration error: {message}\n"
+        assert captured.out == ""
 
     def test_norm_ratio_overflow_is_an_error_row(self, tmp_path):
         out = tmp_path / "report.json"

@@ -1,9 +1,12 @@
-"""The qubit and gate layer is scalar arithmetic on occupation-pattern maps.
+"""numpy is confined to the band: ``audit`` is the only module that imports it.
 
-A state lists its amplitudes by occupation pattern and every gate is a few
-complex products, so neither module needs numpy; this guard keeps dense
-cutoff**2 and cutoff**4 vectors from coming back into them.  Dense vectors
-live only in the test oracle (``tests/oracle.py``).
+The ladder band and the algebra residuals are the one longdouble array
+computation, and they live in ``audit``.  Everything else is scalar: the
+dressing at one point is ``math``, a state lists its amplitudes by
+occupation pattern and every gate is a few complex products.  This guard
+keeps numpy, and with it dense cutoff**2 and cutoff**4 vectors, from coming
+back into any other module.  Dense operators and vectors live only in the
+test oracle (``tests/oracle.py``).
 """
 
 import ast
@@ -15,16 +18,20 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "qdgates"
 
 
 def imported_modules(source):
-    """Every module an ``import`` or absolute ``from ... import`` names,
-    at any depth of the module, including imports inside functions."""
+    """Every module an ``import`` or ``from ... import`` names, at any depth
+    of the module, including imports inside functions; a relative one keeps
+    its leading dots (``.qnumber``), so it is never taken for numpy."""
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             yield from (alias.name for alias in node.names)
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            yield node.module
+        elif isinstance(node, ast.ImportFrom):
+            yield "." * node.level + (node.module or "")
 
 
-@pytest.mark.parametrize("module", ["qubits.py", "gates.py"])
+SCALAR_MODULES = sorted(path.name for path in PACKAGE.glob("*.py") if path.name != "audit.py")
+
+
+@pytest.mark.parametrize("module", SCALAR_MODULES)
 def test_module_imports_no_numpy(module):
     imported = list(imported_modules((PACKAGE / module).read_text()))
     assert imported, "the parser found no imports at all"
@@ -34,3 +41,4 @@ def test_module_imports_no_numpy(module):
 def test_the_guard_sees_numpy_imports():
     source = "import math\nimport numpy as np\ndef f():\n    from numpy.linalg import norm\n"
     assert list(imported_modules(source)) == ["math", "numpy", "numpy.linalg"]
+    assert list(imported_modules("from . import numpy\nfrom .audit import x\n")) == [".", ".audit"]

@@ -183,13 +183,10 @@ def bits(value):
 
 def assert_same_bits(value, expected):
     """Bitwise equality.  A state matches a dense ``expected`` on every
-    pattern it holds, and ``expected`` must be exactly 0 on every other, or
-    nan there where numpy multiplied an infinite coefficient by a zero entry
-    (inputs are finite, so no other step of a dense body leaves nan there)."""
+    pattern it holds, and ``expected`` must be exactly 0 on every other."""
     if isinstance(value, (OscillatorPairState, TwoQubitState)):
         held = [basis_index(value.space, pattern) for pattern in value.amplitudes]
-        rest = np.delete(expected, held)
-        assert not np.any(rest[~np.isnan(rest)])
+        assert not np.any(np.delete(expected, held))
         value, expected = dense(value)[held], expected[held]
     assert bits(value) == bits(expected)
 
@@ -397,12 +394,13 @@ def gate_outcome(call):
 def forked_outcome(call):
     """The gate_outcome of a forked body, where its division by a zero
     amplitude (numpy's divide-by-zero, or for 0/0 invalid-value, warning) is
-    the ValueError the gates now raise before dividing.  The gates compute in
-    Python scalars, which return inf and nan without a flag, so numpy's other
+    the ValueError the gates now raise before dividing.  numpy's other
     overflow and invalid-value flags are not errors here: the body's values
-    are compared.  Some of those overflow flags are spurious: numpy raises one
-    for complex products near the float64 limit (8.99e307+8.99e307j times a
-    3-entry vector) whose every entry is finite."""
+    are compared, and where they are not finite the gate must refuse its
+    non-finite amplitude (``assert_gate_outcome``).  Some of those overflow
+    flags are spurious: numpy raises one for complex products near the
+    float64 limit (8.99e307+8.99e307j times a 3-entry vector) whose every
+    entry is finite."""
     with np.errstate(over="ignore"):
         outcome = gate_outcome(call)
     if isinstance(outcome, tuple) and outcome[1] in (
@@ -423,6 +421,23 @@ def assert_same_outcome(outcome, expected):
         assert outcome == expected
     else:
         assert_same_bits(outcome, expected)
+
+
+NOT_FINITE = re.compile(r"amplitude .* at \([0-9, ]+\) is not finite")
+
+
+def assert_gate_outcome(outcome, expected, state):
+    """``assert_same_outcome``, except that where the dense body's value on a
+    qubit pattern of ``state``'s kind is not finite, the gate must raise the
+    ValueError of a state whose amplitude is not finite."""
+    pair = isinstance(state, OscillatorPairState)
+    labels = ((0,), (1,)) if pair else ((0, 0), (0, 1), (1, 0), (1, 1))
+    qubit = [basis_index(state.space, _occupations(*xs)) for xs in labels]
+    if not isinstance(expected, tuple) and not np.all(np.isfinite(expected[qubit])):
+        assert isinstance(outcome, tuple) and outcome[0] is ValueError
+        assert NOT_FINITE.fullmatch(outcome[1])
+    else:
+        assert_same_outcome(outcome, expected)
 
 
 def within_one_ulp(a, b):
@@ -446,12 +461,18 @@ NEGATIVE_ZERO = complex(-0.0, -0.0)
 @example((TruncatedFockSpace(3), P_HALF, FunctionChoice.unit(), 1, 0), 1 + 0j, NEAR_LIMIT, 0.0)
 # the flip's up amplitude is -0.0 + (-0.0): its sign comes from the zero image entry
 @example((TruncatedFockSpace(2), P_HALF, FunctionChoice.unit(), 0, 0), NEGATIVE_ZERO, -1 + 1j, 0.0)
+# the Hadamard's sum passes the float64 limit: nan+infj, which the state refuses
+@example((TruncatedFockSpace(4), P_HALF, FunctionChoice.unit(), 0, 0), 1.2e308j, 1.2e308j, 0.0)
 def test_one_gate_path_equals_the_forked_gate_bodies(point, down, up, theta):
     space, p, choice, x, y = point
     pair_state = OscillatorPairState(space, {_occupations(0): down, _occupations(1): up})
     quad_state = TwoQubitState(space, {_occupations(x, y): down})
     unit = FunctionChoice.unit()
-    assert_same_bits(apply_phase_shift(pair_state, theta), forked_phase(pair_state, theta))
+    assert_gate_outcome(
+        gate_outcome(lambda: apply_phase_shift(pair_state, theta)),
+        gate_outcome(lambda: forked_phase(pair_state, theta)),
+        pair_state,
+    )
     cases = (
         (apply_not, forked_not, pair_state, (choice,), (unit,), np.array_equal),
         (apply_hadamard, forked_hadamard, pair_state, (choice,), (unit,), within_one_ulp),
@@ -459,13 +480,14 @@ def test_one_gate_path_equals_the_forked_gate_bodies(point, down, up, theta):
     )
     for gate, forked, state, choices, units, plain_agrees in cases:
         # the deformed gate keeps the deformed body's floating-point steps
-        assert_same_outcome(
+        assert_gate_outcome(
             gate_outcome(lambda: gate(state, p, *choices)),
             forked_outcome(lambda: forked(state, True, p, *choices)),
+            state,
         )
         # a plain gate is that body at unit dressing, whose amplitudes are exactly 1.0
         plain = gate_outcome(lambda: gate(state))
-        assert_same_outcome(plain, forked_outcome(lambda: forked(state, True, p, *units)))
+        assert_gate_outcome(plain, forked_outcome(lambda: forked(state, True, p, *units)), state)
         # and the plain body's values, wherever that body gave finite ones; a
         # zero may change sign, and the plain superposition is now rounded as
         # the deformed one always was, x times the rounded 1/sqrt(2)
@@ -677,10 +699,10 @@ def test_closed_form_conditions_equal_the_written_out_ones(point):
     choice = FunctionChoice(psi1=a, psi2=b)
     not_oracle = outcome(lambda: oracle_not_residual(p, choice))
     if not_oracle == bits(math.inf):
-        # psi1/psi2 overflows; the condition report refuses an infinite residual
+        # psi1/psi2 overflows; the condition refuses an infinite residual
         not_oracle = (ValueError, "residual must be finite and nonnegative, got inf")
-    assert outcome(lambda: check_not_condition(p, choice, 1e-10).residual) == not_oracle
-    cnot = outcome(lambda: check_cnot_condition(p, a, b, 1e-10).residual)
+    assert outcome(lambda: check_not_condition(p, choice)) == not_oracle
+    cnot = outcome(lambda: check_cnot_condition(p, a, b))
     if p.q == 1.0:
         # the written-out factors divide by q - 1/q == 0; the check names s instead
         assert cnot == (ValueError, f"q = exp(s) rounds to 1 at s={p.s!r}, so q - 1/q is 0")

@@ -13,8 +13,8 @@ diagonal ``nu``, so every entry of every product below is a product of two
 band entries and each identity costs O(cutoff).  The entries are formed in
 the same floating-point order as the dense matrix products, so the residuals
 are bit for bit those of the dense operators; the only entries left out are
-the zeros off the band.  :func:`algebra_residuals` builds the band once per
-grid point for all four identities.
+the zeros off the band.  :func:`algebra_residual_grid` builds the band once per
+block of grid points as ``(points x levels)`` arrays: the same bits at any shape.
 
 The band is always in extended precision (:data:`BAND_DTYPE`,
 ``np.longdouble``).  At cutoff 16 and s close to 1 the deformed diagonal
@@ -37,6 +37,8 @@ from .qnumber import DeformationParam
 BAND_DTYPE = np.longdouble
 
 MIN_AUDIT_CUTOFF = 4
+# Band entries per block of grid points; a block holds at least one point.
+BLOCK_LEVELS = 2**14
 MAX_SHIFT_POLY_DEGREE = 4
 
 QCOMMUTATOR = "qcommutator"
@@ -66,6 +68,26 @@ def float_residual(condition_id: str, residual) -> float:
     return value
 
 
+def _band_rows(cutoff: int, points: Sequence[tuple]) -> tuple:
+    """``(v, nu, s, errors)`` of ``(s, psi1, psi2)`` points: each point's RadicandError or
+    None, and the band rows (and ``s`` column) of the points without one, in order."""
+    s, g1, g2 = np.array(points, dtype=BAND_DTYPE).T[:, :, None]
+    levels = np.arange(cutoff).astype(BAND_DTYPE)
+    n = levels[1:]
+    r = np.empty((len(points), cutoff - 1), dtype=BAND_DTYPE)
+    eq, ne = (g1 == g2)[:, 0], (g1 != g2)[:, 0]
+    r[eq] = g1[eq] * np.sinh(n * s[eq]) / (n * np.sinh(s[eq]))
+    r[ne] = (np.exp(n * s[ne]) * g1[ne] - np.exp(-n * s[ne]) * g2[ne]) / (2 * n * np.sinh(s[ne]))
+    bad = r < 0
+    keep = ~bad.any(axis=1)
+    errors = [
+        None if ok else RadicandError(f"negative radicand at level n={k} with psi1={a}, psi2={b}")
+        for (_, a, b), ok, k in zip(points, keep, bad.argmax(axis=1) + 1)
+    ]
+    s = s[keep]
+    return np.sqrt(n) * np.sqrt(r[keep]), levels - np.log(g2[keep]) / s, s, errors
+
+
 def ladder_band(
     space: TruncatedFockSpace, p: DeformationParam, psi1: float, psi2: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -79,36 +101,25 @@ def ladder_band(
     ``n >= 1`` has a nonnegative radicand, even for ``psi1 < psi2``.  A
     negative radicand raises :class:`RadicandError` naming the first such level.
     """
-    levels = np.arange(space.cutoff).astype(BAND_DTYPE)
-    n = levels[1:]
-    s, g1, g2 = BAND_DTYPE(p.s), BAND_DTYPE(psi1), BAND_DTYPE(psi2)
-    if g1 == g2:
-        r = g1 * np.sinh(n * s) / (n * np.sinh(s))
-    else:
-        r = (np.exp(n * s) * g1 - np.exp(-n * s) * g2) / (2 * n * np.sinh(s))
-    bad = np.flatnonzero(r < 0)
-    if bad.size:
-        raise RadicandError(
-            f"negative radicand at level n={int(bad[0]) + 1} with psi1={psi1}, psi2={psi2}"
-        )
-    return np.sqrt(n) * np.sqrt(r), levels - np.log(g2) / s
+    v, nu, _, (error,) = _band_rows(space.cutoff, [(p.s, psi1, psi2)])
+    if error:
+        raise error
+    return v[0], nu[0]
 
 
-def _band(space, p, choice):
-    """``(v, nu, s)`` in the band precision, after the cutoff check."""
-    if space.cutoff < MIN_AUDIT_CUTOFF:
-        raise ValueError(
-            f"audits need cutoff >= {MIN_AUDIT_CUTOFF} for a nonempty interior block, "
-            f"got {space.cutoff}"
-        )
-    v, nu = ladder_band(space, p, choice.psi1, choice.psi2)
-    return v, nu, BAND_DTYPE(p.s)
+def _abs_max(*parts):
+    # each row's largest magnitude, parts combined as Python's max combines
+    # numbers: a later part counts only where it is greater, so never as a nan
+    out, *rest = (np.max(np.abs(part), axis=-1) for part in parts)
+    for m in rest:
+        out = np.where(m > out, m, out)
+    return out
 
 
 def _number_diagonals(v):
     # interior diagonals of a_q a_q+ (v[i]**2) and a_q+ a_q (v[i-1]**2, 0 at i=0)
-    sq = np.concatenate((np.zeros(1, dtype=v.dtype), v * v))
-    return sq[1:-1], sq[:-2]
+    sq = np.concatenate((np.zeros_like(v[:, :1]), v * v), axis=-1)
+    return sq[:, 1:-1], sq[:, :-2]
 
 
 def _qcommutator(v, nu, s):
@@ -120,7 +131,7 @@ def _qcommutator(v, nu, s):
     """
     aad, ada = _number_diagonals(v)
     q = np.exp(s)
-    return np.max(np.abs(aad - q * ada - np.exp(-s * nu[:-2])))
+    return _abs_max(aad - q * ada - np.exp(-s * nu[:, :-2]))
 
 
 def _number_commutators(v, nu, s):
@@ -130,10 +141,10 @@ def _number_commutators(v, nu, s):
     operator by a multiple of the identity, which commutes with everything.
     """
     # interior entries (i, i+1) of [N, a_q] + a_q and (i+1, i) of [N, a_q+] - a_q+
-    w = v[:-2]
-    lower = nu[:-3] * w - w * nu[1:-2] + w
-    raise_ = nu[1:-2] * w - w * nu[:-3] - w
-    return max(np.max(np.abs(lower)), np.max(np.abs(raise_)))
+    w = v[:, :-2]
+    lower = nu[:, :-3] * w - w * nu[:, 1:-2] + w
+    raise_ = nu[:, 1:-2] * w - w * nu[:, :-3] - w
+    return _abs_max(lower, raise_)
 
 
 def _number_products(v, nu, s):
@@ -145,10 +156,10 @@ def _number_products(v, nu, s):
     the two sides genuinely disagree and the residual documents the gap.
     """
     aad, ada = _number_diagonals(v)
-    n = nu[:-2]
+    n = nu[:, :-2]
     d1 = ada - np.sinh(s * n) / np.sinh(s)
     d2 = aad - np.sinh(s * (n + 1)) / np.sinh(s)
-    return max(np.max(np.abs(d1)), np.max(np.abs(d2)))
+    return _abs_max(d1, d2)
 
 
 def _shift_poly(f_coeffs: Sequence[float]):
@@ -177,8 +188,29 @@ def _shift_rule(v, nu, s, poly):
     holds for every function choice.
     """
     # interior entries (i, i+1) of a_q f(N) - f(N+1) a_q
-    w = v[:-2]
-    return np.max(np.abs(w * poly(nu[1:-2]) - poly(nu[:-3] + 1) * w))
+    w = v[:, :-2]
+    return _abs_max(w * poly(nu[:, 1:-2]) - poly(nu[:, :-3] + 1) * w)
+
+
+def algebra_residual_grid(
+    space: TruncatedFockSpace, points: Sequence, f_coeffs: Sequence[float] = DEFAULT_SHIFT_POLY
+) -> list:
+    """For each ``(p, choice)`` of ``points``, its four raw identity residuals in
+    :data:`ALGEBRA_CHECK_IDS` order and the band precision, or its band's RadicandError.
+    A cutoff below :data:`MIN_AUDIT_CUTOFF` raises before the polynomial is checked."""
+    if space.cutoff < MIN_AUDIT_CUTOFF:
+        raise ValueError(f"audits need cutoff >= {MIN_AUDIT_CUTOFF} for a nonempty interior "
+                         f"block, got {space.cutoff}")
+    poly = _shift_poly(f_coeffs)
+    size = max(1, BLOCK_LEVELS // space.cutoff)
+    rows: list = []
+    for start in range(0, len(points), size):
+        block = [(p.s, c.psi1, c.psi2) for p, c in points[start : start + size]]
+        v, nu, s, errors = _band_rows(space.cutoff, block)
+        residuals = zip(_qcommutator(v, nu, s), _number_commutators(v, nu, s),
+                        _number_products(v, nu, s), _shift_rule(v, nu, s, poly))
+        rows.extend(error or next(residuals) for error in errors)
+    return rows
 
 
 def algebra_residuals(
@@ -187,14 +219,13 @@ def algebra_residuals(
     choice: FunctionChoice,
     f_coeffs: Sequence[float] = DEFAULT_SHIFT_POLY,
 ) -> tuple:
-    """The four raw identity residuals at one grid point, in
-    :data:`ALGEBRA_CHECK_IDS` order and in the band precision, all from one
-    ladder band.  A cutoff below :data:`MIN_AUDIT_CUTOFF` raises before the
-    shift-rule polynomial is checked."""
-    band = _band(space, p, choice)
-    return (
-        _qcommutator(*band),
-        _number_commutators(*band),
-        _number_products(*band),
-        _shift_rule(*band, _shift_poly(f_coeffs)),
-    )
+    """The four raw identity residuals at one grid point: the one-point case
+    of :func:`algebra_residual_grid`, raising its RadicandError."""
+    return _row_residuals(algebra_residual_grid(space, [(p, choice)], f_coeffs)[0])
+
+
+def _row_residuals(row) -> tuple:
+    """A grid row's residuals; a row that is its point's error raises it."""
+    if isinstance(row, ValueError):
+        raise row
+    return row

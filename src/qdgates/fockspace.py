@@ -139,11 +139,14 @@ def f_value(n: float, p: DeformationParam, psi1: float, psi2: float) -> float:
     negative radicand raises :class:`RadicandError` naming the point, and
     one that overflows float64 a ValueError naming it."""
     s = p.s
-    if psi1 == psi2:
-        r = psi1 * s / math.sinh(s) if n == 0 else psi1 * math.sinh(n * s) / (n * math.sinh(s))
-    else:
-        m = GENERAL_LIMIT_LEVEL if n == 0 else n
-        r = (math.exp(m * s) * psi1 - math.exp(-m * s) * psi2) / (2 * m * math.sinh(s))
+    try:
+        if psi1 == psi2:
+            r = psi1 * s / math.sinh(s) if n == 0 else psi1 * math.sinh(n * s) / (n * math.sinh(s))
+        else:
+            m = GENERAL_LIMIT_LEVEL if n == 0 else n
+            r = (math.exp(m * s) * psi1 - math.exp(-m * s) * psi2) / (2 * m * math.sinh(s))
+    except OverflowError:  # math.sinh and math.exp raise where float arithmetic gives inf
+        r = math.inf
     if r < 0:
         raise RadicandError(f"negative radicand at level n={n} with psi1={psi1}, psi2={psi2}")
     if not math.isfinite(r):

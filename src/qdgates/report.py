@@ -8,37 +8,28 @@ or measures a residual that is no such float, becomes an error row
 (residual -1, fail) instead of aborting the sweep.  The known mismatch
 of the number-product relation away from unit dressing is scientific content
 and is recorded as an expected failure.  Serialization is bit-deterministic:
-fixed schema, sorted keys, canonical row order, no timestamps.
+fixed schema, sorted keys, canonical row order, no timestamps.  JSON entries
+come from one fixed-schema row template, in the bytes of ``json.dumps(...,
+sort_keys=True, indent=2)``, which the tests keep as the writer's oracle.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from . import __version__ as _tool_version
-from .audit import (
-    ALGEBRA_CHECK_IDS,
-    DEFAULT_SHIFT_POLY,
-    MIN_AUDIT_CUTOFF,
-    NUMBER_PRODUCTS,
-    algebra_residuals,
-    float_residual,
-)
+from .audit import ALGEBRA_CHECK_IDS, MIN_AUDIT_CUTOFF, NUMBER_PRODUCTS
+from .audit import _row_residuals, algebra_residual_grid, float_residual
 from .fockspace import CONSTANT_ONE, FunctionChoice, FunctionFamily, TruncatedFockSpace
-from .gates import (
-    CNOT_CONDITION,
-    NOT_CONDITION,
-    TruthTableRow,
-    check_cnot_condition,
-    check_not_condition,
-    cnot_truth_table,
-)
+from .gates import CNOT_CONDITION, NOT_CONDITION, TruthTableRow
+from .gates import check_cnot_condition, check_not_condition, cnot_truth_table
 from .qnumber import DeformationParam
 from .qubits import QUBIT_CUTOFF, NormRatioResult, norm_ratio_experiment
 
@@ -55,26 +46,12 @@ NORM_RATIO_LAYER = "norm_ratio"
 SWEEP_LAYERS = (ALGEBRA_LAYER, GATE_LAYER, NORM_RATIO_LAYER)
 
 REGISTERED_CHECKS = (
-    *ALGEBRA_CHECK_IDS,
-    NOT_CONDITION,
-    CNOT_CONDITION,
-    CNOT_TABLE,
-    CNOT_TABLE_DEFORMED,
-    NORM_RATIO,
+    *ALGEBRA_CHECK_IDS, NOT_CONDITION, CNOT_CONDITION, CNOT_TABLE, CNOT_TABLE_DEFORMED, NORM_RATIO
 )
 
 # The report's one column list, in ReportEntry field order.
 ENTRY_COLUMNS = (
-    "check_id",
-    "s",
-    "cutoff",
-    "psi1",
-    "psi2",
-    "beta1",
-    "beta2",
-    "residual",
-    "pass",
-    "note",
+    "check_id", "s", "cutoff", "psi1", "psi2", "beta1", "beta2", "residual", "pass", "note"
 )
 
 EXPECTED_FAIL_MARK = "expected failure"
@@ -221,9 +198,6 @@ class ReportEntry:
     def expected_pass(self) -> bool:
         return EXPECTED_FAIL_MARK not in self.note
 
-    def to_payload(self) -> dict:
-        return dict(zip(ENTRY_COLUMNS, vars(self).values()))
-
 
 @dataclass(frozen=True)
 class SweepReport:
@@ -236,16 +210,6 @@ class SweepReport:
 
     def unexpected_failures(self) -> int:
         return int(self.summary["unexpected_failures"])
-
-    def to_payload(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "tool_version": self.tool_version,
-            "config": self.config.to_payload(),
-            "entries": [e.to_payload() for e in self.entries],
-            "norm_ratio": [dict(vars(r)) for r in self.norm_ratio],
-            "summary": self.summary,
-        }
 
 
 def _summarize(entries: Iterable[ReportEntry]) -> dict:
@@ -305,25 +269,26 @@ def _entry(check_id, s, cutoff, choice, tolerance, measure) -> ReportEntry:
 
 
 def algebra_entries(
-    config: SweepConfig, p: DeformationParam, choice: FunctionChoice
+    config: SweepConfig, points: Sequence[tuple[DeformationParam, FunctionChoice]]
 ) -> list[ReportEntry]:
-    space = TruncatedFockSpace(config.cutoff)
-    # one band per point; a failed build is not cached, so each row records it
-    residuals = functools.cache(lambda: algebra_residuals(space, p, choice, DEFAULT_SHIFT_POLY))
-
-    def measure(i, check_id):
-        note = ""
-        if check_id == NUMBER_PRODUCTS and choice.psi1 * choice.psi2 != 1.0:
-            note = (
-                f"{EXPECTED_FAIL_MARK}: the dressed products match the deformed "
-                f"number spectrum only when psi1*psi2 == 1"
-            )
-        return residuals()[i], note
-
-    return [
-        _entry(cid, p.s, config.cutoff, choice, config.tolerance, functools.partial(measure, i, cid))
-        for i, cid in enumerate(ALGEBRA_CHECK_IDS)
-    ]
+    """Algebra rows at every ``(p, choice)`` of ``points``, from one residual grid."""
+    try:
+        rows = algebra_residual_grid(TruncatedFockSpace(config.cutoff), points)
+    except ValueError as exc:
+        rows = [exc] * len(points)
+    entries = []
+    for (p, choice), row in zip(points, rows):
+        for i, check_id in enumerate(ALGEBRA_CHECK_IDS):
+            note = ""
+            if check_id == NUMBER_PRODUCTS and choice.psi1 * choice.psi2 != 1.0:
+                note = (
+                    f"{EXPECTED_FAIL_MARK}: the dressed products match the deformed "
+                    f"number spectrum only when psi1*psi2 == 1"
+                )
+            # _entry calls the measure at once, while row, i and note are this row's
+            measure = lambda: (_row_residuals(row)[i], note)
+            entries.append(_entry(check_id, p.s, config.cutoff, choice, config.tolerance, measure))
+    return entries
 
 
 def gate_entries(
@@ -369,7 +334,8 @@ def norm_ratio_entries(
         return result.distance_to_matched(), note
 
     entry = _entry(NORM_RATIO, p.s, QUBIT_CUTOFF, choice, config.tolerance, measure)
-    return [entry], samples
+    # an error row leaves no sample behind, whatever its measure returned
+    return [entry], [] if entry.residual == ERROR_RESIDUAL else samples
 
 
 def run_sweep(config: SweepConfig, layers: Sequence[str] = SWEEP_LAYERS) -> SweepReport:
@@ -377,11 +343,11 @@ def run_sweep(config: SweepConfig, layers: Sequence[str] = SWEEP_LAYERS) -> Swee
     deterministic for a fixed config."""
     entries: list[ReportEntry] = []
     samples: list[NormRatioResult] = []
+    points = [_point(config, s) for s in config.s_grid]
+    if ALGEBRA_LAYER in layers:
+        entries.extend(algebra_entries(config, points))
     plain_rows = cnot_truth_table() if GATE_LAYER in layers else []
-    for s in config.s_grid:
-        p, choice = _point(config, s)
-        if ALGEBRA_LAYER in layers:
-            entries.extend(algebra_entries(config, p, choice))
+    for p, choice in points:
         if GATE_LAYER in layers:
             entries.extend(gate_entries(config, p, choice, plain_rows))
         if NORM_RATIO_LAYER in layers:
@@ -446,11 +412,37 @@ def _cell(value):
     return value
 
 
+# One JSON entry with its keys sorted, and a getter of the fields behind them
+_JSON_COLUMNS = sorted(zip(ENTRY_COLUMNS, [f.name for f in fields(ReportEntry)]))
+_JSON_ENTRY = "  {\n" + ",\n".join(f'    "{c}": %s' for c, _ in _JSON_COLUMNS) + "\n  }"
+_JSON_VALUES = attrgetter(*[name for _, name in _JSON_COLUMNS])
+
+
+def _json_value(value) -> str:
+    """One entry value as json.dumps writes it."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(value) if math.isfinite(value) else json.dumps(value)
+
+
+def _json_report(report: SweepReport) -> str:
+    """json.dumps(sort_keys=True, indent=2) of the report, entries from the row template."""
+    blocks = {k: getattr(report, k) for k in ("schema_version", "summary", "tool_version")}
+    blocks.update(config=report.config.to_payload(), norm_ratio=list(map(vars, report.norm_ratio)))
+    parts = {k: json.dumps(v, sort_keys=True, indent=2) for k, v in blocks.items()}
+    rows = [_JSON_ENTRY % tuple(map(_json_value, _JSON_VALUES(e))) for e in report.entries]
+    parts["entries"] = "[\n" + ",\n".join(rows) + "\n]" if rows else "[]"
+    body = ",\n".join(f'"{k}": {parts[k]}' for k in sorted(parts))
+    return "{\n  " + body.replace("\n", "\n  ") + "\n}\n"
+
+
 def serialize(report: SweepReport, output_format: str | None = None) -> bytes:
     """Deterministic bytes for a report; identical configs give identical bytes."""
     fmt = output_format or report.config.output_format
     if fmt == "json":
-        return (json.dumps(report.to_payload(), sort_keys=True, indent=2) + "\n").encode("utf-8")
+        return _json_report(report).encode("utf-8")
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

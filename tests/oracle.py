@@ -1,4 +1,5 @@
-"""Dense operators, dense states and per-level dressings, kept only as test oracles.
+"""Dense operators, dense states, per-level dressings and the report's JSON,
+kept only as test oracles.
 
 The package builds no ``d x d`` operator and no dense state vector, and
 evaluates the dressing in two places: :func:`qdgates.fockspace.f_value`
@@ -6,15 +7,18 @@ evaluates the dressing in two places: :func:`qdgates.fockspace.f_value`
 vectorized).  The helpers here are the plain ladder matrices, the band
 expanded into dense deformed ones, a state's amplitudes written out as a
 vector over every joint occupation, and the dressing level by level in each
-of those two precisions.
+of those two precisions.  The JSON report is ``json.dumps`` of the whole
+report as a payload, which ``qdgates.report.serialize`` writes row by row.
 """
 
+import json
 import math
 
 import numpy as np
 
 from qdgates.audit import ladder_band
 from qdgates.fockspace import GENERAL_LIMIT_LEVEL, RadicandError
+from qdgates.report import ENTRY_COLUMNS
 
 LD = np.longdouble
 
@@ -82,3 +86,25 @@ def longdouble_dressing(levels, p, psi1, psi2):
             )
         values.append(np.sqrt(r))
     return np.array(values, dtype=LD)
+
+
+def entry_payload(entry):
+    """A report entry as a JSON object keyed by the report's columns."""
+    return dict(zip(ENTRY_COLUMNS, vars(entry).values()))
+
+
+def report_payload(report):
+    """The whole report as one JSON-ready object."""
+    return {
+        "schema_version": report.schema_version,
+        "tool_version": report.tool_version,
+        "config": report.config.to_payload(),
+        "entries": [entry_payload(e) for e in report.entries],
+        "norm_ratio": [dict(vars(r)) for r in report.norm_ratio],
+        "summary": report.summary,
+    }
+
+
+def json_report_bytes(report):
+    """The JSON report as ``json.dumps(..., sort_keys=True, indent=2)`` writes it."""
+    return (json.dumps(report_payload(report), sort_keys=True, indent=2) + "\n").encode("utf-8")

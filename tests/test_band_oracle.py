@@ -5,10 +5,13 @@ every identity from full ``d x d`` ``np.longdouble`` matrix products.  The
 band path forms the same nonzero entries in the same floating-point order,
 so every residual must agree exactly, not just closely.  The band's
 dressing must reproduce the per-level longdouble scalar loop bit for bit,
-and ``f_value`` the per-level ``math`` formula.
+and ``f_value`` the per-level ``math`` formula.  Each row of the grid
+computation, however its points are split into blocks, must be the one-point
+computation of its point.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,7 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracle import LD, libm_dressing, longdouble_dressing, plain_ladder
 
-from qdgates.audit import DEFAULT_SHIFT_POLY, algebra_residuals, ladder_band
+from qdgates import audit
+from qdgates.audit import DEFAULT_SHIFT_POLY, algebra_residual_grid, algebra_residuals, ladder_band
 from qdgates.fockspace import FunctionChoice, RadicandError, TruncatedFockSpace, f_value
 from qdgates.qnumber import DeformationParam
 
@@ -162,3 +166,78 @@ def test_errors_match_the_oracle():
     with pytest.raises(RadicandError, match="n=1"):
         algebra_residuals(TruncatedFockSpace(8), p, choice)
     assert_band_matches_oracle(TruncatedFockSpace(8), p, choice)
+
+
+@st.composite
+def mixed_grids(draw):
+    """A cutoff and a list of grid points among which some have a negative
+    radicand (psi2 well above psi1) and, at cutoff 1024, some have residuals
+    beyond float64 (s = 0.9 with a unit dressing)."""
+    cutoff = draw(st.sampled_from((4, 5, 16, 64, 1024)))
+    psi = st.one_of(st.just(1.0), st.floats(min_value=0.05, max_value=20.0))
+    points = []
+    for _ in range(draw(st.integers(min_value=1, max_value=24))):
+        s = draw(st.one_of(st.just(0.9), st.floats(min_value=0.05, max_value=1.0)))
+        psi1 = draw(psi)
+        psi2 = draw(st.one_of(st.just(psi1), psi))
+        points.append((DeformationParam(s), FunctionChoice(psi1=psi1, psi2=psi2)))
+    return TruncatedFockSpace(cutoff), points
+
+
+@settings(deadline=None)
+@given(mixed_grids(), st.integers(min_value=1, max_value=4096))
+def test_grid_rows_equal_their_points(grid, block_levels):
+    # with the default blocks and with blocks of a drawn size, down to one
+    # point each, every row is its point's residuals or its point's error
+    space, points = grid
+    expected = [outcome(lambda: list(algebra_residuals(space, p, c))) for p, c in points]
+    for levels in (audit.BLOCK_LEVELS, block_levels):
+        with mock.patch.object(audit, "BLOCK_LEVELS", levels):
+            rows = algebra_residual_grid(space, points)
+        assert len(rows) == len(points)
+        for row, point in zip(rows, expected):
+            if isinstance(row, ValueError):
+                assert (type(row), str(row)) == point
+                continue
+            assert isinstance(row, tuple) and [type(r) for r in row] == [LD] * 4
+            got, want = np.array(row), np.array(point)
+            assert np.array_equal(got, want, equal_nan=True)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_grid_keeps_errors_at_their_own_point():
+    # a negative radicand at the middle point leaves its neighbours' rows alone
+    p = DeformationParam(0.5)
+    points = [(p, FunctionChoice.unit()), (p, FunctionChoice(1.0, 10.0)), (p, FunctionChoice(2.0, 2.0))]
+    space = TruncatedFockSpace(8)
+    first, error, last = algebra_residual_grid(space, points)
+    assert isinstance(error, RadicandError)
+    assert str(error) == "negative radicand at level n=1 with psi1=1.0, psi2=10.0"
+    assert list(first) == list(algebra_residuals(space, *points[0]))
+    assert list(last) == list(algebra_residuals(space, *points[2]))
+
+
+def test_two_part_maxima_pass_over_a_later_nan_as_python_max_does():
+    nan = LD("nan")
+    first = np.array([[1.0, -3.0], [nan, 1.0], [2.0, 0.5]], dtype=LD)
+    second = np.array([[nan, 0.0], [5.0, 0.0], [-4.0, 0.0]], dtype=LD)
+    got = audit._abs_max(first, second)
+    want = [max(np.max(np.abs(a)), np.max(np.abs(b))) for a, b in zip(first, second)]
+    assert np.array_equal(got, np.array(want, dtype=LD), equal_nan=True)
+    assert math.isnan(got[1]) and got[0] == 3.0 and got[2] == 4.0
+
+
+@pytest.mark.parametrize("cutoff,points,sizes", [(16, 100, [100]), (4096, 10, [4, 4, 2]), (20000, 2, [1, 1])])
+def test_blocks_hold_at_most_block_levels_of_band(cutoff, points, sizes):
+    # sweep-wide's 100 points at cutoff 16 are one block; a cutoff above
+    # BLOCK_LEVELS builds one point's band at a time
+    seen, band_rows = [], audit._band_rows
+
+    def recording(cutoff, block):
+        seen.append(len(block))
+        return band_rows(cutoff, block)
+
+    grid = [(DeformationParam(0.01 + 0.001 * i), FunctionChoice.unit()) for i in range(points)]
+    with mock.patch.object(audit, "_band_rows", recording):
+        rows = algebra_residual_grid(TruncatedFockSpace(cutoff), grid)
+    assert seen == sizes and len(rows) == points

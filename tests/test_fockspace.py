@@ -84,6 +84,14 @@ class TestFValue:
         with pytest.raises(ValueError, match=re.escape(message)):
             f_value(1, DeformationParam(1.0), psi1, psi2)
 
+    @pytest.mark.parametrize("n,psi1,psi2", [(800, 1.0, 1.0), (-800, 1.0, 2.0)])
+    def test_overflowing_libm_call_raises_with_location(self, n, psi1, psi2):
+        # math.sinh(800) and math.exp(800) raise OverflowError, which callers
+        # that catch ValueError (the CLI among them) used to let through
+        message = f"overflows float64 at level n={n} with psi1={psi1}, psi2={psi2}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            f_value(n, DeformationParam(1.0), psi1, psi2)
+
     def test_negative_arguments_allowed_for_shared_function(self):
         # the shifted second-oscillator dressing evaluates below zero
         p = DeformationParam(0.5)

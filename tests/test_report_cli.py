@@ -9,6 +9,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracle import json_report_bytes
 
 import qdgates
 import qdgates.report as report_module
@@ -27,8 +30,11 @@ from qdgates.report import (
     LAW_SQRT,
     NORM_RATIO_LAYER,
     REGISTERED_CHECKS,
+    SCHEMA_VERSION,
     SWEEP_LAYERS,
+    ReportEntry,
     SweepConfig,
+    SweepReport,
     infer_psi_from_norm,
     parse_report,
     run_sweep,
@@ -136,7 +142,7 @@ class TestRunSweep:
         def broken(*args, **kwargs):
             raise ValueError("rigged dressing failure")
 
-        monkeypatch.setattr(report_module, "algebra_residuals", broken)
+        monkeypatch.setattr(report_module, "algebra_residual_grid", broken)
         report = run_sweep(config(s_grid=(0.5,)))
         assert len(report.entries) == len(REGISTERED_CHECKS)
         errored = [e for e in report.entries if e.note.startswith("error:")]
@@ -151,7 +157,7 @@ class TestRunSweep:
     @pytest.mark.parametrize(
         "layer,check_id,target,rigged",
         [
-            (ALGEBRA_LAYER, "qcommutator", "algebra_residuals", lambda v: (v, 0.0, 0.0, 0.0)),
+            (ALGEBRA_LAYER, "qcommutator", "algebra_residual_grid", lambda v: [(v, 0.0, 0.0, 0.0)]),
             (GATE_LAYER, "not_condition", "check_not_condition", lambda v: v),
             (
                 NORM_RATIO_LAYER,
@@ -170,9 +176,17 @@ class TestRunSweep:
         monkeypatch.setattr(report_module, target, lambda *args, **kwargs: rigged(value))
         with pytest.raises(ValueError) as refused:
             float_residual(check_id, value)
-        (row,) = [e for e in run_sweep(config(), layers=(layer,)).entries if e.check_id == check_id]
+        report = run_sweep(config(), layers=(layer,))
+        (row,) = [e for e in report.entries if e.check_id == check_id]
         assert row.residual == -1.0 and not row.passed
         assert row.note == f"error: {refused.value}"
+        # an error row's norm-ratio sample used to stay behind, written as NaN
+        assert report.norm_ratio == ()
+
+        def refuse(constant):
+            raise AssertionError(f"report holds {constant}")
+
+        json.loads(serialize(report, "json"), parse_constant=refuse)
 
     def test_layers_partition_the_full_sweep(self):
         cfg = config(s_grid=S_GRID, psi_family=POWER_ONE)
@@ -214,6 +228,30 @@ class TestRunSweep:
         assert f"{commutators.residual:.3e}" == "1.780e+183" and not commutators.passed
         assert commutators.note == ""
         assert rows["shift_rule"].residual == 0.0 and rows["shift_rule"].passed
+
+
+# float64 extremes, signed zeros, nan and inf, and characters json must escape
+EDGE_FLOATS = st.one_of(
+    st.sampled_from((5e-324, 1.7976931348623157e308, 1e16, 1e-5, 0.0, -0.0, -1.0)), st.floats()
+)
+ESCAPED = st.sampled_from('"\\/\n\t\x00\x1f\x7f\u00e9\u2028\U0001f600\ud800')
+EDGE_TEXTS = st.text(st.one_of(ESCAPED, st.characters()), max_size=8)
+
+
+@st.composite
+def drawn_reports(draw):
+    """A report of drawn entries and norm-ratio samples; often with no entries."""
+    f = EDGE_FLOATS
+    entry = st.builds(
+        ReportEntry, EDGE_TEXTS, f, st.integers(-(2**70), 2**70), f, f, f, f, f, st.booleans(),
+        EDGE_TEXTS,
+    )
+    entries = draw(st.lists(entry, max_size=6))
+    samples = draw(st.lists(st.builds(NormRatioResult, f, f, f, f, f, f, EDGE_TEXTS), max_size=3))
+    summary = report_module._summarize(entries)
+    return SweepReport(
+        SCHEMA_VERSION, qdgates.__version__, config(), tuple(entries), tuple(samples), summary
+    )
 
 
 class TestSerialization:
@@ -301,6 +339,22 @@ print(hashlib.sha256(serialize(report)).hexdigest())
     def test_unsupported_format_rejected(self):
         with pytest.raises(ValueError, match="format"):
             serialize(run_sweep(config()), "yaml")
+
+    def test_json_writer_equals_json_dumps_on_sweeps(self):
+        for cfg, layers in (
+            (config(s_grid=S_GRID, psi_family=POWER_ONE), SWEEP_LAYERS),
+            (config(s_grid=(0.9,), cutoff=1024), (ALGEBRA_LAYER,)),
+            (config(), ()),  # no entries and no norm-ratio samples
+        ):
+            report = run_sweep(cfg, layers=layers)
+            assert serialize(report, "json") == json_report_bytes(report)
+
+    @settings(deadline=None)
+    @given(drawn_reports())
+    def test_json_writer_equals_json_dumps(self, report):
+        # the fixed-schema writer against json.dumps of the whole payload, on
+        # values no sweep writes
+        assert serialize(report, "json") == json_report_bytes(report)
 
     def test_json_payload_has_documented_top_level_keys(self):
         payload = json.loads(serialize(run_sweep(config()), "json"))

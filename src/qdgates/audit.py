@@ -196,7 +196,8 @@ def algebra_residual_grid(
     space: TruncatedFockSpace, points: Sequence, f_coeffs: Sequence[float] = DEFAULT_SHIFT_POLY
 ) -> list:
     """For each ``(p, choice)`` of ``points``, its four raw identity residuals in
-    :data:`ALGEBRA_CHECK_IDS` order and the band precision, or its band's RadicandError.
+    :data:`ALGEBRA_CHECK_IDS` order and the band precision, or its band's RadicandError.  A
+    residual that is not finite in longdouble, where the band overflows, is a ValueError.
     A cutoff below :data:`MIN_AUDIT_CUTOFF` raises before the polynomial is checked."""
     if space.cutoff < MIN_AUDIT_CUTOFF:
         raise ValueError(f"audits need cutoff >= {MIN_AUDIT_CUTOFF} for a nonempty interior "
@@ -206,11 +207,28 @@ def algebra_residual_grid(
     rows: list = []
     for start in range(0, len(points), size):
         block = [(p.s, c.psi1, c.psi2) for p, c in points[start : start + size]]
-        v, nu, s, errors = _band_rows(space.cutoff, block)
-        residuals = zip(_qcommutator(v, nu, s), _number_commutators(v, nu, s),
-                        _number_products(v, nu, s), _shift_rule(v, nu, s, poly))
+        with np.errstate(over="ignore", invalid="ignore"):  # a band that overflows is named below
+            v, nu, s, errors = _band_rows(space.cutoff, block)
+            grid = (_qcommutator(v, nu, s), _number_commutators(v, nu, s),
+                    _number_products(v, nu, s), _shift_rule(v, nu, s, poly))
+        residuals = zip(*grid)
+        if not np.isfinite(grid).all():  # only then look for where the band overflows
+            residuals = iter([_overflow_row(r, v_row) for r, v_row in zip(residuals, v)])
         rows.extend(error or next(residuals) for error in errors)
     return rows
+
+
+def _overflow_row(residuals: tuple, v_row) -> tuple:
+    """``residuals``, each that is not finite made a ValueError naming the first level
+    where the band ``v_row`` is not finite; unchanged if the band is finite throughout."""
+    finite = np.isfinite(v_row)
+    if finite.all():
+        return residuals
+    note = f"the ladder band overflows longdouble from level n={np.argmin(finite) + 1}"
+    return tuple(
+        r if np.isfinite(r) else ValueError(f"{check_id} residual is not finite: {note}")
+        for check_id, r in zip(ALGEBRA_CHECK_IDS, residuals)
+    )
 
 
 def algebra_residuals(
@@ -220,12 +238,14 @@ def algebra_residuals(
     f_coeffs: Sequence[float] = DEFAULT_SHIFT_POLY,
 ) -> tuple:
     """The four raw identity residuals at one grid point: the one-point case
-    of :func:`algebra_residual_grid`, raising its RadicandError."""
-    return _row_residuals(algebra_residual_grid(space, [(p, choice)], f_coeffs)[0])
+    of :func:`algebra_residual_grid`, raising its first error."""
+    (row,) = algebra_residual_grid(space, [(p, choice)], f_coeffs)
+    return tuple(_row_residual(row, i) for i in range(len(ALGEBRA_CHECK_IDS)))
 
 
-def _row_residuals(row) -> tuple:
-    """A grid row's residuals; a row that is its point's error raises it."""
-    if isinstance(row, ValueError):
-        raise row
-    return row
+def _row_residual(row, i: int):
+    """Residual ``i`` of a grid row; the row's error, or an error in its place, is raised."""
+    value = row if isinstance(row, ValueError) else row[i]
+    if isinstance(value, ValueError):
+        raise value
+    return value

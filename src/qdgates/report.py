@@ -8,9 +8,9 @@ or measures a residual that is no such float, becomes an error row
 (residual -1, fail) instead of aborting the sweep.  The known mismatch
 of the number-product relation away from unit dressing is scientific content
 and is recorded as an expected failure.  Serialization is bit-deterministic:
-fixed schema, sorted keys, canonical row order, no timestamps.  JSON entries
-come from one fixed-schema row template, in the bytes of ``json.dumps(...,
-sort_keys=True, indent=2)``, which the tests keep as the writer's oracle.
+fixed schema, sorted keys, canonical row order, no timestamps.  JSON entries and
+samples come from fixed-schema templates, a grid point's cells written once for all
+its rows, in the bytes of ``json.dumps(..., sort_keys=True, indent=2)`` (the oracle).
 """
 
 from __future__ import annotations
@@ -21,12 +21,12 @@ import json
 import math
 from dataclasses import dataclass, field, fields
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter
+from operator import attrgetter, is_
 from typing import Iterable, Sequence
 
 from . import __version__ as _tool_version
 from .audit import ALGEBRA_CHECK_IDS, MIN_AUDIT_CUTOFF, NUMBER_PRODUCTS
-from .audit import _row_residuals, algebra_residual_grid, float_residual
+from .audit import _row_residual, algebra_residual_grid, float_residual
 from .fockspace import CONSTANT_ONE, FunctionChoice, FunctionFamily, TruncatedFockSpace
 from .gates import CNOT_CONDITION, NOT_CONDITION, TruthTableRow
 from .gates import check_cnot_condition, check_not_condition, cnot_truth_table
@@ -246,11 +246,6 @@ def build_report(
     )
 
 
-def _point(config: SweepConfig, s: float) -> tuple[DeformationParam, FunctionChoice]:
-    p = DeformationParam(s)
-    return p, FunctionChoice.from_families(config.psi_family, config.beta_family, p.q)
-
-
 def _entry(check_id, s, cutoff, choice, tolerance, measure) -> ReportEntry:
     """The one report row builder and pass rule: ``measure()`` gives
     ``(residual, note)``; a ValueError it raises, or one
@@ -286,7 +281,7 @@ def algebra_entries(
                     f"number spectrum only when psi1*psi2 == 1"
                 )
             # _entry calls the measure at once, while row, i and note are this row's
-            measure = lambda: (_row_residuals(row)[i], note)
+            measure = lambda: (_row_residual(row, i), note)
             entries.append(_entry(check_id, p.s, config.cutoff, choice, config.tolerance, measure))
     return entries
 
@@ -343,7 +338,8 @@ def run_sweep(config: SweepConfig, layers: Sequence[str] = SWEEP_LAYERS) -> Swee
     deterministic for a fixed config."""
     entries: list[ReportEntry] = []
     samples: list[NormRatioResult] = []
-    points = [_point(config, s) for s in config.s_grid]
+    points = [(p, FunctionChoice.from_families(config.psi_family, config.beta_family, p.q))
+              for p in map(DeformationParam, config.s_grid)]
     if ALGEBRA_LAYER in layers:
         entries.extend(algebra_entries(config, points))
     plain_rows = cnot_truth_table() if GATE_LAYER in layers else []
@@ -412,10 +408,17 @@ def _cell(value):
     return value
 
 
-# One JSON entry with its keys sorted, and a getter of the fields behind them
+# An entry and a norm-ratio sample as % templates, keys sorted, indented as in the report's
+# lists; an entry's own cells read %%s, so filling in its point's cells leaves a row template.
+_POINT_COLUMNS = ("beta1", "beta2", "psi1", "psi2", "s")
 _JSON_COLUMNS = sorted(zip(ENTRY_COLUMNS, [f.name for f in fields(ReportEntry)]))
-_JSON_ENTRY = "  {\n" + ",\n".join(f'    "{c}": %s' for c, _ in _JSON_COLUMNS) + "\n  }"
-_JSON_VALUES = attrgetter(*[name for _, name in _JSON_COLUMNS])
+_JSON_ENTRY, _NORM_RATIO_ENTRY = (
+    "    {\n" + ",\n".join(f'      "{k}": {cell}' for k, cell in cells) + "\n    }"
+    for cells in ([(c, "%s" if c in _POINT_COLUMNS else "%%s") for c, _ in _JSON_COLUMNS],
+                  [(k, "%s") for k in sorted(f.name for f in fields(NormRatioResult))])
+)
+_POINT_CELLS = attrgetter(*_POINT_COLUMNS)
+_ROW_CELLS = attrgetter(*[name for c, name in _JSON_COLUMNS if c not in _POINT_COLUMNS])
 
 
 def _json_value(value) -> str:
@@ -428,14 +431,21 @@ def _json_value(value) -> str:
 
 
 def _json_report(report: SweepReport) -> str:
-    """json.dumps(sort_keys=True, indent=2) of the report, entries from the row template."""
-    blocks = {k: getattr(report, k) for k in ("schema_version", "summary", "tool_version")}
-    blocks.update(config=report.config.to_payload(), norm_ratio=list(map(vars, report.norm_ratio)))
-    parts = {k: json.dumps(v, sort_keys=True, indent=2) for k, v in blocks.items()}
-    rows = [_JSON_ENTRY % tuple(map(_json_value, _JSON_VALUES(e))) for e in report.entries]
-    parts["entries"] = "[\n" + ",\n".join(rows) + "\n]" if rows else "[]"
-    body = ",\n".join(f'"{k}": {parts[k]}' for k in sorted(parts))
-    return "{\n  " + body.replace("\n", "\n  ") + "\n}\n"
+    """json.dumps(sort_keys=True, indent=2) of the report, a grid point's cells filled in once."""
+    rows, point, template = [], (), None
+    for e in report.entries:
+        if template is None or not all(map(is_, _POINT_CELLS(e), point)):  # not ==: 0.0 == -0.0
+            point = _POINT_CELLS(e)
+            template = _JSON_ENTRY % tuple(_json_value(v).replace("%", "%%") for v in point)
+        rows.append(template % tuple(map(_json_value, _ROW_CELLS(e))))
+    samples = [_NORM_RATIO_ENTRY % tuple(_json_value(v) for _, v in sorted(vars(r).items()))
+               for r in report.norm_ratio]
+    parts = {k: _json_value(getattr(report, k)) for k in ("schema_version", "tool_version")}
+    for k, v in (("config", report.config.to_payload()), ("summary", report.summary)):
+        parts[k] = json.dumps(v, sort_keys=True, indent=2).replace("\n", "\n  ")
+    for k, items in (("entries", rows), ("norm_ratio", samples)):
+        parts[k] = "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+    return "{\n  " + ",\n  ".join(f'"{k}": {parts[k]}' for k in sorted(parts)) + "\n}\n"
 
 
 def serialize(report: SweepReport, output_format: str | None = None) -> bytes:

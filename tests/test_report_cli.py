@@ -15,7 +15,7 @@ from oracle import json_report_bytes
 
 import qdgates
 import qdgates.report as report_module
-from qdgates.audit import float_residual
+from qdgates.audit import ALGEBRA_CHECK_IDS, float_residual
 from qdgates.cli import main
 from qdgates.fockspace import FunctionFamily
 from qdgates.gates import cnot_truth_table
@@ -254,6 +254,48 @@ def drawn_reports(draw):
     )
 
 
+# a grid point's cells: values equal to another with another JSON text, the drawn
+# floats, and off-schema strings holding the writer's template character
+POINT_CELLS = st.one_of(
+    st.sampled_from((0.0, -0.0, math.nan, 1, 1.0, True)), EDGE_FLOATS, st.text("%s(", max_size=3)
+)
+
+
+def equal_twin(value):
+    """Another object equal to the number ``value`` (another nan for nan), whose JSON
+    text may differ: -0.0 for 0.0, 1.0 for 1, true for 1.0, 1 for true."""
+    if value != value:
+        return float("nan")
+    if value == 0:
+        return -value
+    if value == 1:
+        return {int: 1.0, float: True, bool: 1}[type(value)]
+    return float(repr(value))
+
+
+@st.composite
+def point_grouped_reports(draw):
+    """Entries in runs that share one grid point's cell objects, as a sweep writes them,
+    with cutoffs that change within a run.  A run's cells are drawn afresh, or are the run
+    before's, each the very object or an equal twin of it."""
+    entries, cells = [], None
+    for _ in range(draw(st.integers(1, 4))):
+        if cells is None or draw(st.booleans()):
+            cells = [draw(POINT_CELLS) for _ in range(5)]
+        else:
+            twin = [not isinstance(c, str) and draw(st.booleans()) for c in cells]
+            cells = [equal_twin(c) if t else c for c, t in zip(cells, twin)]
+        s, psi1, psi2, beta1, beta2 = cells
+        for _ in range(draw(st.integers(1, 3))):
+            cutoff = draw(st.sampled_from((4, 16, 2**70)))
+            entries.append(ReportEntry(
+                draw(EDGE_TEXTS), s, cutoff, psi1, psi2, beta1, beta2, draw(EDGE_FLOATS),
+                draw(st.booleans()), draw(EDGE_TEXTS),
+            ))
+    summary = report_module._summarize(entries)
+    return SweepReport(SCHEMA_VERSION, qdgates.__version__, config(), tuple(entries), (), summary)
+
+
 class TestSerialization:
     def test_json_round_trip(self):
         report = run_sweep(config(s_grid=(0.1, 0.5), psi_family=POWER_ONE))
@@ -354,6 +396,13 @@ print(hashlib.sha256(serialize(report)).hexdigest())
     def test_json_writer_equals_json_dumps(self, report):
         # the fixed-schema writer against json.dumps of the whole payload, on
         # values no sweep writes
+        assert serialize(report, "json") == json_report_bytes(report)
+
+    @settings(deadline=None)
+    @given(point_grouped_reports())
+    def test_json_writer_fills_each_point_once_as_json_dumps_would(self, report):
+        # a point's texts are reused only for its very cell objects, never for
+        # equal ones, and the cutoff is each row's own
         assert serialize(report, "json") == json_report_bytes(report)
 
     def test_json_payload_has_documented_top_level_keys(self):
@@ -594,6 +643,24 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err == f"configuration error: {message}\n"
         assert captured.out == ""
+
+    def test_longdouble_band_overflow_is_named_and_silent(self, capsys):
+        # at s = 1 sinh(n) overflows longdouble below cutoff 20000, and every
+        # residual used to be nan behind numpy RuntimeWarnings on stderr
+        assert main(["audit", "--s-grid", "0.5,1", "--cutoff", "20000"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        with np.errstate(over="ignore"):
+            finite = np.isfinite(np.sinh(np.arange(1, 20000, dtype=np.longdouble)))
+        level = int(np.argmin(finite)) + 1
+        at_one = [line for line in captured.out.splitlines() if line.startswith("FAIL s=1 ")]
+        assert [line.split()[2] for line in at_one] == sorted(ALGEBRA_CHECK_IDS)
+        for line, check_id in zip(at_one, sorted(ALGEBRA_CHECK_IDS)):
+            assert line.endswith(
+                f"[error: {check_id} residual is not finite: "
+                f"the ladder band overflows longdouble from level n={level}]"
+            )
+        assert "got nan" not in captured.out
 
     def test_norm_ratio_overflow_is_an_error_row(self, tmp_path):
         out = tmp_path / "report.json"

@@ -197,7 +197,7 @@ def algebra_residual_grid(
 ) -> list:
     """For each ``(p, choice)`` of ``points``, its four raw identity residuals in
     :data:`ALGEBRA_CHECK_IDS` order and the band precision, or its band's RadicandError.  A
-    residual that is not finite in longdouble, where the band overflows, is a ValueError.
+    residual not finite in longdouble is a ValueError naming where the band or spectrum overflows.
     A cutoff below :data:`MIN_AUDIT_CUTOFF` raises before the polynomial is checked."""
     if space.cutoff < MIN_AUDIT_CUTOFF:
         raise ValueError(f"audits need cutoff >= {MIN_AUDIT_CUTOFF} for a nonempty interior "
@@ -211,20 +211,24 @@ def algebra_residual_grid(
             v, nu, s, errors = _band_rows(space.cutoff, block)
             grid = (_qcommutator(v, nu, s), _number_commutators(v, nu, s),
                     _number_products(v, nu, s), _shift_rule(v, nu, s, poly))
-        residuals = zip(*grid)
-        if not np.isfinite(grid).all():  # only then look for where the band overflows
-            residuals = iter([_overflow_row(r, v_row) for r, v_row in zip(residuals, v)])
+            residuals = zip(*grid)
+            if not np.isfinite(grid).all():  # only then look for what overflows
+                residuals = iter([_overflow_row(*row) for row in zip(residuals, v, nu, s)])
         rows.extend(error or next(residuals) for error in errors)
     return rows
 
 
-def _overflow_row(residuals: tuple, v_row) -> tuple:
-    """``residuals``, each that is not finite made a ValueError naming the first level
-    where the band ``v_row`` is not finite; unchanged if the band is finite throughout."""
-    finite = np.isfinite(v_row)
+def _overflow_row(residuals: tuple, v_row, nu_row, s) -> tuple:
+    """``residuals``, each that is not finite made a ValueError naming the first level where the
+    band ``v_row`` or, if it is finite, the [N] or [N+1] of :func:`_number_products` is not."""
+    finite, what, start = np.isfinite(v_row), "the ladder band", 1
+    if finite.all():
+        n, sinh_s = nu_row[:-2], np.sinh(s)
+        finite = np.isfinite(np.sinh(s * n) / sinh_s) & np.isfinite(np.sinh(s * (n + 1)) / sinh_s)
+        what, start = "the deformed number spectrum", 0
     if finite.all():
         return residuals
-    note = f"the ladder band overflows longdouble from level n={np.argmin(finite) + 1}"
+    note = f"{what} overflows longdouble from level n={np.argmin(finite) + start}"
     return tuple(
         r if np.isfinite(r) else ValueError(f"{check_id} residual is not finite: {note}")
         for check_id, r in zip(ALGEBRA_CHECK_IDS, residuals)

@@ -50,6 +50,14 @@ class TruncatedFockSpace:
             raise ValueError(f"cutoff must be an integer >= 2, got {self.cutoff!r}")
 
 
+def check_dressing(**values) -> None:
+    """Reject the first dressing value that is not a finite positive int or float."""
+    for name, value in values.items():
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if not (number and 0 < value < math.inf):
+            raise ValueError(f"{name} must be finite and strictly positive, got {value!r}")
+
+
 @dataclass(frozen=True)
 class FunctionChoice:
     """Values of the six arbitrary dressing functions at the working q.
@@ -72,11 +80,8 @@ class FunctionChoice:
             object.__setattr__(self, "psi3", self.psi1)
         if self.psi4 is None:
             object.__setattr__(self, "psi4", self.psi2)
-        for name in ("psi1", "psi2", "psi3", "psi4", "beta1", "beta2"):
-            value = getattr(self, name)
-            number = isinstance(value, (int, float)) and not isinstance(value, bool)
-            if not (number and 0 < value < math.inf):
-                raise ValueError(f"{name} must be finite and strictly positive, got {value!r}")
+        check_dressing(psi1=self.psi1, psi2=self.psi2, psi3=self.psi3, psi4=self.psi4,
+                       beta1=self.beta1, beta2=self.beta2)
 
     @classmethod
     def unit(cls) -> "FunctionChoice":

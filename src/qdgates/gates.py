@@ -16,19 +16,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .audit import float_residual
-from .fockspace import FunctionChoice, RadicandError
+from .fockspace import FunctionChoice, RadicandError, check_dressing
 from .qnumber import DeformationParam
-from .qubits import (
-    OscillatorPairState,
-    TwoQubitState,
-    _dressed_amplitude,
-    _occupations,
-    _pair_amplitude,
-    _two_qubit_amplitude,
-)
+from .qubits import OscillatorPairState, TwoQubitState, _dressed_amplitude, _occupations
+from .qubits import _pair_amplitude, _two_qubit_amplitude
 
 NOT_CONDITION = "not_condition"
 CNOT_CONDITION = "cnot_condition"
@@ -147,8 +141,7 @@ def apply_cnot(
     return TwoQubitState(state.space, {_occupations(x, 1 - y): coefficient * complex(amplitude)})
 
 
-@dataclass(frozen=True)
-class TruthTableRow:
+class TruthTableRow(NamedTuple):
     """One transition of the controlled flip, with the output measured
     against the expected undeformed basis element."""
 
@@ -192,10 +185,9 @@ def check_cnot_condition(p: DeformationParam, beta1: float, beta2: float) -> flo
     residual is exactly 0; what the check tests is that this radicand is not
     negative (a negative one raises :class:`RadicandError`).  Where ``exp(s)``
     rounds to 1 (s below about 1.1e-16) the denominator is 0 and the check
-    raises a ValueError naming s; :class:`FunctionChoice` rejects a beta that
-    is not finite and positive.
+    raises a ValueError naming s, as does a beta that is not finite and positive.
     """
-    FunctionChoice(beta1=beta1, beta2=beta2)  # rejects a beta that is not finite and positive
+    check_dressing(beta1=beta1, beta2=beta2)
     q = p.q
     if q == 1.0:
         raise ValueError(f"q = exp(s) rounds to 1 at s={p.s!r}, so q - 1/q is 0")

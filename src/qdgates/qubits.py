@@ -23,14 +23,10 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .fockspace import (
-    FunctionChoice,
-    FunctionFamily,
-    POWER_OF_Q,
-    TruncatedFockSpace,
-    f_value,
-)
+from .fockspace import POWER_OF_Q, FunctionChoice, FunctionFamily, TruncatedFockSpace
+from .fockspace import check_dressing, f_value
 from .qnumber import DeformationParam
 
 # Qubit work occupies levels 0..1 only; cutoff 4 leaves margin.
@@ -182,8 +178,7 @@ def two_qubit_state(
     return TwoQubitState(space, {_occupations(x, y): _two_qubit_amplitude(p, choice_a, choice_b)})
 
 
-@dataclass(frozen=True)
-class NormRatioResult:
+class NormRatioResult(NamedTuple):
     """Measured deformed/undeformed squared-norm ratio at one (s, psi, beta),
     with both candidate laws and the one it lies nearer.
 
@@ -227,9 +222,9 @@ def norm_ratio_experiment(p: DeformationParam, psi: float, beta: float) -> NormR
     labels and the space.  A psi or beta that is not finite and positive, a
     zero dressing, and a ratio or prediction beyond float64 range raise.
     """
-    # in Python floats an overflow reads inf without a numpy warning
-    choice = FunctionChoice(psi1=psi, psi2=psi, beta1=beta, beta2=beta)
-    amplitude = _two_qubit_amplitude(p, choice, choice)
+    check_dressing(psi1=psi, beta1=beta)
+    # a dressed two-qubit state's amplitude, control times target; an overflow reads inf
+    amplitude = _dressed_amplitude(p, psi, psi) * _dressed_amplitude(p, beta, beta)
     measured = amplitude * amplitude
     product = psi * beta
     if not (math.isfinite(measured) and math.isfinite(product)):

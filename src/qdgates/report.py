@@ -8,9 +8,9 @@ or measures a residual that is no such float, becomes an error row
 (residual -1, fail) instead of aborting the sweep.  The known mismatch
 of the number-product relation away from unit dressing is scientific content
 and is recorded as an expected failure.  Serialization is bit-deterministic:
-fixed schema, sorted keys, canonical row order, no timestamps.  JSON entries and
-samples come from fixed-schema templates, a grid point's cells written once for all
-its rows, in the bytes of ``json.dumps(..., sort_keys=True, indent=2)`` (the oracle).
+fixed schema, sorted keys, canonical row order, no timestamps.  JSON entries and samples
+(NamedTuples, read by field and by iteration; the oracle uses ``_asdict()``) fill templates, a
+point's cells once for all its rows, texts from one encoder call, as ``json.dumps`` writes them.
 """
 
 from __future__ import annotations
@@ -19,16 +19,17 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field, fields
-from json.encoder import encode_basestring_ascii
+import sys
+from dataclasses import dataclass, field
+from functools import lru_cache
 from operator import attrgetter, is_
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import __version__ as _tool_version
 from .audit import ALGEBRA_CHECK_IDS, MIN_AUDIT_CUTOFF, NUMBER_PRODUCTS
 from .audit import _row_residual, algebra_residual_grid, float_residual
 from .fockspace import CONSTANT_ONE, FunctionChoice, FunctionFamily, TruncatedFockSpace
-from .gates import CNOT_CONDITION, NOT_CONDITION, TruthTableRow
+from .gates import CNOT_CONDITION, NOT_CONDITION
 from .gates import check_cnot_condition, check_not_condition, cnot_truth_table
 from .qnumber import DeformationParam
 from .qubits import QUBIT_CUTOFF, NormRatioResult, norm_ratio_experiment
@@ -75,18 +76,18 @@ class ConfigError(ValueError):
         super().__init__("; ".join(self.problems))
 
 
-def _first_bad_point(family: FunctionFamily, s_grid: Sequence[float]) -> float | None:
-    """The first valid grid strength at which ``family`` is not a finite
-    positive float (it overflows, underflows to 0 or is not a number)."""
+def _first_bad_point(family: FunctionFamily, s_grid: Sequence[float]) -> str | None:
+    """``"at s=..."`` for the first valid grid strength where ``family`` is not a finite positive
+    normal float (it overflows, underflows to 0 or to a subnormal it names, or is no number)."""
     for s in s_grid:
         if not 0.0 < s <= 1.0:
             continue  # reported as a grid problem
         try:
             value = family.evaluate(DeformationParam(s).q)
         except OverflowError:
-            return s
-        if not (math.isfinite(value) and value > 0):
-            return s
+            value = math.inf
+        if not (math.isfinite(value) and value >= sys.float_info.min):
+            return f"at s={s:g}" + (f" ({value!r} is subnormal)" if 0 < value < math.inf else "")
     return None
 
 
@@ -117,11 +118,9 @@ class SweepConfig:
         if any(b <= a for a, b in zip(self.s_grid, self.s_grid[1:])):
             problems.append("s_grid must be strictly increasing")
         for name, family in (("psi_family", self.psi_family), ("beta_family", self.beta_family)):
-            s = _first_bad_point(family, self.s_grid)
-            if s is not None:
-                problems.append(
-                    f"{name} {family.label()} is not a finite positive float at s={s:g}"
-                )
+            where = _first_bad_point(family, self.s_grid)
+            if where is not None:
+                problems.append(f"{name} {family.label()} is not a finite positive float {where}")
         if not isinstance(self.cutoff, int) or self.cutoff < MIN_AUDIT_CUTOFF:
             problems.append(f"cutoff must be an integer >= {MIN_AUDIT_CUTOFF}")
         if not (isinstance(self.tolerance, (int, float)) and self.tolerance > 0):
@@ -182,8 +181,7 @@ class SweepConfig:
         )
 
 
-@dataclass(frozen=True)
-class ReportEntry:
+class ReportEntry(NamedTuple):
     check_id: str
     s: float
     cutoff: int
@@ -287,12 +285,9 @@ def algebra_entries(
 
 
 def gate_entries(
-    config: SweepConfig,
-    p: DeformationParam,
-    choice: FunctionChoice,
-    plain_rows: list[TruthTableRow],
+    config: SweepConfig, p: DeformationParam, choice: FunctionChoice, plain_residual: float
 ) -> list[ReportEntry]:
-    """Gate rows at one grid point; ``plain_rows`` is the plain CNOT table,
+    """Gate rows at one grid point; ``plain_residual`` is the plain CNOT table's,
     which does not depend on s and is computed once per sweep."""
     tol = config.tolerance
 
@@ -306,9 +301,7 @@ def gate_entries(
     measures = {
         NOT_CONDITION: lambda: (check_not_condition(p, choice), ""),
         CNOT_CONDITION: lambda: (check_cnot_condition(p, choice.beta1, choice.beta2), ""),
-        CNOT_TABLE: lambda: (
-            max(max(abs(r.amplitude - 1.0), r.off_support) for r in plain_rows), ""
-        ),
+        CNOT_TABLE: lambda: (plain_residual, ""),
         CNOT_TABLE_DEFORMED: deformed_table,
     }
     return [_entry(cid, p.s, QUBIT_CUTOFF, choice, tol, m) for cid, m in measures.items()]
@@ -342,10 +335,11 @@ def run_sweep(config: SweepConfig, layers: Sequence[str] = SWEEP_LAYERS) -> Swee
               for p in map(DeformationParam, config.s_grid)]
     if ALGEBRA_LAYER in layers:
         entries.extend(algebra_entries(config, points))
-    plain_rows = cnot_truth_table() if GATE_LAYER in layers else []
+    if GATE_LAYER in layers:
+        plain_residual = max(max(abs(r.amplitude - 1.0), r.off_support) for r in cnot_truth_table())
     for p, choice in points:
         if GATE_LAYER in layers:
-            entries.extend(gate_entries(config, p, choice, plain_rows))
+            entries.extend(gate_entries(config, p, choice, plain_residual))
         if NORM_RATIO_LAYER in layers:
             point_entries, point_samples = norm_ratio_entries(config, p, choice)
             entries.extend(point_entries)
@@ -411,40 +405,49 @@ def _cell(value):
 # An entry and a norm-ratio sample as % templates, keys sorted, indented as in the report's
 # lists; an entry's own cells read %%s, so filling in its point's cells leaves a row template.
 _POINT_COLUMNS = ("beta1", "beta2", "psi1", "psi2", "s")
-_JSON_COLUMNS = sorted(zip(ENTRY_COLUMNS, [f.name for f in fields(ReportEntry)]))
+_JSON_COLUMNS = sorted(zip(ENTRY_COLUMNS, ReportEntry._fields))
+_SAMPLE_COLUMNS = sorted(NormRatioResult._fields)
 _JSON_ENTRY, _NORM_RATIO_ENTRY = (
     "    {\n" + ",\n".join(f'      "{k}": {cell}' for k, cell in cells) + "\n    }"
     for cells in ([(c, "%s" if c in _POINT_COLUMNS else "%%s") for c, _ in _JSON_COLUMNS],
-                  [(k, "%s") for k in sorted(f.name for f in fields(NormRatioResult))])
+                  [(k, "%s") for k in _SAMPLE_COLUMNS])
 )
-_POINT_CELLS = attrgetter(*_POINT_COLUMNS)
+_POINT_CELLS, _SAMPLE_CELLS = attrgetter(*_POINT_COLUMNS), attrgetter(*_SAMPLE_COLUMNS)
 _ROW_CELLS = attrgetter(*[name for c, name in _JSON_COLUMNS if c not in _POINT_COLUMNS])
 
 
-def _json_value(value) -> str:
-    """One entry value as json.dumps writes it."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return repr(value) if math.isfinite(value) else json.dumps(value)
+def _json_texts(values: list) -> list[str]:
+    """``[json.dumps(v) for v in values]`` of scalar values, from one encoder call: json
+    escapes every control character, so NUL separates the texts and occurs in none of them."""
+    return json.dumps(values, separators=("\0", ":"))[1:-1].split("\0") if values else []
+
+
+def _json_lists(report: SweepReport) -> tuple[str, str]:
+    """The items of the entries and norm_ratio lists, a grid point's cells filled in once."""
+    points, owners, cells = [], [], []
+    for e in report.entries:
+        # a row takes the last point's template only for the very same objects: 0.0 == -0.0
+        if not (points and all(map(is_, _POINT_CELLS(e), points[-1]))):
+            points.append(_POINT_CELLS(e))
+        owners.append(len(points) - 1)
+        cells += _ROW_CELLS(e)
+    samples = [v for r in report.norm_ratio for v in _SAMPLE_CELLS(r)]
+    texts = _json_texts([v for point in points for v in point] + cells + samples)
+    i, j = len(texts) - len(cells) - len(samples), len(texts) - len(samples)
+    # NUL is in no template and no text, so it separates the point templates one % fills
+    templates = ("\0".join([_JSON_ENTRY] * len(points))
+                 % tuple(t.replace("%", "%%") for t in texts[:i])).split("\0")
+    return (",\n".join([templates[k] for k in owners]) % tuple(texts[i:j]),
+            ",\n".join([_NORM_RATIO_ENTRY] * len(report.norm_ratio)) % tuple(texts[j:]))
 
 
 def _json_report(report: SweepReport) -> str:
-    """json.dumps(sort_keys=True, indent=2) of the report, a grid point's cells filled in once."""
-    rows, point, template = [], (), None
-    for e in report.entries:
-        if template is None or not all(map(is_, _POINT_CELLS(e), point)):  # not ==: 0.0 == -0.0
-            point = _POINT_CELLS(e)
-            template = _JSON_ENTRY % tuple(_json_value(v).replace("%", "%%") for v in point)
-        rows.append(template % tuple(map(_json_value, _ROW_CELLS(e))))
-    samples = [_NORM_RATIO_ENTRY % tuple(_json_value(v) for _, v in sorted(vars(r).items()))
-               for r in report.norm_ratio]
-    parts = {k: _json_value(getattr(report, k)) for k in ("schema_version", "tool_version")}
+    """json.dumps(sort_keys=True, indent=2) of the report."""
+    parts = {k: json.dumps(getattr(report, k)) for k in ("schema_version", "tool_version")}
     for k, v in (("config", report.config.to_payload()), ("summary", report.summary)):
         parts[k] = json.dumps(v, sort_keys=True, indent=2).replace("\n", "\n  ")
-    for k, items in (("entries", rows), ("norm_ratio", samples)):
-        parts[k] = "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+    for k, items in zip(("entries", "norm_ratio"), _json_lists(report)):
+        parts[k] = "[\n" + items + "\n  ]" if items else "[]"
     return "{\n  " + ",\n  ".join(f'"{k}": {parts[k]}' for k in sorted(parts)) + "\n}\n"
 
 
@@ -457,14 +460,15 @@ def serialize(report: SweepReport, output_format: str | None = None) -> bytes:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(ENTRY_COLUMNS)
-        writer.writerows([_cell(v) for v in vars(e).values()] for e in report.entries)
+        writer.writerows(map(_cell, e) for e in report.entries)
         return buf.getvalue().encode("utf-8")
     raise ValueError(f"unsupported format {fmt!r}; use 'json' or 'csv'")
 
 
 def parse_report(blob: bytes) -> SweepReport:
     """Rebuild a report from its JSON serialization (the inverse of serialize)."""
-    payload = json.loads(blob.decode("utf-8"))
+    # one float per number text, so a point's rows share its cells as a sweep's rows do
+    payload = json.loads(blob.decode("utf-8"), parse_float=lru_cache(maxsize=None)(float))
     entries = tuple(ReportEntry(*(e[c] for c in ENTRY_COLUMNS)) for e in payload["entries"])
     samples = tuple(NormRatioResult(**r) for r in payload.get("norm_ratio", []))
     return SweepReport(

@@ -90,7 +90,7 @@ def longdouble_dressing(levels, p, psi1, psi2):
 
 def entry_payload(entry):
     """A report entry as a JSON object keyed by the report's columns."""
-    return dict(zip(ENTRY_COLUMNS, vars(entry).values()))
+    return dict(zip(ENTRY_COLUMNS, entry))
 
 
 def report_payload(report):
@@ -100,7 +100,7 @@ def report_payload(report):
         "tool_version": report.tool_version,
         "config": report.config.to_payload(),
         "entries": [entry_payload(e) for e in report.entries],
-        "norm_ratio": [dict(vars(r)) for r in report.norm_ratio],
+        "norm_ratio": [r._asdict() for r in report.norm_ratio],
         "summary": report.summary,
     }
 

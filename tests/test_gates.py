@@ -375,6 +375,13 @@ class TestCnotCondition:
         with pytest.raises(ValueError):
             check_cnot_condition(P_HALF, 0.0, 1.0)
 
+    @pytest.mark.parametrize("bad", [0, math.nan, math.inf, True])
+    def test_rejects_a_beta_in_function_choice_words(self, bad):
+        for args, name in (((bad, 1.0), "beta1"), ((1.0, bad), "beta2")):
+            with pytest.raises(ValueError) as err:
+                check_cnot_condition(P_HALF, *args)
+            assert str(err.value) == f"{name} must be finite and strictly positive, got {bad!r}"
+
 
 @pytest.mark.parametrize("given", ["p-only", "choice-only"])
 @pytest.mark.parametrize(

@@ -236,6 +236,25 @@ class TestNormRatio:
         with pytest.raises(ValueError):
             norm_ratio_experiment(P_HALF, 0.0, 1.0)
 
+    @pytest.mark.parametrize("bad", [0, math.nan, math.inf, True])
+    def test_rejects_a_dressing_in_function_choice_words(self, bad):
+        for args, name in (((bad, 1.0), "psi1"), ((1.0, bad), "beta1")):
+            with pytest.raises(ValueError) as err:
+                norm_ratio_experiment(P_HALF, *args)
+            assert str(err.value) == f"{name} must be finite and strictly positive, got {bad!r}"
+
+    @settings(deadline=None)
+    @given(
+        st.floats(min_value=1e-3, max_value=1.0),
+        st.floats(min_value=1e-3, max_value=1e3),
+        st.floats(min_value=1e-3, max_value=1e3),
+    )
+    def test_measured_is_the_square_of_the_dressed_state_amplitude(self, s, psi, beta):
+        p, choice = DeformationParam(s), FunctionChoice(psi, psi, beta, beta)
+        state = two_qubit_state(1, 0, TruncatedFockSpace(4), p, choice, choice)
+        (amplitude,) = state.amplitudes.values()
+        assert norm_ratio_experiment(p, psi, beta).measured == amplitude * amplitude
+
 
 @settings(deadline=None)
 @given(st.floats(min_value=1e154, max_value=1e308), st.floats(min_value=1e154, max_value=1e308))

@@ -17,10 +17,10 @@ import qdgates
 import qdgates.report as report_module
 from qdgates.audit import ALGEBRA_CHECK_IDS, float_residual
 from qdgates.cli import main
-from qdgates.fockspace import FunctionFamily
+from qdgates.fockspace import FunctionChoice, FunctionFamily, TruncatedFockSpace
 from qdgates.gates import cnot_truth_table
 from qdgates.qnumber import DeformationParam
-from qdgates.qubits import NormRatioResult, norm_ratio_experiment
+from qdgates.qubits import NormRatioResult, norm_ratio_experiment, two_qubit_state
 from qdgates.report import (
     ALGEBRA_LAYER,
     ConfigError,
@@ -35,7 +35,9 @@ from qdgates.report import (
     ReportEntry,
     SweepConfig,
     SweepReport,
+    gate_entries,
     infer_psi_from_norm,
+    norm_ratio_entries,
     parse_report,
     run_sweep,
     serialize,
@@ -90,9 +92,12 @@ class TestSweepConfig:
         c = SweepConfig.from_payload({"s_grid": [0.5], "cutoff": 16.0})
         assert c.cutoff == 16 and isinstance(c.cutoff, int)
 
-    @pytest.mark.parametrize("exponent,bad_s", [(900.0, 0.9), (-2000.0, 0.9), (math.nan, 0.1)])
+    @pytest.mark.parametrize(
+        "exponent,bad_s", [(900.0, 0.9), (-2000.0, 0.9), (-800.0, 0.9), (math.nan, 0.1)]
+    )
     def test_rejects_families_that_are_not_finite_positive_floats(self, exponent, bad_s):
-        # on (0.1, 0.9), q**900 overflows and q**-2000 underflows to 0 only at 0.9
+        # on (0.1, 0.9), q**900 overflows, q**-2000 underflows to 0 and q**-800 to a
+        # subnormal (2.3e-313) only at 0.9
         family = FunctionFamily("power_of_q", exponent)
         with pytest.raises(ConfigError, match=f"beta_family .* finite positive float at s={bad_s}"):
             config(s_grid=(0.1, 0.9), beta_family=family)
@@ -212,6 +217,20 @@ class TestRunSweep:
         assert calls.count(False) == 1
         assert calls.count(True) == len(S_GRID)
 
+    def test_a_sweep_validates_each_point_dressing_once(self, monkeypatch):
+        # the gate and norm-ratio layers check their bare floats, so the one
+        # FunctionChoice a point builds is its only validation
+        calls = []
+        post_init = FunctionChoice.__post_init__
+
+        def counted(choice):
+            calls.append(choice)
+            post_init(choice)
+
+        monkeypatch.setattr(FunctionChoice, "__post_init__", counted)
+        run_sweep(config(s_grid=S_GRID, psi_family=POWER_ONE))
+        assert len(calls) == len(S_GRID)
+
     def test_float64_overflow_becomes_explained_error_rows(self):
         report = run_sweep(config(s_grid=(0.9,), cutoff=1024), layers=(ALGEBRA_LAYER,))
         assert len(report.entries) == 4
@@ -294,6 +313,26 @@ def point_grouped_reports(draw):
             ))
     summary = report_module._summarize(entries)
     return SweepReport(SCHEMA_VERSION, qdgates.__version__, config(), tuple(entries), (), summary)
+
+
+class TestRecords:
+    @pytest.mark.parametrize(
+        "record",
+        [
+            ReportEntry("not_condition", 0.5, 4, 1.0, 1.0, 1.0, 1.0, 0.0, True),
+            cnot_truth_table()[0],
+            norm_ratio_experiment(DeformationParam(0.5), 1.0, 1.0),
+        ],
+        ids=["ReportEntry", "TruthTableRow", "NormRatioResult"],
+    )
+    def test_fields_cannot_be_assigned(self, record):
+        for name in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, getattr(record, name))
+
+    def test_entry_fields_are_the_report_columns(self):
+        # the report spells the verdict column `pass`, a Python keyword
+        assert ["pass" if f == "passed" else f for f in ReportEntry._fields] == list(ENTRY_COLUMNS)
 
 
 class TestSerialization:
@@ -404,6 +443,25 @@ print(hashlib.sha256(serialize(report)).hexdigest())
         # a point's texts are reused only for its very cell objects, never for
         # equal ones, and the cutoff is each row's own
         assert serialize(report, "json") == json_report_bytes(report)
+
+    @settings(deadline=None)
+    @given(st.lists(st.one_of(
+        EDGE_FLOATS, EDGE_TEXTS, st.text("%\0\u00e9", max_size=4), st.booleans(),
+        st.integers(-(2**70), 2**70),
+    )))
+    def test_one_encoder_call_gives_each_cell_its_json_dumps_text(self, values):
+        # json escapes every control character, so no text holds the NUL separator
+        assert report_module._json_texts(values) == [json.dumps(v) for v in values]
+
+    def test_one_encoder_call_over_no_cells_gives_no_texts(self):
+        assert report_module._json_texts([]) == []
+
+    def test_parsed_rows_of_one_point_share_its_cell_objects(self):
+        # the writer fills a point's cells once only for the very same objects
+        parsed = parse_report(serialize(run_sweep(config(s_grid=S_GRID, psi_family=POWER_ONE))))
+        for column in ("s", "psi1", "psi2", "beta1", "beta2"):
+            values = [getattr(e, column) for e in parsed.entries]
+            assert len(set(map(id, values))) == len(set(values))
 
     def test_json_payload_has_documented_top_level_keys(self):
         payload = json.loads(serialize(run_sweep(config()), "json"))
@@ -589,22 +647,34 @@ class TestCli:
             f"gives no finite positive psi\n"
         )
 
-    def test_zero_dressing_is_an_error_row_and_a_state_error(self, tmp_path, capsys):
-        # at s = 0.05, psi = q**-14890 is the smallest subnormal, whose
-        # argument-1 dressing rounds to 0; the norm ratio used to pass as 0
-        # and `states` used to print states with no amplitude
-        zero = ["--s", "0.05", "--psi", "q^-14890"]
+    def test_zero_dressing_is_an_error_row_and_a_state_error(self):
+        # psi = 5e-324, the smallest subnormal, has an argument-1 dressing that rounds
+        # to 0; a sweep config refuses it (test_subnormal_family_is_a_config_error), but
+        # a choice built directly still reaches the rows and the states, where the norm
+        # ratio used to pass as 0 and the states used to have no amplitude
+        p, choice = DeformationParam(0.05), FunctionChoice(psi1=5e-324, psi2=5e-324)
         message = "the dressed basis vector has amplitude 0 (zero dressing at argument 1)"
-        out = tmp_path / "report.json"
-        assert main(["sweep", *zero, "--out", str(out)]) == 1
-        rows = {e["check_id"]: e for e in json.loads(out.read_bytes())["entries"]}
+        (norm_row,), samples = norm_ratio_entries(config(), p, choice)
+        rows = {e.check_id: e for e in [*gate_entries(config(), p, choice, 0.0), norm_row]}
         for check_id in ("cnot_table_deformed", "norm_ratio"):
-            assert rows[check_id]["note"] == f"error: {message}"
-        capsys.readouterr()
-        assert main(["states", *zero]) == 2
+            assert rows[check_id].note == f"error: {message}"
+            assert rows[check_id].residual == -1.0 and not rows[check_id].passed
+        assert samples == []
+        with pytest.raises(ValueError) as err:
+            two_qubit_state(1, 0, TruncatedFockSpace(4), p, choice, choice)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("command", ["sweep", "states"])
+    def test_subnormal_family_is_a_config_error(self, command, capsys):
+        # at s = 0.05, q**-14890 is 5e-324; the sweep used to report 3 unexpected
+        # failures: two zero-dressing error rows and number_products overflowing float64
+        assert main([command, "--s", "0.05", "--psi", "q^-14890"]) == 2
         captured = capsys.readouterr()
-        assert captured.err == f"configuration error: {message}\n"
         assert captured.out == ""
+        assert captured.err == (
+            "configuration error: psi_family q^-14890 is not a finite positive float "
+            "at s=0.05 (5e-324 is subnormal)\n"
+        )
 
     @pytest.mark.parametrize("command", ["audit", "gates", "states"])
     def test_unwritable_out_writes_nothing_to_stdout(self, tmp_path, capsys, command):
@@ -661,6 +731,25 @@ class TestCli:
                 f"the ladder band overflows longdouble from level n={level}]"
             )
         assert "got nan" not in captured.out
+
+    def test_number_spectrum_overflow_is_named_and_silent(self, capsys):
+        # psi2 = e**-700 shifts nu up by 700 levels: at cutoff 11000 the band is finite
+        # but [N+1] = sinh(s (nu + 1)) / sinh(s) is not, and the row used to read "got inf"
+        assert main(["audit", "--s-grid", "1", "--psi", "q^-700", "--cutoff", "11000"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        psi = FunctionFamily.parse("q^-700").evaluate(DeformationParam(1.0).q)
+        nu = np.arange(11000 - 2, dtype=np.longdouble) - np.log(np.longdouble(psi))
+        with np.errstate(over="ignore"):
+            finite = np.isfinite(np.sinh(nu + 1) / np.sinh(np.longdouble(1)))
+        level = int(np.argmin(finite))
+        assert 0 < level
+        (line,) = [line for line in captured.out.splitlines() if " number_products " in line]
+        assert line.endswith(
+            "[error: number_products residual is not finite: "
+            f"the deformed number spectrum overflows longdouble from level n={level}]"
+        )
+        assert "got inf" not in captured.out
 
     def test_norm_ratio_overflow_is_an_error_row(self, tmp_path):
         out = tmp_path / "report.json"

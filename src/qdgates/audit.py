@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fockspace import FunctionChoice, RadicandError, TruncatedFockSpace
+from .fockspace import ZERO_ULPS, FunctionChoice, RadicandError, TruncatedFockSpace
 from .qnumber import DeformationParam
 
 # The precision of the ladder band, and so of every algebra residual.
@@ -70,14 +70,16 @@ def float_residual(condition_id: str, residual) -> float:
 
 def _band_rows(cutoff: int, points: Sequence[tuple]) -> tuple:
     """``(v, nu, s, errors)`` of ``(s, psi1, psi2)`` points: each point's RadicandError or
-    None, and the band rows (and ``s`` column) of the points without one, in order."""
+    None, and the band rows (and ``s`` column) of the points without one, in order.  The
+    radicand is :func:`qdgates.fockspace.radicand`'s expression and zero rule, in longdouble."""
     s, g1, g2 = np.array(points, dtype=BAND_DTYPE).T[:, :, None]
     levels = np.arange(cutoff).astype(BAND_DTYPE)
     n = levels[1:]
-    r = np.empty((len(points), cutoff - 1), dtype=BAND_DTYPE)
-    eq, ne = (g1 == g2)[:, 0], (g1 != g2)[:, 0]
-    r[eq] = g1[eq] * np.sinh(n * s[eq]) / (n * np.sinh(s[eq]))
-    r[ne] = (np.exp(n * s[ne]) * g1[ne] - np.exp(-n * s[ne]) * g2[ne]) / (2 * n * np.sinh(s[ne]))
+    x = n * s
+    head = g1 * np.sinh(x)
+    total = head + (g1 - g2) * np.exp(-x, out=np.zeros_like(x), where=g1 != g2) / 2
+    total[np.abs(total) < ZERO_ULPS * np.finfo(BAND_DTYPE).eps * np.abs(head)] = 0
+    r = total / (n * np.sinh(s))
     bad = r < 0
     keep = ~bad.any(axis=1)
     errors = [
@@ -96,10 +98,9 @@ def ladder_band(
     Returns ``(v, nu)`` in :data:`BAND_DTYPE`: ``v[n-1] = sqrt(n) F(n)`` for
     ``n = 1 .. cutoff-1`` is the superdiagonal of ``a_q`` and the subdiagonal
     of ``a_q_dag``, and ``nu[n] = n - ln(psi2)/s`` is the diagonal of the
-    deformed number operator.  ``F(0)`` would multiply only zero matrix
-    entries, so it is never evaluated: the band exists whenever every level
-    ``n >= 1`` has a nonnegative radicand, even for ``psi1 < psi2``.  A
-    negative radicand raises :class:`RadicandError` naming the first such level.
+    deformed number operator.  ``F(0)`` multiplies only zero entries and is
+    never evaluated, so ``psi1 < psi2`` is allowed; a negative radicand at
+    some ``n >= 1`` raises :class:`RadicandError` naming the first such level.
     """
     v, nu, _, (error,) = _band_rows(space.cutoff, [(p.s, psi1, psi2)])
     if error:

@@ -1,4 +1,4 @@
-"""Truncated Fock space, the dressing functions, and the dressing at one point.
+"""Truncated Fock space, the dressing functions, and the dressing radicand.
 
 Operators act on the retained levels ``0 .. cutoff-1``.  The deformed
 annihilation/creation pair is the standard pair dressed by the diagonal
@@ -9,16 +9,12 @@ factor
 built from two positive functions of q, and the deformed number operator is
 the standard one shifted by ``ln(psi2)/s`` times the identity.
 
-The dressing is evaluated in exactly two places, one per precision.
-:func:`f_value` is F at one point, in float64 with ``math`` (libm), so its
-bits do not depend on the SIMD kernels numpy picks for ``exp`` and ``sinh``.
-It is the qubit layer's amplitude at argument 1.  It takes any point:
-``n = 0`` is a removable 0/0 point when ``psi1 == psi2``, assigned its limit
-``psi * s / sinh(s)`` (under the square root), and is evaluated just off
-zero otherwise; a pair's second oscillator has its dressing shifted to
-``1 - n``, which is negative from ``n = 2`` up.  The whole band of levels
-``1 .. cutoff-1`` in extended precision is :func:`qdgates.audit.ladder_band`,
-kept with its only user, the algebra audit; this module needs no numpy.
+The radicand is written once per precision, with one zero rule
+(:data:`ZERO_ULPS`): :func:`radicand` in float64 with ``math``, whose bits do
+not depend on numpy's SIMD kernels, and the longdouble band
+:func:`qdgates.audit.ladder_band`, kept with the algebra audit, so this
+module needs no numpy.  ``F(0)`` only multiplies zero ladder entries and is
+never evaluated.
 """
 
 from __future__ import annotations
@@ -28,8 +24,8 @@ from dataclasses import dataclass
 
 from .qnumber import DeformationParam
 
-# Stand-in evaluation point for the 0/0 dressing value when psi1 != psi2.
-GENERAL_LIMIT_LEVEL = 1e-8
+# A radicand sum below this many eps of its leading term psi1*sinh(n*s) is 0.
+ZERO_ULPS = 8
 
 CONSTANT_ONE = "constant_one"
 POWER_OF_Q = "power_of_q"
@@ -139,23 +135,33 @@ class FunctionFamily:
         raise ValueError(f"cannot parse function family {text!r}; expected '1', 'q' or 'q^<float>'")
 
 
-def f_value(n: float, p: DeformationParam, psi1: float, psi2: float) -> float:
-    """Dressing eigenvalue F(n) at any point, computed with ``math``; a
-    negative radicand raises :class:`RadicandError` naming the point, and
-    one that overflows float64 a ValueError naming it."""
-    s = p.s
+def radicand(n: float, s: float, psi1: float, psi2: float) -> float:
+    """``F(n)**2`` at ``n != 0`` in float64, computed with ``math`` as
+    ``(psi1*sinh(ns) + (psi1 - psi2)*exp(-ns)/2) / (n*sinh(s))``, whose second
+    term is exactly 0 at ``psi1 == psi2`` and is then not evaluated.  The sum
+    rounds by at most about 4.5 ulps of ``|psi1*sinh(ns)|`` (ns as rounded),
+    so one strictly below ``ZERO_ULPS*eps*|psi1*sinh(ns)|`` in magnitude is
+    zero within rounding and counts as 0.  Where ``math`` overflows it is ``inf``."""
+    if n == 0:
+        raise ValueError("the dressing radicand is 0/0 at n=0; F(0) is never evaluated")
+    x = n * s
     try:
-        if psi1 == psi2:
-            r = psi1 * s / math.sinh(s) if n == 0 else psi1 * math.sinh(n * s) / (n * math.sinh(s))
-        else:
-            m = GENERAL_LIMIT_LEVEL if n == 0 else n
-            r = (math.exp(m * s) * psi1 - math.exp(-m * s) * psi2) / (2 * m * math.sinh(s))
+        head = psi1 * math.sinh(x)
+        total = head if psi1 == psi2 else head + (psi1 - psi2) * math.exp(-x) / 2
+        if abs(total) < ZERO_ULPS * math.ulp(1.0) * abs(head):
+            total = 0.0
+        return total / (n * math.sinh(s))
     except OverflowError:  # math.sinh and math.exp raise where float arithmetic gives inf
-        r = math.inf
+        return math.inf
+
+
+def f_value(n: float, p: DeformationParam, psi1: float, psi2: float) -> float:
+    """Dressing eigenvalue F(n), the square root of :func:`radicand`; a negative
+    radicand raises :class:`RadicandError` naming the point, one beyond float64 a ValueError."""
+    r = radicand(n, p.s, psi1, psi2)
     if r < 0:
         raise RadicandError(f"negative radicand at level n={n} with psi1={psi1}, psi2={psi2}")
     if not math.isfinite(r):
-        raise ValueError(
-            f"dressing radicand overflows float64 at level n={n} with psi1={psi1}, psi2={psi2}"
-        )
+        raise ValueError(f"dressing radicand overflows float64 at level n={n} "
+                         f"with psi1={psi1}, psi2={psi2}")
     return math.sqrt(r)

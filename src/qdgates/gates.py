@@ -19,7 +19,7 @@ import math
 from typing import NamedTuple
 
 from .audit import float_residual
-from .fockspace import FunctionChoice, RadicandError, check_dressing
+from .fockspace import FunctionChoice, RadicandError, check_dressing, radicand
 from .qnumber import DeformationParam
 from .qubits import OscillatorPairState, TwoQubitState, _dressed_amplitude, _occupations
 from .qubits import _pair_amplitude, _two_qubit_amplitude
@@ -180,20 +180,13 @@ def check_cnot_condition(p: DeformationParam, beta1: float, beta2: float) -> flo
     """Both sides of the target-swap condition at the qubit occupations.
 
     With the swapped target carrying k_hat = k, both sides at either control
-    value k are the square root of the argument-1 radicand
-    ``(q*beta1 - q**-1*beta2) / (q - 1/q)`` times zeroth powers, so the
-    residual is exactly 0; what the check tests is that this radicand is not
-    negative (a negative one raises :class:`RadicandError`).  Where ``exp(s)``
-    rounds to 1 (s below about 1.1e-16) the denominator is 0 and the check
-    raises a ValueError naming s, as does a beta that is not finite and positive.
+    value k are the square root of the argument-1 radicand times zeroth
+    powers, so the residual is exactly 0.  What the check tests is that the
+    radicand, :func:`qdgates.fockspace.radicand` at 1 as the deformed table
+    takes it, is not negative: a negative one raises :class:`RadicandError`.
     """
     check_dressing(beta1=beta1, beta2=beta2)
-    q = p.q
-    if q == 1.0:
-        raise ValueError(f"q = exp(s) rounds to 1 at s={p.s!r}, so q - 1/q is 0")
-    if (q * beta1 - q**-1 * beta2) / (q - 1.0 / q) < 0:
-        raise RadicandError(
-            f"negative radicand in swap-condition factor at argument 1 "
-            f"with beta1={beta1}, beta2={beta2}"
-        )
+    if radicand(1, p.s, beta1, beta2) < 0:
+        raise RadicandError(f"negative radicand in swap-condition factor at argument 1 "
+                            f"with beta1={beta1}, beta2={beta2}")
     return 0.0

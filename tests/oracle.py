@@ -1,26 +1,34 @@
-"""Dense operators, dense states, per-level dressings and the report's JSON,
-kept only as test oracles.
+"""Dense operators, dense states, per-level dressings, the exact radicand and
+the report's JSON, kept only as test oracles.
 
 The package builds no ``d x d`` operator and no dense state vector, and
-evaluates the dressing in two places: :func:`qdgates.fockspace.f_value`
+writes the dressing radicand once per precision: :func:`qdgates.fockspace.radicand`
 (float64, ``math``) and :func:`qdgates.audit.ladder_band` (longdouble,
-vectorized).  The helpers here are the plain ladder matrices, the band
-expanded into dense deformed ones, a state's amplitudes written out as a
-vector over every joint occupation, and the dressing level by level in each
-of those two precisions.  The JSON report is ``json.dumps`` of the whole
-report as a payload, which ``qdgates.report.serialize`` writes row by row.
+vectorized), at levels ``n != 0`` only.  The helpers here are the plain
+ladder matrices, the band expanded into dense deformed ones, a state's
+amplitudes written out as a vector over every joint occupation, the
+dressing level by level in each of those two precisions (the float64 one
+also at ``n = 0``, which the dense creation matrices multiply into zero
+entries), and the radicand's terms in 60-digit ``decimal``.  The JSON
+report is ``json.dumps`` of the whole report as a payload, which
+``qdgates.report.serialize`` writes row by row.
 """
 
+import decimal
 import json
 import math
+from decimal import Decimal
 
 import numpy as np
 
 from qdgates.audit import ladder_band
-from qdgates.fockspace import GENERAL_LIMIT_LEVEL, RadicandError
+from qdgates.fockspace import ZERO_ULPS, RadicandError
 from qdgates.report import ENTRY_COLUMNS
 
 LD = np.longdouble
+
+# Stand-in evaluation point for F(0) of an unequal pair, where the 0/0 has no limit.
+GENERAL_LIMIT_LEVEL = 1e-8
 
 
 def plain_ladder(space, dtype=np.float64):
@@ -57,35 +65,66 @@ def band_matrices(space, p, psi1, psi2):
 
 
 def libm_dressing(n, p, g1, g2):
-    """F(n) by the dressing formula, level 0 branches included, evaluated
-    with ``math``."""
+    """F(n) with ``math``: at ``n != 0`` the expression and zero rule of
+    ``fockspace.radicand``, written out.  At ``n = 0``, a removable 0/0 point,
+    the limit ``g1 * s / sinh(s)`` for an equal pair and otherwise the value
+    just off zero, at :data:`GENERAL_LIMIT_LEVEL`."""
     s = p.s
-    if g1 == g2:
-        r = g1 * s / math.sinh(s) if n == 0 else g1 * math.sinh(n * s) / (n * math.sinh(s))
+    if n == 0 and g1 == g2:
+        r = g1 * s / math.sinh(s)
     else:
         m = GENERAL_LIMIT_LEVEL if n == 0 else n
-        r = (math.exp(m * s) * g1 - math.exp(-m * s) * g2) / (2 * m * math.sinh(s))
+        x = m * s
+        head = g1 * math.sinh(x)
+        total = head if g1 == g2 else head + (g1 - g2) * math.exp(-x) / 2
+        if abs(total) < ZERO_ULPS * math.ulp(1.0) * abs(head):
+            total = 0.0
+        r = total / (m * math.sinh(s))
     if r < 0:
         raise RadicandError(f"negative radicand at level n={n} with psi1={g1}, psi2={g2}")
     return math.sqrt(r)
 
 
 def longdouble_dressing(levels, p, psi1, psi2):
-    """F(n) for levels n >= 1, one longdouble scalar at a time."""
+    """F(n) for levels n >= 1, one longdouble scalar at a time, by the
+    expression and zero rule of ``fockspace.radicand``."""
     s, g1, g2 = LD(p.s), LD(psi1), LD(psi2)
     values = []
     for level in levels:
-        n = LD(level)
-        if g1 == g2:
-            r = g1 * np.sinh(n * s) / (n * np.sinh(s))
-        else:
-            r = (np.exp(n * s) * g1 - np.exp(-n * s) * g2) / (2 * n * np.sinh(s))
+        x = LD(level) * s
+        head = g1 * np.sinh(x)
+        total = head if g1 == g2 else head + (g1 - g2) * np.exp(-x) / 2
+        if abs(total) < ZERO_ULPS * np.finfo(LD).eps * abs(head):
+            total = LD(0)
+        r = total / (LD(level) * np.sinh(s))
         if r < 0:
             raise RadicandError(
                 f"negative radicand at level n={level} with psi1={psi1}, psi2={psi2}"
             )
         values.append(np.sqrt(r))
     return np.array(values, dtype=LD)
+
+
+def _exact_sinh(x):
+    """sinh of a Decimal: its Taylor series below 1, where exp(x) - exp(-x) cancels."""
+    if abs(x) >= 1:
+        return (x.exp() - (-x).exp()) / 2
+    term, total, k = x, x, 1
+    while abs(term) > abs(total) * Decimal("1e-70"):
+        term *= x * x / ((k + 1) * (k + 2))
+        total += term
+        k += 2
+    return total
+
+
+def exact_radicand_terms(n, s, psi1, psi2):
+    """The radicand's terms ``psi1*sinh(ns)`` and ``(psi1 - psi2)*exp(-ns)/2``
+    and its denominator ``n*sinh(s)``, in 60-digit ``decimal`` from the
+    exact values of the floats given."""
+    with decimal.localcontext(decimal.Context(prec=60)):
+        n, s, psi1, psi2 = map(Decimal, (n, s, psi1, psi2))
+        x = n * s
+        return psi1 * _exact_sinh(x), (psi1 - psi2) * (-x).exp() / 2, n * _exact_sinh(s)
 
 
 def entry_payload(entry):

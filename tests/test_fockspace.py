@@ -1,9 +1,20 @@
 import math
 import re
+import sys
+from decimal import Decimal
 
 import numpy as np
 import pytest
-from oracle import band_matrices, longdouble_dressing, plain_ladder
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from oracle import (
+    GENERAL_LIMIT_LEVEL,
+    band_matrices,
+    exact_radicand_terms,
+    libm_dressing,
+    longdouble_dressing,
+    plain_ladder,
+)
 
 from qdgates.audit import ALGEBRA_CHECK_IDS, algebra_residuals, ladder_band
 from qdgates.fockspace import (
@@ -12,6 +23,7 @@ from qdgates.fockspace import (
     RadicandError,
     TruncatedFockSpace,
     f_value,
+    radicand,
 )
 from qdgates.qnumber import DeformationParam, q_number
 
@@ -52,25 +64,28 @@ class TestFValue:
         assert value == pytest.approx(math.sqrt(q_number(2, p) / 2), abs=1e-15)
         assert value == pytest.approx(F_AT_TWO, abs=1e-13)
 
+    # F(0) multiplies only zero ladder entries and f_value refuses it; the
+    # dense creation-matrix oracle still multiplies it in, so the oracle
+    # keeps the level-0 limit, pinned here
     def test_zero_level_takes_limit_value(self):
         p = DeformationParam(0.5)
-        assert f_value(0, p, 1.0, 1.0) == pytest.approx(F_AT_ZERO_LIMIT, abs=1e-13)
+        assert libm_dressing(0, p, 1.0, 1.0) == pytest.approx(F_AT_ZERO_LIMIT, abs=1e-13)
 
     @pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
     @pytest.mark.parametrize("psi", [1.0, 2.5])
     def test_continuous_at_zero(self, s, psi):
         p = DeformationParam(s)
-        assert abs(f_value(1e-8, p, psi, psi) - f_value(0, p, psi, psi)) < 1e-6
+        assert abs(libm_dressing(1e-8, p, psi, psi) - libm_dressing(0, p, psi, psi)) < 1e-6
 
     def test_general_zero_level_evaluates_off_zero(self):
         # unequal functions: no limit exists, the value is taken just off zero
         p = DeformationParam(0.5)
-        n = 1e-8
+        n = GENERAL_LIMIT_LEVEL
         expected = math.sqrt(
             (math.exp(n * p.s) * 2.0 - math.exp(-n * p.s) * 1.0)
             / (2 * n * math.sinh(p.s))
         )
-        assert f_value(0, p, 2.0, 1.0) == pytest.approx(expected, rel=1e-12)
+        assert libm_dressing(0, p, 2.0, 1.0) == pytest.approx(expected, rel=1e-12)
 
     def test_negative_radicand_raises_with_location(self):
         with pytest.raises(RadicandError, match="n=1"):
@@ -97,6 +112,37 @@ class TestFValue:
         p = DeformationParam(0.5)
         assert f_value(-1, p, 3.0, 3.0) == pytest.approx(f_value(1, p, 3.0, 3.0), abs=1e-15)
         assert f_value(-2, p, 1.0, 1.0) == pytest.approx(f_value(2, p, 1.0, 1.0), abs=1e-15)
+
+
+@st.composite
+def radicand_points(draw):
+    """s log-uniform in [1e-8, 1], n in {1} or [2, 300], psi1 in e**+-5, and psi2
+    near psi1, unrelated to it, or within 1e-9 of the zero boundary psi1*q**(2n)."""
+    s = math.exp(draw(st.floats(math.log(1e-8), 0.0)))
+    n = draw(st.one_of(st.just(1), st.integers(2, 300)))
+    psi1 = math.exp(draw(st.floats(-5.0, 5.0)))
+    kind = draw(st.sampled_from(("near-equal", "unrelated", "near-zero")))
+    if kind == "near-equal":
+        psi2 = psi1 * (1 + draw(st.sampled_from((-1, 1))) * 10 ** draw(st.floats(-15.0, -6.0)))
+    elif kind == "unrelated":
+        psi2 = math.exp(draw(st.floats(-5.0, 5.0)))
+    else:
+        psi2 = psi1 * math.exp(2 * n * s) * (1 + draw(st.floats(-1e-9, 1e-9)))
+    return n, s, psi1, psi2
+
+
+@settings(deadline=None)
+@given(radicand_points())
+@example((1, 1e-8, 1.0, 1.0 + 2**-50))  # the exp form's two terms cancel: ~5e7 in these units
+def test_radicand_is_within_a_few_ulps_of_its_terms(point):
+    # the error is measured in eps times the sum of the terms' magnitudes,
+    # with 1 + n*s for the rounding of n*s that sinh and exp amplify
+    n, s, psi1, psi2 = point
+    head, tail, denominator = exact_radicand_terms(n, s, psi1, psi2)
+    scale = (abs(head) + abs(tail)) / denominator
+    error = abs(Decimal(radicand(n, s, psi1, psi2)) - (head + tail) / denominator)
+    units = error / (Decimal(sys.float_info.epsilon) * (1 + Decimal(n) * Decimal(s)) * scale)
+    assert units <= 8
 
 
 class TestDeformedLadderOps:
@@ -158,12 +204,12 @@ class TestLadderBand:
         assert np.allclose(nu, np.arange(7) - math.log(3.0) / p.s, rtol=1e-15, atol=1e-15)
 
     def test_level_zero_is_not_evaluated_when_psi1_below_psi2(self):
-        # the off-zero stand-in at n=0 has a negative radicand here, but every
-        # level n >= 1 is valid and F(0) multiplies only zero entries
+        # the oracle's off-zero stand-in at n=0 has a negative radicand here,
+        # but every level n >= 1 is valid and F(0) multiplies only zero entries
         space = TruncatedFockSpace(16)
         p = DeformationParam(0.5)
         with pytest.raises(RadicandError, match="n=0"):
-            f_value(0, p, 1.0, 1.2)
+            libm_dressing(0, p, 1.0, 1.2)
         a_q, a_q_dag, _ = band_matrices(space, p, 1.0, 1.2)
         assert np.all(np.isfinite(a_q))
         assert a_q[0, 1] == longdouble_dressing([1], p, 1.0, 1.2)[0]

@@ -294,8 +294,8 @@ class TestCnotTruthTable:
 
 
 class TestLevelZeroDressing:
-    # psi1 < psi2 makes the level-0 stand-in radicand negative; the deformed
-    # gates only meet the dressing at argument 1, which is valid here
+    # psi1 < psi2 makes the dense oracle's level-0 stand-in radicand negative;
+    # the deformed gates only meet the dressing at argument 1, valid here
     CHOICE = FunctionChoice(psi1=1.0, psi2=1.2, beta1=1.0, beta2=1.2)
 
     def test_deformed_not_and_hadamard(self):

@@ -163,8 +163,8 @@ class TestDeformedQubits:
 
 
 class TestLevelZeroDressing:
-    # psi1 < psi2: the level-0 stand-in radicand is negative, but level 0
-    # only ever multiplies zero amplitudes; argument 1 is valid
+    # psi1 < psi2: the dense oracle's level-0 stand-in radicand is negative,
+    # but level 0 only ever multiplies zero amplitudes; argument 1 is valid
     CHOICE = FunctionChoice(psi1=1.0, psi2=1.2, beta1=1.0, beta2=1.2)
 
     @pytest.mark.parametrize("x", [0, 1])

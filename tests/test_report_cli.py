@@ -610,15 +610,16 @@ class TestCli:
         assert capsys.readouterr().err == f"configuration error: {message}\n"
 
     @pytest.mark.parametrize("command", ["gates", "sweep"])
-    def test_strength_where_q_rounds_to_one_is_an_error_row(self, command, tmp_path):
-        # exp(1e-17) is 1.0, so the CNOT condition's q - 1/q is 0
+    def test_strength_where_q_rounds_to_one_passes(self, command, tmp_path):
+        # exp(1e-17) is 1.0; the CNOT condition used to divide by q - 1/q == 0,
+        # and the radicand's sinh form needs no q
         out = tmp_path / "report.json"
-        assert main([command, "--s", "1e-17", "--out", str(out)]) == 1
+        assert main([command, "--s", "1e-17", "--out", str(out)]) == 0
         entries = json.loads(out.read_bytes())["entries"]
-        errors = [e for e in entries if e["residual"] == -1.0]
-        assert [e["check_id"] for e in errors] == ["cnot_condition"]
-        assert errors[0]["note"] == "error: q = exp(s) rounds to 1 at s=1e-17, so q - 1/q is 0"
-        assert all(e["pass"] for e in entries if e is not errors[0])
+        assert len(entries) == {"gates": 4, "sweep": 9}[command]
+        assert all(e["pass"] for e in entries)
+        (cnot,) = [e for e in entries if e["check_id"] == "cnot_condition"]
+        assert cnot["residual"] == 0.0
 
     @pytest.mark.parametrize("source", ["flag", "config-file"])
     def test_non_finite_tolerance_is_a_config_error(self, source, tmp_path, capsys):

@@ -1,5 +1,6 @@
 """The closed-form qubit and gate states against the creation-matrix oracle,
-and the closed-form gate conditions against their written-out expressions.
+the NOT condition against its written-out expression, and the CNOT
+condition against the deformed truth table and the exact radicand.
 
 The oracle is the earlier construction: dressed ``np.kron`` creation
 matrices over every retained level, applied to the pair vacuum, with
@@ -30,17 +31,25 @@ basis.
 import cmath
 import math
 import re
+import sys
+from decimal import Decimal
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from oracle import basis_index, dense, libm_dressing, plain_ladder
+from oracle import basis_index, dense, exact_radicand_terms, libm_dressing, plain_ladder
 
 import qdgates.gates as gates_module
 import qdgates.qubits as qubits_module
 import qdgates.report as report_module
-from qdgates.fockspace import FunctionChoice, FunctionFamily, RadicandError, TruncatedFockSpace
+from qdgates.fockspace import (
+    ZERO_ULPS,
+    FunctionChoice,
+    FunctionFamily,
+    RadicandError,
+    TruncatedFockSpace,
+)
 from qdgates.gates import (
     _SQRT2,
     TruthTableRow,
@@ -636,34 +645,6 @@ def oracle_not_residual(p, choice):
     return residual
 
 
-def oracle_cnot_residual(p, beta1, beta2):
-    """Both sides of the target-swap condition as products of written-out
-    factors; zeroth powers are 1 and their bases are never evaluated."""
-    if not (beta1 > 0 and beta2 > 0):
-        raise ValueError(f"beta1 and beta2 must be positive, got {beta1!r}, {beta2!r}")
-    q = p.q
-    denom = q - 1.0 / q
-
-    def factor(argument, exponent):
-        if exponent == 0.0:
-            return 1.0
-        base = (q**argument * beta1 - q ** (-argument) * beta2) / (argument * denom)
-        if base < 0:
-            raise RadicandError(
-                f"negative radicand in swap-condition factor at argument {argument} "
-                f"with beta1={beta1}, beta2={beta2}"
-            )
-        return base**exponent
-
-    residual = 0.0
-    for k in (0, 1):
-        k_hat = k
-        lhs = factor(k_hat, k / 2) * factor(1 - k_hat + k, (1 - k) / 2)
-        rhs = factor(1 - k_hat, (1 - k) / 2) * factor(k_hat - 1 + k, k / 2)
-        residual = max(residual, abs(lhs - rhs))
-    return residual
-
-
 def outcome(call):
     """The bits of a call's residual, or the type and text of what it raised."""
     try:
@@ -702,12 +683,40 @@ def test_closed_form_conditions_equal_the_written_out_ones(point):
         # psi1/psi2 overflows; the condition refuses an infinite residual
         not_oracle = (ValueError, "residual must be finite and nonnegative, got inf")
     assert outcome(lambda: check_not_condition(p, choice)) == not_oracle
-    cnot = outcome(lambda: check_cnot_condition(p, a, b))
-    if p.q == 1.0:
-        # the written-out factors divide by q - 1/q == 0; the check names s instead
-        assert cnot == (ValueError, f"q = exp(s) rounds to 1 at s={p.s!r}, so q - 1/q is 0")
-    else:
-        assert cnot == outcome(lambda: oracle_cnot_residual(p, a, b))
+
+
+def raised(result, error):
+    """Whether an ``outcome`` is the raise of ``error`` (a type, or a type and text prefix)."""
+    kind, text = error if isinstance(error, tuple) else (error, "")
+    return isinstance(result, tuple) and result[0] is kind and str(result[1]).startswith(text)
+
+
+P_TENTH = DeformationParam(0.1)
+OVERFLOW = (ValueError, "dressing radicand overflows float64 at level n=1")
+
+
+@settings(deadline=None)
+@given(condition_points())
+@example((P_TENTH, 1 / P_TENTH.q, P_TENTH.q))  # exactly 0; -6.9e-16 without the zero rule
+@example((DeformationParam(1e-10), 1e308, 1.0))  # radicand beyond float64
+@example((DeformationParam(1e-300), 1e-308, math.nextafter(1e-308, 1.0)))  # its terms underflow
+def test_cnot_condition_agrees_with_the_deformed_table(point):
+    # both take the sign of fockspace.radicand at argument 1: the condition
+    # fails exactly where the table's target amplitude has a negative radicand
+    p, a, b = point
+    condition = outcome(lambda: check_cnot_condition(p, a, b))
+    unit, target = FunctionChoice.unit(), FunctionChoice(beta1=a, beta2=b)
+    table = outcome(lambda: cnot_truth_table(p, unit, target))
+    assert raised(condition, RadicandError) == raised(table, RadicandError)
+    if condition == bits(0.0):
+        # a zero radicand is a zero amplitude; one beyond float64 no amplitude at all
+        assert isinstance(table, list) or raised(table, ZERO_AMPLITUDE) or raised(table, OVERFLOW)
+    # where the exact radicand is clear of the zero rule's band and of float64
+    # underflow, the condition has its sign
+    head, tail, _ = exact_radicand_terms(1, p.s, a, b)
+    margin = 2 * ZERO_ULPS * Decimal(sys.float_info.epsilon) * abs(head) + 4 * Decimal(5e-324)
+    if abs(head + tail) >= margin:
+        assert raised(condition, RadicandError) == (head + tail < 0)
 
 
 @pytest.mark.parametrize("cutoff", range(2, 9))

@@ -19,8 +19,8 @@ from qdgates.report import SweepConfig, run_sweep, serialize
 
 TESTS = Path(__file__).resolve().parent
 PINS = {
-    (workload, int(seed)): digest
-    for workload, seed, digest in (
+    (workload, int(seed)): (digest, csv_digest)
+    for workload, seed, digest, csv_digest in (
         line.split() for line in (TESTS / "workload_report_sha256.txt").read_text().splitlines()
     )
 }
@@ -38,11 +38,23 @@ make_config = load_make_config()
 
 
 # the algebra rows are computed in longdouble, whose width is platform-defined
-@pytest.mark.skipif(
+X87_ONLY = pytest.mark.skipif(
     np.finfo(np.longdouble).eps != 2.0**-63, reason="the pins assume x87 80-bit longdouble"
 )
+
+
+def digest(workload, seed, output_format=None):
+    report = run_sweep(SweepConfig.from_payload(make_config(workload, seed)))
+    return hashlib.sha256(serialize(report, output_format)).hexdigest()
+
+
+@X87_ONLY
 @pytest.mark.parametrize("workload, seed", sorted(PINS))
 def test_workload_report_bytes_are_pinned(workload, seed):
-    config = SweepConfig.from_payload(make_config(workload, seed))
-    blob = serialize(run_sweep(config))
-    assert hashlib.sha256(blob).hexdigest() == PINS[workload, seed]
+    assert digest(workload, seed) == PINS[workload, seed][0]
+
+
+@X87_ONLY
+@pytest.mark.parametrize("workload, seed", sorted(PINS))
+def test_workload_csv_rows_are_pinned(workload, seed):
+    assert digest(workload, seed, "csv") == PINS[workload, seed][1]

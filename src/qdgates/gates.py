@@ -42,7 +42,7 @@ def _coefficient(amp: complex, amplitude: float) -> complex:
     """``amp`` over the positive amplitude of its basis vector: times the reciprocal,
     as numpy's complex128 quotient computes it (its ``imag * 0`` and ``real * 0`` terms
     fix the sign of a zero part).  For ``amp == amplitude`` it is not always exactly 1,
-    where Python's ``/`` would be; report bytes depend on it until the schema changes."""
+    where Python's ``/`` would be; report rows depend on it until schema 3 changes them."""
     r = 1.0 / amplitude
     return complex((amp.real + amp.imag * 0.0) * r, (amp.imag - amp.real * 0.0) * r)
 

@@ -202,16 +202,10 @@ class NormRatioResult(NamedTuple):
 
 
 def _scientific(a: float, b: float) -> str:
-    """The exact ``a * b``, maybe beyond float64, as numpy's ``format_float_scientific(...,
-    precision=3)`` prints it: zeros that rounding up carries into the last places are
-    dropped (8.4496e+422 reads 8.45e+422, 8.4003e+422 reads 8.400e+422)."""
+    """The product ``a * b``, maybe beyond float64, to four significant digits."""
     from decimal import Decimal  # only this error note needs it
 
-    product = Decimal(a) * Decimal(b)
-    mantissa, exponent = f"{product:.3e}".split("e")
-    if Decimal(f"{mantissa}e{exponent}") > product:
-        mantissa = mantissa.rstrip("0")
-    return f"{mantissa}e{exponent}"
+    return f"{Decimal(a) * Decimal(b):.3e}"
 
 
 def norm_ratio_experiment(p: DeformationParam, psi: float, beta: float) -> NormRatioResult:

@@ -8,9 +8,9 @@ or measures a residual that is no such float, becomes an error row
 (residual -1, fail) instead of aborting the sweep.  The known mismatch
 of the number-product relation away from unit dressing is scientific content
 and is recorded as an expected failure.  Serialization is bit-deterministic:
-fixed schema, sorted keys, canonical row order, no timestamps.  JSON entries and samples
-(NamedTuples, read by field and by iteration; the oracle uses ``_asdict()``) fill templates, a
-point's cells once for all its rows, texts from one encoder call, as ``json.dumps`` writes them.
+sorted keys, canonical row order, no timestamps.  The JSON report is one ``json.dumps`` of
+a payload whose ``points`` hold each grid point's cells once, with the rows of its checks;
+the CSV report is one row per check.
 """
 
 from __future__ import annotations
@@ -21,8 +21,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import lru_cache
-from operator import attrgetter, is_
+from operator import itemgetter, ne
 from typing import Iterable, NamedTuple, Sequence
 
 from . import __version__ as _tool_version
@@ -34,7 +33,7 @@ from .gates import check_cnot_condition, check_not_condition, cnot_truth_table
 from .qnumber import DeformationParam
 from .qubits import QUBIT_CUTOFF, NormRatioResult, norm_ratio_experiment
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 CNOT_TABLE = "cnot_table"
 CNOT_TABLE_DEFORMED = "cnot_table_deformed"
@@ -50,10 +49,13 @@ REGISTERED_CHECKS = (
     *ALGEBRA_CHECK_IDS, NOT_CONDITION, CNOT_CONDITION, CNOT_TABLE, CNOT_TABLE_DEFORMED, NORM_RATIO
 )
 
-# The report's one column list, in ReportEntry field order.
+# The report's one column list, in ReportEntry field order, split for JSON into the cells
+# a grid point writes once and the ROW_COLUMNS each of its rows writes.
 ENTRY_COLUMNS = (
     "check_id", "s", "cutoff", "psi1", "psi2", "beta1", "beta2", "residual", "pass", "note"
 )
+POINT_COLUMNS = ("s", "psi1", "psi2", "beta1", "beta2")
+ROW_COLUMNS = tuple(c for c in ENTRY_COLUMNS if c not in POINT_COLUMNS)
 
 EXPECTED_FAIL_MARK = "expected failure"
 
@@ -402,60 +404,35 @@ def _cell(value):
     return value
 
 
-# An entry and a norm-ratio sample as % templates, keys sorted, indented as in the report's
-# lists; an entry's own cells read %%s, so filling in its point's cells leaves a row template.
-_POINT_COLUMNS = ("beta1", "beta2", "psi1", "psi2", "s")
-_JSON_COLUMNS = sorted(zip(ENTRY_COLUMNS, ReportEntry._fields))
-_SAMPLE_COLUMNS = sorted(NormRatioResult._fields)
-_JSON_ENTRY, _NORM_RATIO_ENTRY = (
-    "    {\n" + ",\n".join(f'      "{k}": {cell}' for k, cell in cells) + "\n    }"
-    for cells in ([(c, "%s" if c in _POINT_COLUMNS else "%%s") for c, _ in _JSON_COLUMNS],
-                  [(k, "%s") for k in _SAMPLE_COLUMNS])
-)
-_POINT_CELLS, _SAMPLE_CELLS = attrgetter(*_POINT_COLUMNS), attrgetter(*_SAMPLE_COLUMNS)
-_ROW_CELLS = attrgetter(*[name for c, name in _JSON_COLUMNS if c not in _POINT_COLUMNS])
-
-
-def _json_texts(values: list) -> list[str]:
-    """``[json.dumps(v) for v in values]`` of scalar values, from one encoder call: json
-    escapes every control character, so NUL separates the texts and occurs in none of them."""
-    return json.dumps(values, separators=("\0", ":"))[1:-1].split("\0") if values else []
-
-
-def _json_lists(report: SweepReport) -> tuple[str, str]:
-    """The items of the entries and norm_ratio lists, a grid point's cells filled in once."""
-    points, owners, cells = [], [], []
-    for e in report.entries:
-        # a row takes the last point's template only for the very same objects: 0.0 == -0.0
-        if not (points and all(map(is_, _POINT_CELLS(e), points[-1]))):
-            points.append(_POINT_CELLS(e))
-        owners.append(len(points) - 1)
-        cells += _ROW_CELLS(e)
-    samples = [v for r in report.norm_ratio for v in _SAMPLE_CELLS(r)]
-    texts = _json_texts([v for point in points for v in point] + cells + samples)
-    i, j = len(texts) - len(cells) - len(samples), len(texts) - len(samples)
-    # NUL is in no template and no text, so it separates the point templates one % fills
-    templates = ("\0".join([_JSON_ENTRY] * len(points))
-                 % tuple(t.replace("%", "%%") for t in texts[:i])).split("\0")
-    return (",\n".join([templates[k] for k in owners]) % tuple(texts[i:j]),
-            ",\n".join([_NORM_RATIO_ENTRY] * len(report.norm_ratio)) % tuple(texts[j:]))
-
-
-def _json_report(report: SweepReport) -> str:
-    """json.dumps(sort_keys=True, indent=2) of the report."""
-    parts = {k: json.dumps(getattr(report, k)) for k in ("schema_version", "tool_version")}
-    for k, v in (("config", report.config.to_payload()), ("summary", report.summary)):
-        parts[k] = json.dumps(v, sort_keys=True, indent=2).replace("\n", "\n  ")
-    for k, items in zip(("entries", "norm_ratio"), _json_lists(report)):
-        parts[k] = "[\n" + items + "\n  ]" if items else "[]"
-    return "{\n  " + ",\n  ".join(f'"{k}": {parts[k]}' for k in sorted(parts)) + "\n}\n"
+def _points(entries: Iterable[ReportEntry]) -> list[dict]:
+    """The JSON report's points: each run of consecutive entries whose point cells are
+    equal, compared with ``!=`` so that a NaN cell is equal to none, with the run's rows."""
+    point_cells, row_cells = (
+        itemgetter(*map(ENTRY_COLUMNS.index, columns)) for columns in (POINT_COLUMNS, ROW_COLUMNS)
+    )
+    points: list[dict] = []
+    for e in entries:
+        cells = point_cells(e)
+        if not points or any(map(ne, cells, last)):
+            last, rows = cells, []
+            points.append({**dict(zip(POINT_COLUMNS, cells)), "rows": rows})
+        rows.append(dict(zip(ROW_COLUMNS, row_cells(e))))
+    return points
 
 
 def serialize(report: SweepReport, output_format: str | None = None) -> bytes:
     """Deterministic bytes for a report; identical configs give identical bytes."""
     fmt = output_format or report.config.output_format
     if fmt == "json":
-        return _json_report(report).encode("utf-8")
+        payload = {
+            "schema_version": report.schema_version,
+            "tool_version": report.tool_version,
+            "config": report.config.to_payload(),
+            "points": _points(report.entries),
+            "norm_ratio": [r._asdict() for r in report.norm_ratio],
+            "summary": report.summary,
+        }
+        return (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -467,15 +444,16 @@ def serialize(report: SweepReport, output_format: str | None = None) -> bytes:
 
 def parse_report(blob: bytes) -> SweepReport:
     """Rebuild a report from its JSON serialization (the inverse of serialize)."""
-    # one float per number text, so a point's rows share its cells as a sweep's rows do
-    payload = json.loads(blob.decode("utf-8"), parse_float=lru_cache(maxsize=None)(float))
-    entries = tuple(ReportEntry(*(e[c] for c in ENTRY_COLUMNS)) for e in payload["entries"])
-    samples = tuple(NormRatioResult(**r) for r in payload.get("norm_ratio", []))
+    payload = json.loads(blob.decode("utf-8"))
+    version = payload.get("schema_version")
+    if version != SCHEMA_VERSION:
+        raise ValueError(f"report schema {version!r} is not {SCHEMA_VERSION!r}")
+    cells, points = itemgetter(*ENTRY_COLUMNS), payload["points"]
     return SweepReport(
-        schema_version=payload["schema_version"],
+        schema_version=version,
         tool_version=payload["tool_version"],
         config=SweepConfig.from_payload(payload["config"]),
-        entries=entries,
-        norm_ratio=samples,
+        entries=tuple(ReportEntry._make(cells({**p, **row})) for p in points for row in p["rows"]),
+        norm_ratio=tuple(NormRatioResult(**r) for r in payload["norm_ratio"]),
         summary=payload["summary"],
     )

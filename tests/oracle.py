@@ -1,5 +1,5 @@
-"""Dense operators, dense states, per-level dressings, the exact radicand and
-the report's JSON, kept only as test oracles.
+"""Dense operators, dense states, per-level dressings and the exact radicand,
+kept only as test oracles.
 
 The package builds no ``d x d`` operator and no dense state vector, and
 writes the dressing radicand once per precision: :func:`qdgates.fockspace.radicand`
@@ -9,13 +9,10 @@ ladder matrices, the band expanded into dense deformed ones, a state's
 amplitudes written out as a vector over every joint occupation, the
 dressing level by level in each of those two precisions (the float64 one
 also at ``n = 0``, which the dense creation matrices multiply into zero
-entries), and the radicand's terms in 60-digit ``decimal``.  The JSON
-report is ``json.dumps`` of the whole report as a payload, which
-``qdgates.report.serialize`` writes row by row.
+entries), and the radicand's terms in 60-digit ``decimal``.
 """
 
 import decimal
-import json
 import math
 from decimal import Decimal
 
@@ -23,7 +20,6 @@ import numpy as np
 
 from qdgates.audit import ladder_band
 from qdgates.fockspace import ZERO_ULPS, RadicandError
-from qdgates.report import ENTRY_COLUMNS
 
 LD = np.longdouble
 
@@ -125,25 +121,3 @@ def exact_radicand_terms(n, s, psi1, psi2):
         n, s, psi1, psi2 = map(Decimal, (n, s, psi1, psi2))
         x = n * s
         return psi1 * _exact_sinh(x), (psi1 - psi2) * (-x).exp() / 2, n * _exact_sinh(s)
-
-
-def entry_payload(entry):
-    """A report entry as a JSON object keyed by the report's columns."""
-    return dict(zip(ENTRY_COLUMNS, entry))
-
-
-def report_payload(report):
-    """The whole report as one JSON-ready object."""
-    return {
-        "schema_version": report.schema_version,
-        "tool_version": report.tool_version,
-        "config": report.config.to_payload(),
-        "entries": [entry_payload(e) for e in report.entries],
-        "norm_ratio": [r._asdict() for r in report.norm_ratio],
-        "summary": report.summary,
-    }
-
-
-def json_report_bytes(report):
-    """The JSON report as ``json.dumps(..., sort_keys=True, indent=2)`` writes it."""
-    return (json.dumps(report_payload(report), sort_keys=True, indent=2) + "\n").encode("utf-8")

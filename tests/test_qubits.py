@@ -1,4 +1,6 @@
+import decimal
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -258,13 +260,20 @@ class TestNormRatio:
 
 @settings(deadline=None)
 @given(st.floats(min_value=1e154, max_value=1e308), st.floats(min_value=1e154, max_value=1e308))
-@example(8.4496e211, 1e211)  # rounds up to 8.450e+422, printed 8.45e+422
-@example(8.4003e211, 1e211)  # rounds down to 8.400e+422, printed as is
-@example(1e200, 1e200)  # 9.99999...e+399 rounds up to 1.e+400
-def test_overflow_note_prints_as_numpy_printed_it(a, b):
-    # the note used to print the longdouble product with numpy; report bytes keep its text
-    expected = np.format_float_scientific(np.longdouble(a) * b, precision=3)
+@example(8.4496e211, 1e211)  # rounds up to 8.450e+422
+@example(8.4003e211, 1e211)  # rounds down to 8.400e+422
+@example(1e200, 1e200)  # 9.99999...e+399 rounds up to 1.000e+400
+def test_overflow_note_is_the_exact_product_to_four_digits(a, b):
+    with decimal.localcontext(decimal.Context(prec=1000)):
+        expected = f"{Decimal(a) * Decimal(b):.3e}"
     assert _scientific(a, b) == expected
+
+
+def test_overflow_note_keeps_its_trailing_zeros():
+    # the note used to copy numpy's format_float_scientific, which drops the zeros
+    # that rounding up carries in: 8.45e+422 and 1.e+400
+    assert _scientific(8.4496e211, 1e211) == "8.450e+422"
+    assert _scientific(1e200, 1e200) == "1.000e+400"
 
 
 class TestCaseTwoBookkeeping:

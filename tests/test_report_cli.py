@@ -9,9 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracle import json_report_bytes
 
 import qdgates
 import qdgates.report as report_module
@@ -29,6 +28,7 @@ from qdgates.report import (
     LAW_PRODUCT,
     LAW_SQRT,
     NORM_RATIO_LAYER,
+    POINT_COLUMNS,
     REGISTERED_CHECKS,
     SCHEMA_VERSION,
     SWEEP_LAYERS,
@@ -257,62 +257,42 @@ ESCAPED = st.sampled_from('"\\/\n\t\x00\x1f\x7f\u00e9\u2028\U0001f600\ud800')
 EDGE_TEXTS = st.text(st.one_of(ESCAPED, st.characters()), max_size=8)
 
 
+# check ids that repeat at one point, besides the drawn texts
+CHECK_IDS = st.one_of(st.sampled_from(("qcommutator", "norm_ratio")), EDGE_TEXTS)
+
+
+def report_of(entries, samples=()):
+    entries, samples = tuple(entries), tuple(samples)
+    summary = report_module._summarize(entries)
+    return SweepReport(SCHEMA_VERSION, qdgates.__version__, config(), entries, samples, summary)
+
+
 @st.composite
 def drawn_reports(draw):
-    """A report of drawn entries and norm-ratio samples; often with no entries."""
+    """A report of drawn entries and norm-ratio samples.  The entries come in runs at
+    drawn points, so a point has several rows, check ids repeat at one point, and a
+    point recurs after another, as the very cell objects or as equal copies (-0.0
+    for 0.0, another NaN for NaN); often there are none."""
     f = EDGE_FLOATS
-    entry = st.builds(
-        ReportEntry, EDGE_TEXTS, f, st.integers(-(2**70), 2**70), f, f, f, f, f, st.booleans(),
-        EDGE_TEXTS,
-    )
-    entries = draw(st.lists(entry, max_size=6))
-    samples = draw(st.lists(st.builds(NormRatioResult, f, f, f, f, f, f, EDGE_TEXTS), max_size=3))
-    summary = report_module._summarize(entries)
-    return SweepReport(
-        SCHEMA_VERSION, qdgates.__version__, config(), tuple(entries), tuple(samples), summary
-    )
-
-
-# a grid point's cells: values equal to another with another JSON text, the drawn
-# floats, and off-schema strings holding the writer's template character
-POINT_CELLS = st.one_of(
-    st.sampled_from((0.0, -0.0, math.nan, 1, 1.0, True)), EDGE_FLOATS, st.text("%s(", max_size=3)
-)
-
-
-def equal_twin(value):
-    """Another object equal to the number ``value`` (another nan for nan), whose JSON
-    text may differ: -0.0 for 0.0, 1.0 for 1, true for 1.0, 1 for true."""
-    if value != value:
-        return float("nan")
-    if value == 0:
-        return -value
-    if value == 1:
-        return {int: 1.0, float: True, bool: 1}[type(value)]
-    return float(repr(value))
-
-
-@st.composite
-def point_grouped_reports(draw):
-    """Entries in runs that share one grid point's cell objects, as a sweep writes them,
-    with cutoffs that change within a run.  A run's cells are drawn afresh, or are the run
-    before's, each the very object or an equal twin of it."""
-    entries, cells = [], None
-    for _ in range(draw(st.integers(1, 4))):
-        if cells is None or draw(st.booleans()):
-            cells = [draw(POINT_CELLS) for _ in range(5)]
-        else:
-            twin = [not isinstance(c, str) and draw(st.booleans()) for c in cells]
-            cells = [equal_twin(c) if t else c for c, t in zip(cells, twin)]
+    points = draw(st.lists(st.tuples(f, f, f, f, f), min_size=1, max_size=3))
+    entries = []
+    for _ in range(draw(st.integers(0, 4))):
+        cells = draw(st.sampled_from(points))
+        if draw(st.booleans()):
+            cells = [-c if c == 0 else float(repr(c)) for c in cells]
         s, psi1, psi2, beta1, beta2 = cells
         for _ in range(draw(st.integers(1, 3))):
-            cutoff = draw(st.sampled_from((4, 16, 2**70)))
             entries.append(ReportEntry(
-                draw(EDGE_TEXTS), s, cutoff, psi1, psi2, beta1, beta2, draw(EDGE_FLOATS),
-                draw(st.booleans()), draw(EDGE_TEXTS),
+                draw(CHECK_IDS), s, draw(st.integers(-(2**70), 2**70)), psi1, psi2, beta1,
+                beta2, draw(f), draw(st.booleans()), draw(EDGE_TEXTS),
             ))
-    summary = report_module._summarize(entries)
-    return SweepReport(SCHEMA_VERSION, qdgates.__version__, config(), tuple(entries), (), summary)
+    samples = draw(st.lists(st.builds(NormRatioResult, f, f, f, f, f, f, EDGE_TEXTS), max_size=3))
+    return report_of(entries, samples)
+
+
+def nan_as_text(record):
+    """A record's cells, each NaN as the text "nan", so that records holding NaN compare."""
+    return tuple("nan" if v != v else v for v in record)
 
 
 class TestRecords:
@@ -358,7 +338,7 @@ class TestSerialization:
         assert report.summary["total_pass"] == 12 and report.summary["total_fail"] == 3
         digests = {fmt: hashlib.sha256(serialize(report, fmt)).hexdigest() for fmt in ("json", "csv")}
         assert digests == {
-            "json": "2d3f0e8b9ec206d416150c9d456bd3cfab39e4fe562a19c00b188c5a5f37fe60",
+            "json": "3792e52cdd5882de76da5ece976f8dfeba0fb52558ca2b7a64f8c5ff5af0f1bf",
             "csv": "3cfcfd80c2d2f081b8d7c78dcabc4ee5545b9406fd230aa9591895ab8ef0849c",
         }
 
@@ -421,54 +401,54 @@ print(hashlib.sha256(serialize(report)).hexdigest())
         with pytest.raises(ValueError, match="format"):
             serialize(run_sweep(config()), "yaml")
 
-    def test_json_writer_equals_json_dumps_on_sweeps(self):
-        for cfg, layers in (
-            (config(s_grid=S_GRID, psi_family=POWER_ONE), SWEEP_LAYERS),
-            (config(s_grid=(0.9,), cutoff=1024), (ALGEBRA_LAYER,)),
-            (config(), ()),  # no entries and no norm-ratio samples
-        ):
-            report = run_sweep(cfg, layers=layers)
-            assert serialize(report, "json") == json_report_bytes(report)
-
     @settings(deadline=None)
     @given(drawn_reports())
-    def test_json_writer_equals_json_dumps(self, report):
-        # the fixed-schema writer against json.dumps of the whole payload, on
-        # values no sweep writes
-        assert serialize(report, "json") == json_report_bytes(report)
+    @example(report_of(()))
+    # two rows at s = NaN, two NaN objects, and json.loads reads every NaN as one object:
+    # a point split only by object identity would be joined on the way back
+    @example(report_of([ReportEntry("a", s, 4, 1.0, 1.0, 1.0, 1.0, 0.0, True)
+                        for s in (math.nan, float("nan"))]))
+    def test_json_round_trip_keeps_every_byte_and_row(self, report):
+        # on values no sweep writes; equal point cells with another JSON text
+        # (0.0 and -0.0, 1 and 1.0) read back as the first row of their point wrote them
+        blob = serialize(report, "json")
+        parsed = parse_report(blob)
+        assert serialize(parsed, "json") == blob
+        assert list(map(nan_as_text, parsed.entries)) == list(map(nan_as_text, report.entries))
+        assert list(map(nan_as_text, parsed.norm_ratio)) == list(
+            map(nan_as_text, report.norm_ratio)
+        )
 
-    @settings(deadline=None)
-    @given(point_grouped_reports())
-    def test_json_writer_fills_each_point_once_as_json_dumps_would(self, report):
-        # a point's texts are reused only for its very cell objects, never for
-        # equal ones, and the cutoff is each row's own
-        assert serialize(report, "json") == json_report_bytes(report)
-
-    @settings(deadline=None)
-    @given(st.lists(st.one_of(
-        EDGE_FLOATS, EDGE_TEXTS, st.text("%\0\u00e9", max_size=4), st.booleans(),
-        st.integers(-(2**70), 2**70),
-    )))
-    def test_one_encoder_call_gives_each_cell_its_json_dumps_text(self, values):
-        # json escapes every control character, so no text holds the NUL separator
-        assert report_module._json_texts(values) == [json.dumps(v) for v in values]
-
-    def test_one_encoder_call_over_no_cells_gives_no_texts(self):
-        assert report_module._json_texts([]) == []
+    def test_a_sweep_writes_each_grid_point_once_with_all_its_rows(self):
+        report = run_sweep(config(s_grid=S_GRID, psi_family=POWER_ONE))
+        points = json.loads(serialize(report, "json"))["points"]
+        assert [point["s"] for point in points] == list(S_GRID)
+        assert all(len(point["rows"]) == len(REGISTERED_CHECKS) for point in points)
 
     def test_parsed_rows_of_one_point_share_its_cell_objects(self):
-        # the writer fills a point's cells once only for the very same objects
         parsed = parse_report(serialize(run_sweep(config(s_grid=S_GRID, psi_family=POWER_ONE))))
-        for column in ("s", "psi1", "psi2", "beta1", "beta2"):
-            values = [getattr(e, column) for e in parsed.entries]
-            assert len(set(map(id, values))) == len(set(values))
+        n = len(REGISTERED_CHECKS)
+        for first in range(0, len(parsed.entries), n):
+            rows = parsed.entries[first:first + n]
+            for column in POINT_COLUMNS:
+                assert len({id(getattr(e, column)) for e in rows}) == 1
 
-    def test_json_payload_has_documented_top_level_keys(self):
+    def test_json_payload_has_documented_keys(self):
         payload = json.loads(serialize(run_sweep(config()), "json"))
-        for key in ("schema_version", "config", "entries", "summary"):
-            assert key in payload
-        entry = payload["entries"][0]
-        assert tuple(sorted(entry)) == tuple(sorted(ENTRY_COLUMNS))
+        assert set(payload) == {
+            "schema_version", "tool_version", "config", "points", "norm_ratio", "summary"
+        }
+        (point,) = payload["points"]
+        assert set(point) == {"s", "psi1", "psi2", "beta1", "beta2", "rows"}
+        for row in point["rows"]:
+            assert set(row) == {"check_id", "cutoff", "note", "pass", "residual"}
+        assert set(payload["norm_ratio"][0]) == set(NormRatioResult._fields)
+
+    def test_another_schema_is_refused_by_name(self):
+        # a report written by schema 1, with one row per entry; it used to die with KeyError
+        blob = Path(__file__).with_name("schema1_report.json").read_bytes()
+        with pytest.raises(ValueError, match="^report schema '1' is not '2'$"):
+            parse_report(blob)
 
 
 class TestInference:
@@ -615,11 +595,11 @@ class TestCli:
         # and the radicand's sinh form needs no q
         out = tmp_path / "report.json"
         assert main([command, "--s", "1e-17", "--out", str(out)]) == 0
-        entries = json.loads(out.read_bytes())["entries"]
+        entries = parse_report(out.read_bytes()).entries
         assert len(entries) == {"gates": 4, "sweep": 9}[command]
-        assert all(e["pass"] for e in entries)
-        (cnot,) = [e for e in entries if e["check_id"] == "cnot_condition"]
-        assert cnot["residual"] == 0.0
+        assert all(e.passed for e in entries)
+        (cnot,) = [e for e in entries if e.check_id == "cnot_condition"]
+        assert cnot.residual == 0.0
 
     @pytest.mark.parametrize("source", ["flag", "config-file"])
     def test_non_finite_tolerance_is_a_config_error(self, source, tmp_path, capsys):
@@ -704,11 +684,12 @@ class TestCli:
         def refuse(constant):
             raise AssertionError(f"report holds {constant}")
 
-        entries = json.loads(out.read_bytes(), parse_constant=refuse)["entries"]
-        rows = {e["check_id"]: e for e in entries}
+        blob = out.read_bytes()
+        json.loads(blob, parse_constant=refuse)
+        rows = {e.check_id: e for e in parse_report(blob).entries}
         for check_id in ("cnot_table_deformed", "norm_ratio"):
-            assert rows[check_id]["residual"] == -1.0 and not rows[check_id]["pass"]
-            assert rows[check_id]["note"] == f"error: {message}"
+            assert rows[check_id].residual == -1.0 and not rows[check_id].passed
+            assert rows[check_id].note == f"error: {message}"
         capsys.readouterr()
         assert main(["states", *overflow]) == 2
         captured = capsys.readouterr()
@@ -757,10 +738,10 @@ class TestCli:
         assert main(["sweep", "--s", "1", "--psi", "q^400", "--beta", "q^400", "--out", str(out)]) == 1
         blob = out.read_bytes()
         assert b"NaN" not in blob and b"Infinity" not in blob
-        payload = json.loads(blob)
-        (row,) = [e for e in payload["entries"] if e["check_id"] == "norm_ratio"]
-        assert row["residual"] == -1.0 and not row["pass"]
-        assert row["note"] == (
+        report = parse_report(blob)
+        (row,) = [e for e in report.entries if e.check_id == "norm_ratio"]
+        assert row.residual == -1.0 and not row.passed
+        assert row.note == (
             "error: norm ratio overflows float64: measured 2.726e+347, product prediction 2.726e+347"
         )
-        assert payload["norm_ratio"] == []
+        assert report.norm_ratio == ()

@@ -630,7 +630,7 @@ def test_the_universal_set_keeps_its_algebra_in_the_dressed_basis(point, c0, c1,
             assert twice.amplitudes[pattern] == amp
         else:
             # the complex128 quotient of amp by itself is 1 - 2**-53 here
-            # (ROADMAP item 1's schema 2 makes it exactly 1)
+            # (ROADMAP item 1's schema 3 makes it exactly 1)
             assert abs(twice.amplitudes[pattern] - amp) <= 2 * math.ulp(amp)
 
 

@@ -406,16 +406,19 @@ def _cell(value):
 
 def _points(entries: Iterable[ReportEntry]) -> list[dict]:
     """The JSON report's points: each run of consecutive entries whose point cells are
-    equal, compared with ``!=`` so that a NaN cell is equal to none, with the run's rows."""
+    equal, with the run's rows.  A NaN cell is equal to none, so its point has one row."""
     point_cells, row_cells = (
         itemgetter(*map(ENTRY_COLUMNS.index, columns)) for columns in (POINT_COLUMNS, ROW_COLUMNS)
     )
     points: list[dict] = []
+    last = None
     for e in entries:
         cells = point_cells(e)
-        if not points or any(map(ne, cells, last)):
-            last, rows = cells, []
+        if cells != last:
+            rows = []
             points.append({**dict(zip(POINT_COLUMNS, cells)), "rows": rows})
+            # tuples compare cells by identity first, which would make a NaN equal to itself
+            last = None if any(map(ne, cells, cells)) else cells
         rows.append(dict(zip(ROW_COLUMNS, row_cells(e))))
     return points
 

@@ -433,7 +433,7 @@ print(hashlib.sha256(serialize(report)).hexdigest())
             for column in POINT_COLUMNS:
                 assert len({id(getattr(e, column)) for e in rows}) == 1
 
-    def test_json_payload_has_documented_keys(self):
+    def test_json_payload_has_documented_top_level_keys(self):
         payload = json.loads(serialize(run_sweep(config()), "json"))
         assert set(payload) == {
             "schema_version", "tool_version", "config", "points", "norm_ratio", "summary"

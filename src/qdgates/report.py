@@ -49,13 +49,10 @@ REGISTERED_CHECKS = (
     *ALGEBRA_CHECK_IDS, NOT_CONDITION, CNOT_CONDITION, CNOT_TABLE, CNOT_TABLE_DEFORMED, NORM_RATIO
 )
 
-# The report's one column list, in ReportEntry field order, split for JSON into the cells
-# a grid point writes once and the ROW_COLUMNS each of its rows writes.
+# The report's one column list, in ReportEntry field order.
 ENTRY_COLUMNS = (
     "check_id", "s", "cutoff", "psi1", "psi2", "beta1", "beta2", "residual", "pass", "note"
 )
-POINT_COLUMNS = ("s", "psi1", "psi2", "beta1", "beta2")
-ROW_COLUMNS = tuple(c for c in ENTRY_COLUMNS if c not in POINT_COLUMNS)
 
 EXPECTED_FAIL_MARK = "expected failure"
 
@@ -405,21 +402,24 @@ def _cell(value):
 
 
 def _points(entries: Iterable[ReportEntry]) -> list[dict]:
-    """The JSON report's points: each run of consecutive entries whose point cells are
-    equal, with the run's rows.  A NaN cell is equal to none, so its point has one row."""
-    point_cells, row_cells = (
-        itemgetter(*map(ENTRY_COLUMNS.index, columns)) for columns in (POINT_COLUMNS, ROW_COLUMNS)
-    )
+    """The JSON report's points: each run of consecutive entries whose five point cells
+    are equal, with the run's rows.  A NaN cell is equal to none, so its point has one row.
+    Between them, a point and its rows hold every column of ``ENTRY_COLUMNS`` once."""
     points: list[dict] = []
     last = None
-    for e in entries:
-        cells = point_cells(e)
+    for check_id, s, cutoff, psi1, psi2, beta1, beta2, residual, passed, note in entries:
+        cells = s, psi1, psi2, beta1, beta2
         if cells != last:
-            rows = []
-            points.append({**dict(zip(POINT_COLUMNS, cells)), "rows": rows})
+            rows: list[dict] = []
+            points.append(
+                {"s": s, "psi1": psi1, "psi2": psi2, "beta1": beta1, "beta2": beta2, "rows": rows}
+            )
             # tuples compare cells by identity first, which would make a NaN equal to itself
             last = None if any(map(ne, cells, cells)) else cells
-        rows.append(dict(zip(ROW_COLUMNS, row_cells(e))))
+        rows.append(
+            {"check_id": check_id, "cutoff": cutoff, "note": note, "pass": passed,
+             "residual": residual}
+        )
     return points
 
 

@@ -28,7 +28,6 @@ from qdgates.report import (
     LAW_PRODUCT,
     LAW_SQRT,
     NORM_RATIO_LAYER,
-    POINT_COLUMNS,
     REGISTERED_CHECKS,
     SCHEMA_VERSION,
     SWEEP_LAYERS,
@@ -430,7 +429,7 @@ print(hashlib.sha256(serialize(report)).hexdigest())
         n = len(REGISTERED_CHECKS)
         for first in range(0, len(parsed.entries), n):
             rows = parsed.entries[first:first + n]
-            for column in POINT_COLUMNS:
+            for column in ("s", "psi1", "psi2", "beta1", "beta2"):
                 assert len({id(getattr(e, column)) for e in rows}) == 1
 
     def test_json_payload_has_documented_top_level_keys(self):
@@ -442,6 +441,7 @@ print(hashlib.sha256(serialize(report)).hexdigest())
         assert set(point) == {"s", "psi1", "psi2", "beta1", "beta2", "rows"}
         for row in point["rows"]:
             assert set(row) == {"check_id", "cutoff", "note", "pass", "residual"}
+            assert sorted([*point, *row]) == sorted([*ENTRY_COLUMNS, "rows"])
         assert set(payload["norm_ratio"][0]) == set(NormRatioResult._fields)
 
     def test_another_schema_is_refused_by_name(self):

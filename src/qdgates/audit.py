@@ -72,7 +72,7 @@ def _band_rows(cutoff: int, points: Sequence[tuple]) -> tuple:
     """``(v, nu, s, errors)`` of ``(s, psi1, psi2)`` points: each point's RadicandError or
     None, and the band rows (and ``s`` column) of the points without one, in order.  The
     radicand is :func:`qdgates.fockspace.radicand`'s expression and zero rule, in longdouble."""
-    s, g1, g2 = np.array(points, dtype=BAND_DTYPE).T[:, :, None]
+    s, g1, g2 = np.array(points, dtype=np.float64).astype(BAND_DTYPE).T[:, :, None]
     levels = np.arange(cutoff).astype(BAND_DTYPE)
     n = levels[1:]
     x = n * s

@@ -5,11 +5,14 @@ choice), and acts on the dressed basis vectors as the plain gate acts on the
 plain ones.  Those are the states of :mod:`qubits`, one amplitude on one
 occupation pattern, so every gate is scalar arithmetic on the down and up
 amplitudes (or the one two-qubit amplitude): each becomes a coefficient on
-its basis vector (:func:`_coefficient`), and the output is the same
-combination of the gate's images of those vectors.  The realizability
-conditions are closed forms that return their float64 residual, which the
-report judges: the NOT condition is |psi1/psi2 - 1|, the CNOT one the sign
-of a radicand.
+its basis vector, its quotient by that vector's amplitude, and the output is
+the same combination of the gate's images of those vectors.  It is Python's
+complex arithmetic, and each float it meets is made ``complex`` first: Python
+3.14 divides and multiplies a complex by a float componentwise, where earlier
+versions make the float complex, and the two can differ in a zero's sign.
+The realizability conditions are closed forms that return their float64
+residual, which the report judges: the NOT condition is |psi1/psi2 - 1|,
+the CNOT one the sign of a radicand.
 """
 
 from __future__ import annotations
@@ -38,21 +41,12 @@ def _qubit_components(state: OscillatorPairState) -> tuple[complex, complex]:
     return complex(state.amplitudes.get(_DOWN, 0j)), complex(state.amplitudes.get(_UP, 0j))
 
 
-def _coefficient(amp: complex, amplitude: float) -> complex:
-    """``amp`` over the positive amplitude of its basis vector: times the reciprocal,
-    as numpy's complex128 quotient computes it (its ``imag * 0`` and ``real * 0`` terms
-    fix the sign of a zero part).  For ``amp == amplitude`` it is not always exactly 1,
-    where Python's ``/`` would be; report rows depend on it until schema 3 changes them."""
-    r = 1.0 / amplitude
-    return complex((amp.real + amp.imag * 0.0) * r, (amp.imag - amp.real * 0.0) * r)
-
-
 def _extend(state: OscillatorPairState, a_down: float, a_up: float, images) -> dict:
     """The gate whose images of the down and up basis vectors (amplitudes ``a_down``, ``a_up``)
-    are ``images``, each given by its (down, up) amplitudes, extended linearly.  Each image
-    amplitude is made complex so the products are numpy's full complex ones, signed zeros too."""
+    are ``images``, each given by its (down, up) amplitudes, extended linearly; every float
+    is made complex, so a zero's sign does not depend on the Python version."""
     amp_down, amp_up = _qubit_components(state)
-    c_up, c_down = _coefficient(amp_up, a_up), _coefficient(amp_down, a_down)
+    c_up, c_down = amp_up / complex(a_up), amp_down / complex(a_down)
     (down_down, down_up), (up_down, up_up) = images
     return {
         _DOWN: c_down * complex(down_down) + c_up * complex(up_down),
@@ -102,7 +96,7 @@ def apply_hadamard(
     a_up = _pair_amplitude(p, choice)
     a_down = 1.0 if choice is None else _dressed_amplitude(p, choice.psi3, choice.psi4)
     out = _extend(state, a_down, a_up, ((a_down, a_up), (a_down, -a_up)))
-    return OscillatorPairState(state.space, {k: _coefficient(a, _SQRT2) for k, a in out.items()})
+    return OscillatorPairState(state.space, {k: a / complex(_SQRT2) for k, a in out.items()})
 
 
 def apply_phase_shift(state: OscillatorPairState, theta: float) -> OscillatorPairState:
@@ -135,7 +129,7 @@ def apply_cnot(
     input comes back unchanged, after the same argument and dressing checks."""
     (x, y), amp = _basis_component(state)
     amplitude = _two_qubit_amplitude(p, choice_a, choice_b)
-    coefficient = _coefficient(amp, amplitude)
+    coefficient = amp / complex(amplitude)
     if x == 0:
         return state
     return TwoQubitState(state.space, {_occupations(x, 1 - y): coefficient * complex(amplitude)})
@@ -163,17 +157,12 @@ def cnot_truth_table(
     realizable; the caller inspects amplitudes (undeformed: exactly 1) or
     their spread (deformed).
 
-    Every input and output is one amplitude on one basis pattern, so the rows
-    take :func:`apply_cnot`'s step on that amplitude alone.
+    Every input and output is one amplitude on one basis pattern, and
+    :func:`apply_cnot` multiplies it by its quotient by itself, exactly 1, so
+    every row carries the two-qubit amplitude and nothing off its pattern.
     """
     amp = complex(_two_qubit_amplitude(p, choice_a, choice_b))
-    scale = _coefficient(amp, amp.real)
-    # the flipped state at its own pattern, and the abs of any other amplitude
-    by_control = {0: (amp, 0.0), 1: (scale * amp, abs(scale * 0j))}
-    return [
-        TruthTableRow((x, y), (x, y ^ x), *by_control[x])
-        for x, y in ((0, 0), (0, 1), (1, 0), (1, 1))
-    ]
+    return [TruthTableRow((x, y), (x, y ^ x), amp, 0.0) for x in (0, 1) for y in (0, 1)]
 
 
 def check_cnot_condition(p: DeformationParam, beta1: float, beta2: float) -> float:

@@ -10,9 +10,9 @@ creation-operator normalization cancels exactly).  A qubit state, like a
 gate, is dressed exactly when given a dressing (p and every choice); its
 amplitude is then the dressing at argument 1 (:func:`_dressed_amplitude`),
 the only dressing value the single quantum meets: :func:`qdgates.fockspace.f_value`,
-computed with ``math``, so it is the same on every host whatever SIMD
-kernels numpy picks.  Dense amplitude vectors and dressed ``np.kron``
-creation matrices are kept only as the test oracle (``tests/oracle.py``).
+computed with ``math``, so it is the same on every host; the gates combine
+amplitudes in Python's complex arithmetic.  Dense amplitude vectors and
+dressed ``np.kron`` creation matrices are only the test oracle (``tests/oracle.py``).
 
 Basis indices are row-major over the occupations, (n1, n2) for a pair and
 (a1, a2, b1, b2) for two pairs, which is the Kronecker product order.

@@ -272,10 +272,10 @@ def algebra_entries(
     for (p, choice), row in zip(points, rows):
         for i, check_id in enumerate(ALGEBRA_CHECK_IDS):
             note = ""
-            if check_id == NUMBER_PRODUCTS and choice.psi1 * choice.psi2 != 1.0:
+            if check_id == NUMBER_PRODUCTS and not choice.psi1 == choice.psi2 == 1.0:
                 note = (
                     f"{EXPECTED_FAIL_MARK}: the dressed products match the deformed "
-                    f"number spectrum only when psi1*psi2 == 1"
+                    f"number spectrum only when psi1 == psi2 == 1"
                 )
             # _entry calls the measure at once, while row, i and note are this row's
             measure = lambda: (_row_residual(row, i), note)
@@ -448,9 +448,14 @@ def serialize(report: SweepReport, output_format: str | None = None) -> bytes:
 def parse_report(blob: bytes) -> SweepReport:
     """Rebuild a report from its JSON serialization (the inverse of serialize)."""
     payload = json.loads(blob.decode("utf-8"))
+    if not isinstance(payload, dict):
+        raise ValueError(f"a report must be a JSON object, got {type(payload).__name__}")
     version = payload.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ValueError(f"report schema {version!r} is not {SCHEMA_VERSION!r}")
+    missing = sorted({"config", "norm_ratio", "points", "summary", "tool_version"} - payload.keys())
+    if missing:
+        raise ValueError(f"schema {version!r} report has no {', '.join(missing)}")
     cells, points = itemgetter(*ENTRY_COLUMNS), payload["points"]
     return SweepReport(
         schema_version=version,

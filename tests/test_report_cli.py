@@ -34,6 +34,7 @@ from qdgates.report import (
     ReportEntry,
     SweepConfig,
     SweepReport,
+    algebra_entries,
     gate_entries,
     infer_psi_from_norm,
     norm_ratio_entries,
@@ -118,6 +119,18 @@ class TestRunSweep:
         assert all("expected failure" in e.note for e in products)
         assert len(flips) == len(S_GRID) and all(e.passed for e in flips)
         assert report.unexpected_failures() == 0
+
+    def test_a_reciprocal_pair_is_an_expected_product_failure(self):
+        # psi1 * psi2 == 1, but the products need psi1 == psi2 == 1: at (2, 0.5)
+        # level 0 misses by sinh(ln 2)/sinh(0.3) (test_algebra_audit)
+        p, choice = DeformationParam(0.3), FunctionChoice(psi1=2.0, psi2=0.5)
+        entries = algebra_entries(config(s_grid=(p.s,)), [(p, choice)])
+        (products,) = [e for e in entries if e.check_id == "number_products"]
+        assert not products.passed and not products.expected_pass()
+        assert products.note == (
+            "expected failure: the dressed products match the deformed number spectrum "
+            "only when psi1 == psi2 == 1"
+        )
 
     def test_summary_matches_entry_tally(self):
         report = run_sweep(config(s_grid=(0.1, 0.5), psi_family=POWER_ONE))
@@ -334,11 +347,12 @@ class TestSerialization:
             tolerance=3e-16,
         )
         report = run_sweep(cfg, layers=(GATE_LAYER, NORM_RATIO_LAYER))
-        assert report.summary["total_pass"] == 12 and report.summary["total_fail"] == 3
+        # the two failures are norm-ratio rows at 4.4e-16; the deformed CNOT tables read 0
+        assert report.summary["total_pass"] == 13 and report.summary["total_fail"] == 2
         digests = {fmt: hashlib.sha256(serialize(report, fmt)).hexdigest() for fmt in ("json", "csv")}
         assert digests == {
-            "json": "3792e52cdd5882de76da5ece976f8dfeba0fb52558ca2b7a64f8c5ff5af0f1bf",
-            "csv": "3cfcfd80c2d2f081b8d7c78dcabc4ee5545b9406fd230aa9591895ab8ef0849c",
+            "json": "3979e6b36b1994e02bbb5271d0b599c285b021a4afb41ab565677a98c5e44d39",
+            "csv": "557ad83140e3abcc0956ceb698a7db629e52b09587176f1a8602ec26f9120dfc",
         }
 
     def test_report_bytes_do_not_depend_on_the_simd_level(self):
@@ -448,6 +462,19 @@ print(hashlib.sha256(serialize(report)).hexdigest())
         # a report written by schema 1, with one row per entry; it used to die with KeyError
         blob = Path(__file__).with_name("schema1_report.json").read_bytes()
         with pytest.raises(ValueError, match="^report schema '1' is not '2'$"):
+            parse_report(blob)
+
+    @pytest.mark.parametrize(
+        "blob, message",
+        [
+            (b"[]", "^a report must be a JSON object, got list$"),
+            (b'{"schema_version": "2"}',
+             "^schema '2' report has no config, norm_ratio, points, summary, tool_version$"),
+        ],
+    )
+    def test_a_malformed_report_is_refused_by_name(self, blob, message):
+        # these died with AttributeError and KeyError: 'points'
+        with pytest.raises(ValueError, match=message):
             parse_report(blob)
 
 

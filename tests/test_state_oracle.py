@@ -16,7 +16,10 @@ also evaluates levels that carry no weight; the closed form may then
 succeed.
 
 The gates are also checked against their forked bodies: the separate plain
-and deformed code each gate had before every gate took one path.
+and deformed code each gate had before every gate took one path.  The forks,
+like the oracle's table and Hadamard, form their coefficients and products in
+Python's complex arithmetic, as the gates do, at every pattern their dense
+vectors hold (``at_held``).
 
 A state lists amplitudes on occupation patterns; the oracles give dense
 vectors over every joint occupation.  A state matches an oracle vector when
@@ -54,7 +57,6 @@ from qdgates.gates import (
     _SQRT2,
     TruthTableRow,
     _basis_component,
-    _coefficient,
     _qubit_components,
     apply_cnot,
     apply_hadamard,
@@ -76,7 +78,7 @@ from qdgates.qubits import (
     two_qubit_state,
     vacuum,
 )
-from qdgates.report import SweepConfig, run_sweep
+from qdgates.report import CNOT_TABLE_DEFORMED, SweepConfig, gate_entries, run_sweep
 
 
 def pair_creation_ops(space):
@@ -125,6 +127,15 @@ def oracle_two_qubit(x, y, p, choice_a, choice_b, space):
     return np.kron(ctrl, tgt)
 
 
+def at_held(vectors, entry):
+    """A dense vector that is ``entry(k)`` at each index ``k`` where one of ``vectors`` is
+    nonzero, and 0 elsewhere: the gates' Python complex arithmetic at the patterns they hold."""
+    out = np.zeros_like(vectors[0], dtype=complex)
+    for k in np.flatnonzero(np.any(vectors, axis=0)):
+        out[k] = entry(k)
+    return out
+
+
 def oracle_cnot_truth_table(p, choice_a, choice_b, space):
     """The deformed table, each row built from oracle states as before."""
 
@@ -141,9 +152,9 @@ def oracle_cnot_truth_table(p, choice_a, choice_b, space):
         if x == 0:
             state_out = state_in.copy()
         else:
-            reference_in = state(x, y)
-            scale = amp / reference_in[basis_index(space, _occupations(x, y))]
-            state_out = scale * state(x, 1 - y)
+            reference_in, reference_out = state(x, y), state(x, 1 - y)
+            scale = amp / complex(reference_in[basis_index(space, _occupations(x, y))])
+            state_out = at_held([reference_out], lambda k: scale * complex(reference_out[k]))
         expected = (x, y ^ x)
         idx = basis_index(space, _occupations(*expected))
         off = float(np.max(np.abs(np.delete(state_out, idx))))
@@ -159,9 +170,19 @@ def oracle_deformed_hadamard(state, p, choice):
     _, a_dag, _ = plain_ladder(space)
     f_own = libm_dressing_diag(range(space.cutoff), p, choice.psi3, choice.psi4)
     basis_down = np.kron(np.eye(space.cutoff), f_own @ a_dag) @ dense(vacuum(space))
-    c_up = amp_up / basis_up[basis_index(space, (1, 0))]
-    c_down = amp_down / basis_down[basis_index(space, (0, 1))]
-    return (c_down * (basis_down + basis_up) + c_up * (basis_down - basis_up)) / _SQRT2
+    return superposed(space, amp_down, amp_up, basis_down, basis_up)
+
+
+def superposed(space, amp_down, amp_up, basis_down, basis_up):
+    """The Hadamard with dense dressed basis vectors, its coefficients and products
+    formed in Python complex arithmetic."""
+    c_up = amp_up / complex(basis_up[basis_index(space, (1, 0))])
+    c_down = amp_down / complex(basis_down[basis_index(space, (0, 1))])
+    return at_held(
+        [basis_down, basis_up],
+        lambda k: (c_down * complex(basis_down[k] + basis_up[k])
+                   + c_up * complex(basis_down[k] - basis_up[k])) / complex(_SQRT2),
+    )
 
 
 def oracle_norm_ratio(x, y, p, psi, beta, space):
@@ -289,21 +310,6 @@ def test_plain_truth_table_equals_the_vector_oracle(cutoff):
     assert bits(cnot_truth_table()) == bits(oracle)
 
 
-def test_deformed_table_keeps_a_self_quotient_that_is_not_one():
-    # at s = 0.5 with psi = q, beta = 1 the row amplitude is e**0.25, whose
-    # complex128 quotient by itself is 1 - 2**-53; the flipped rows carry it
-    p = DeformationParam(0.5)
-    space = TruncatedFockSpace(4)
-    choice = FunctionChoice.from_families(FunctionFamily.parse("q"), FunctionFamily.parse("1"), p.q)
-    oracle = oracle_two_qubit(1, 0, p, choice, choice, space)
-    amp = complex(oracle[basis_index(space, (1, 0, 0, 1))])
-    scale = amp / np.complex128(amp)
-    assert scale != 1 and scale * amp != amp
-    rows = cnot_truth_table(p, choice, choice)
-    assert bits(rows) == bits(oracle_cnot_truth_table(p, choice, choice, space))
-    assert rows[0].amplitude == amp and rows[2].amplitude != amp
-
-
 def test_run_sweep_builds_no_two_qubit_vectors(monkeypatch):
     calls = []
 
@@ -340,9 +346,12 @@ def forked_not(state, deformed=False, p=None, choice=None):
         return out
     basis_up = dense(qubit_state(1, space, p, choice))
     basis_down = dense(qubit_state(0, space, p, choice))
-    pref_up = basis_up[basis_index(space, (1, 0))]
-    pref_down = basis_down[basis_index(space, (0, 1))]
-    return (amp_up / pref_up) * basis_down + (amp_down / pref_down) * basis_up
+    c_up = amp_up / complex(basis_up[basis_index(space, (1, 0))])
+    c_down = amp_down / complex(basis_down[basis_index(space, (0, 1))])
+    return at_held(
+        [basis_down, basis_up],
+        lambda k: c_up * complex(basis_down[k]) + c_down * complex(basis_up[k]),
+    )
 
 
 def forked_hadamard(state, deformed=False, p=None, choice=None):
@@ -357,9 +366,7 @@ def forked_hadamard(state, deformed=False, p=None, choice=None):
     basis_up = dense(qubit_state(1, space, p, choice))
     own = FunctionChoice(psi1=choice.psi3, psi2=choice.psi4)
     basis_down = dense(qubit_state(0, space, p, own))
-    c_up = amp_up / basis_up[basis_index(space, (1, 0))]
-    c_down = amp_down / basis_down[basis_index(space, (0, 1))]
-    return (c_down * (basis_down + basis_up) + c_up * (basis_down - basis_up)) / _SQRT2
+    return superposed(space, amp_down, amp_up, basis_down, basis_up)
 
 
 def forked_phase(state, theta):
@@ -381,46 +388,33 @@ def forked_cnot(state, deformed=False, p=None, choice_a=None, choice_b=None):
     if deformed:
         reference_in = dense(two_qubit_state(x, y, space, p, choice_a, choice_b))
         reference_out = dense(two_qubit_state(x, 1 - y, space, p, choice_a, choice_b))
-        scale = amp / reference_in[basis_index(space, _occupations(x, y))]
+        scale = amp / complex(reference_in[basis_index(space, _occupations(x, y))])
     if x == 0:
         return dense(state)
     if not deformed:
         out = np.zeros_like(dense(state))
         out[basis_index(space, _occupations(x, 1 - y))] = amp
         return out
-    return scale * reference_out
+    return at_held([reference_out], lambda k: scale * complex(reference_out[k]))
 
 
 def gate_outcome(call):
-    """What a gate returned, or the type and text of what it raised (a numpy
-    division by a zero amplitude raises, as warnings are errors)."""
+    """What a gate returned, or the type and text of the ValueError it raised."""
     try:
         return call()
-    except (ValueError, RuntimeWarning) as exc:
+    except ValueError as exc:
         return type(exc), str(exc)
 
 
 def forked_outcome(call):
     """The gate_outcome of a forked body, where its division by a zero
-    amplitude (numpy's divide-by-zero, or for 0/0 invalid-value, warning) is
-    the ValueError the gates now raise before dividing.  numpy's other
-    overflow and invalid-value flags are not errors here: the body's values
-    are compared, and where they are not finite the gate must refuse its
-    non-finite amplitude (``assert_gate_outcome``).  Some of those overflow
-    flags are spurious: numpy raises one for complex products near the
-    float64 limit (8.99e307+8.99e307j times a 3-entry vector) whose every
-    entry is finite."""
-    with np.errstate(over="ignore"):
-        outcome = gate_outcome(call)
-    if isinstance(outcome, tuple) and outcome[1] in (
-        "divide by zero encountered in scalar divide",
-        "invalid value encountered in scalar divide",
-    ):
+    amplitude is the ValueError the gates now raise before dividing.  Where
+    the body's values are not finite, the gate must refuse its non-finite
+    amplitude (``assert_gate_outcome``)."""
+    try:
+        return gate_outcome(call)
+    except ZeroDivisionError:
         return ZERO_AMPLITUDE
-    if isinstance(outcome, tuple) and outcome[0] is RuntimeWarning:
-        with np.errstate(over="ignore", invalid="ignore"):
-            return gate_outcome(call)
-    return outcome
 
 
 def assert_same_outcome(outcome, expected):
@@ -447,11 +441,6 @@ def assert_gate_outcome(outcome, expected, state):
         assert NOT_FINITE.fullmatch(outcome[1])
     else:
         assert_same_outcome(outcome, expected)
-
-
-def within_one_ulp(a, b):
-    pairs = ((a.real, b.real), (a.imag, b.imag))
-    return all(np.all(np.abs(x - y) <= np.spacing(np.abs(y))) for x, y in pairs)
 
 
 finite_complex = st.complex_numbers(allow_nan=False, allow_infinity=False)
@@ -483,11 +472,11 @@ def test_one_gate_path_equals_the_forked_gate_bodies(point, down, up, theta):
         pair_state,
     )
     cases = (
-        (apply_not, forked_not, pair_state, (choice,), (unit,), np.array_equal),
-        (apply_hadamard, forked_hadamard, pair_state, (choice,), (unit,), within_one_ulp),
-        (apply_cnot, forked_cnot, quad_state, (choice, choice), (unit, unit), np.array_equal),
+        (apply_not, forked_not, pair_state, (choice,), (unit,)),
+        (apply_hadamard, forked_hadamard, pair_state, (choice,), (unit,)),
+        (apply_cnot, forked_cnot, quad_state, (choice, choice), (unit, unit)),
     )
-    for gate, forked, state, choices, units, plain_agrees in cases:
+    for gate, forked, state, choices, units in cases:
         # the deformed gate keeps the deformed body's floating-point steps
         assert_gate_outcome(
             gate_outcome(lambda: gate(state, p, *choices)),
@@ -498,33 +487,14 @@ def test_one_gate_path_equals_the_forked_gate_bodies(point, down, up, theta):
         plain = gate_outcome(lambda: gate(state))
         assert_gate_outcome(plain, forked_outcome(lambda: forked(state, True, p, *units)), state)
         # and the plain body's values, wherever that body gave finite ones; a
-        # zero may change sign, and the plain superposition is now rounded as
-        # the deformed one always was, x times the rounded 1/sqrt(2)
+        # zero may change sign
         try:
             expected = forked(state)
         except ValueError as exc:
             assert plain == (type(exc), str(exc))
             continue
         if np.all(np.isfinite(expected)):
-            assert plain_agrees(dense(plain), expected)
-
-
-@settings(deadline=None)
-@given(
-    finite_complex,
-    st.one_of(
-        st.sampled_from((5e-324, 1e-308, 1e308)),
-        st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
-    ),
-)
-@example(complex(-0.0, 5.0), 2.0)  # the real part of the quotient is +0.0, not -0.0
-@example(complex(-5.0, -0.0), 0.3)  # the imaginary part is +0.0, not -0.0
-def test_coefficient_is_the_complex128_quotient(amp, amplitude):
-    # numpy flags the overflow of 1/5e-324 and the nan of 0 * inf; the
-    # Python scalars give the same values without a flag
-    with np.errstate(over="ignore", invalid="ignore"):
-        expected = amp / np.complex128(amplitude)
-    assert bits(_coefficient(amp, amplitude)) == bits(expected)
+            assert np.array_equal(dense(plain), expected)
 
 
 @st.composite
@@ -542,6 +512,37 @@ def dressed_points(draw):
     (psi1, psi2), (beta1, beta2), (psi3, psi4) = pair(), pair(), pair()
     assume(psi1 != psi2 and (psi3, psi4) != (psi1, psi2))
     return space, p, FunctionChoice(psi1, psi2, beta1, beta2, psi3, psi4)
+
+
+# at s = 0.5 with psi = q, beta = 1 the amplitude is e**0.25, whose quotient by
+# itself is 1 - 2**-53 when taken as the product with its reciprocal
+SELF_QUOTIENT_POINT = (
+    TruncatedFockSpace(4),
+    P_HALF,
+    FunctionChoice.from_families(FunctionFamily.parse("q"), FunctionFamily.parse("1"), P_HALF.q),
+)
+
+
+@settings(deadline=None)
+@given(dressed_points())
+@example(SELF_QUOTIENT_POINT)
+def test_deformed_cnot_keeps_each_dressed_amplitude_exactly(point):
+    # the deformed CNOT maps each dressed basis state to its image with one
+    # common scalar, so every table row carries the input amplitude exactly
+    space, p, choice = point
+    rows = cnot_truth_table(p, choice, choice)
+    for row in rows:
+        basis = two_qubit_state(*row.input_bits, space, p, choice, choice)
+        (amp,) = basis.amplitudes.values()
+        image = apply_cnot(basis, p, choice, choice)
+        assert image.amplitudes == {_occupations(*row.expected_bits): amp}
+        assert bits(np.complex128(row.amplitude)) == bits(np.complex128(amp))
+        assert row.off_support == 0.0
+    config = SweepConfig(s_grid=(p.s,))
+    (deformed,) = [
+        e for e in gate_entries(config, p, choice, 0.0) if e.check_id == CNOT_TABLE_DEFORMED
+    ]
+    assert deformed.residual == 0.0
 
 
 moderate_complex = st.complex_numbers(min_magnitude=1e-6, max_magnitude=1e6)
@@ -619,19 +620,11 @@ def test_the_universal_set_keeps_its_algebra_in_the_dressed_basis(point, c0, c1,
     # P(a) P(b) = P(a + b); the angles stay within 2 pi, so a + b rounds by an ulp of 4 pi
     phased = apply_phase_shift(apply_phase_shift(state, a), b)
     assert_within_ulps(dense(phased), dense(apply_phase_shift(state, a + b)), scale)
-    # CNOT CNOT = I on all four dressed basis states, and exactly on the plain ones
+    # CNOT CNOT = I exactly on all four basis states, plain and dressed
     for x, y in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        assert apply_cnot(apply_cnot(two_qubit_state(x, y, space))) == two_qubit_state(x, y, space)
-        basis = two_qubit_state(x, y, space, p, choice, choice)
-        twice = apply_cnot(apply_cnot(basis, p, choice, choice), p, choice, choice)
-        ((pattern, amp),) = basis.amplitudes.items()
-        assert twice.amplitudes.keys() == {pattern}
-        if x == 0 or _coefficient(complex(amp), amp) == 1:
-            assert twice.amplitudes[pattern] == amp
-        else:
-            # the complex128 quotient of amp by itself is 1 - 2**-53 here
-            # (ROADMAP item 1's schema 3 makes it exactly 1)
-            assert abs(twice.amplitudes[pattern] - amp) <= 2 * math.ulp(amp)
+        for dressing in ((), (p, choice, choice)):
+            basis = two_qubit_state(x, y, space, *dressing)
+            assert apply_cnot(apply_cnot(basis, *dressing), *dressing) == basis
 
 
 def oracle_not_residual(p, choice):

@@ -1,16 +1,17 @@
 """Sweep orchestration, the dressing-inference demo, and report serialization.
 
-A sweep runs every registered check at every grid point and collects flat
-report entries, each from one row builder, :func:`_entry`, the only place a
+A sweep walks its grid once.  At each point it makes the rows of every
+registered check, each from one row builder, :func:`_entry`, the only place a
 residual becomes a verdict: a row passes when its residual, a finite
 nonnegative float64, is at most ``tol``; a check that raises a domain error,
 or measures a residual that is no such float, becomes an error row
 (residual -1, fail) instead of aborting the sweep.  The known mismatch
 of the number-product relation away from unit dressing is scientific content
-and is recorded as an expected failure.  Serialization is bit-deterministic:
-sorted keys, canonical row order, no timestamps.  The JSON report is one ``json.dumps`` of
-a payload whose ``points`` hold each grid point's cells once, with the rows of its checks;
-the CSV report is one row per check.
+and is recorded as an expected failure.  A report holds its points as the JSON
+report writes them: each grid point's cells once, with its rows in check-id
+order.  Serialization is bit-deterministic: sorted keys, canonical row order,
+no timestamps.  The JSON report is one ``json.dumps`` of a payload holding those
+points; the CSV report is one row per check.
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
-from operator import itemgetter, ne
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from . import __version__ as _tool_version
 from .audit import ALGEBRA_CHECK_IDS, MIN_AUDIT_CUTOFF, NUMBER_PRODUCTS
@@ -45,16 +45,26 @@ GATE_LAYER = "gates"
 NORM_RATIO_LAYER = "norm_ratio"
 SWEEP_LAYERS = (ALGEBRA_LAYER, GATE_LAYER, NORM_RATIO_LAYER)
 
-REGISTERED_CHECKS = (
-    *ALGEBRA_CHECK_IDS, NOT_CONDITION, CNOT_CONDITION, CNOT_TABLE, CNOT_TABLE_DEFORMED, NORM_RATIO
-)
+GATE_CHECK_IDS = (NOT_CONDITION, CNOT_CONDITION, CNOT_TABLE, CNOT_TABLE_DEFORMED)
+# Each layer's check ids, in the order its row function makes its rows.
+LAYER_CHECKS = {ALGEBRA_LAYER: ALGEBRA_CHECK_IDS, GATE_LAYER: GATE_CHECK_IDS,
+                NORM_RATIO_LAYER: (NORM_RATIO,)}
+REGISTERED_CHECKS = (*ALGEBRA_CHECK_IDS, *GATE_CHECK_IDS, NORM_RATIO)
 
 # The report's one column list, in ReportEntry field order.
 ENTRY_COLUMNS = (
     "check_id", "s", "cutoff", "psi1", "psi2", "beta1", "beta2", "residual", "pass", "note"
 )
 
+# A JSON report's keys, and those of each of its points and rows.
+_REPORT_KEYS = frozenset({"config", "norm_ratio", "points", "summary", "tool_version"})
+_POINT_CELLS = ("s", "psi1", "psi2", "beta1", "beta2")
+_POINT_KEYS = frozenset({*_POINT_CELLS, "rows"})
+_ROW_KEYS = frozenset({"check_id", "cutoff", "note", "pass", "residual"})
+
 EXPECTED_FAIL_MARK = "expected failure"
+_PRODUCTS_NOTE = (f"{EXPECTED_FAIL_MARK}: the dressed products match the deformed number "
+                  "spectrum only when psi1 == psi2 == 1")
 
 # Residual recorded when a check could not produce one (domain error); such
 # rows fail but never abort the sweep.
@@ -198,152 +208,148 @@ class ReportEntry(NamedTuple):
 
 @dataclass(frozen=True)
 class SweepReport:
+    """A report as its JSON payload holds it: each of ``points`` is a grid point, ``{s, psi1,
+    psi2, beta1, beta2, rows}``, with rows ``{check_id, cutoff, note, pass, residual}``."""
+
     schema_version: str
     tool_version: str
     config: SweepConfig
-    entries: tuple[ReportEntry, ...]
+    points: tuple[dict, ...]
     norm_ratio: tuple[NormRatioResult, ...]
     summary: dict
+
+    @property
+    def entries(self) -> tuple[ReportEntry, ...]:
+        """Every row as a flat record, in report order; built on each read."""
+        return tuple(
+            ReportEntry(row["check_id"], point["s"], row["cutoff"], point["psi1"], point["psi2"],
+                        point["beta1"], point["beta2"], row["residual"], row["pass"], row["note"])
+            for point in self.points for row in point["rows"]
+        )
 
     def unexpected_failures(self) -> int:
         return int(self.summary["unexpected_failures"])
 
 
-def _summarize(entries: Iterable[ReportEntry]) -> dict:
-    per_check: dict[str, dict[str, int]] = {}
-    unexpected = 0
-    for e in entries:
-        bucket = per_check.setdefault(e.check_id, {"pass": 0, "fail": 0})
-        bucket["pass" if e.passed else "fail"] += 1
-        if not e.passed and e.expected_pass():
-            unexpected += 1
-    return {
-        "per_check": per_check,
-        "total_pass": sum(b["pass"] for b in per_check.values()),
-        "total_fail": sum(b["fail"] for b in per_check.values()),
-        "unexpected_failures": unexpected,
-    }
-
-
-def build_report(
-    config: SweepConfig,
-    entries: list[ReportEntry],
-    norm_ratio: list[NormRatioResult] | None = None,
-) -> SweepReport:
-    """Assemble a report in canonical order (grid point, then check id)."""
-    order = {s: i for i, s in enumerate(config.s_grid)}
-    entries = sorted(entries, key=lambda e: (order[e.s], e.check_id))
-    return SweepReport(
-        schema_version=SCHEMA_VERSION,
-        tool_version=_tool_version,
-        config=config,
-        entries=tuple(entries),
-        norm_ratio=tuple(norm_ratio or ()),
-        summary=_summarize(entries),
-    )
-
-
-def _entry(check_id, s, cutoff, choice, tolerance, measure) -> ReportEntry:
-    """The one report row builder and pass rule: ``measure()`` gives
-    ``(residual, note)``; a ValueError it raises, or one
-    :func:`~qdgates.audit.float_residual` raises on its residual, becomes an
-    error row."""
+def _entry(check_id, cutoff, tolerance, note, measure, *args) -> dict:
+    """The one report row builder and pass rule: ``measure(*args)`` gives the
+    residual of a row noted ``note``, or ``(residual, note)`` if ``note`` is None;
+    a ValueError it raises, or one :func:`~qdgates.audit.float_residual` raises
+    on its residual, becomes an error row.  The row is the JSON report's."""
     try:
-        raw, note = measure()
+        raw = measure(*args)
+        if note is None:
+            raw, note = raw
         residual = float_residual(check_id, raw)
         passed = residual <= tolerance
     except ValueError as exc:
         residual, passed, note = ERROR_RESIDUAL, False, f"error: {exc}"
-    return ReportEntry(
-        check_id, s, cutoff, choice.psi1, choice.psi2, choice.beta1, choice.beta2,
-        residual, passed, note,
-    )
+    return {"check_id": check_id, "cutoff": cutoff, "note": note, "pass": passed,
+            "residual": residual}
 
 
 def algebra_entries(
     config: SweepConfig, points: Sequence[tuple[DeformationParam, FunctionChoice]]
-) -> list[ReportEntry]:
-    """Algebra rows at every ``(p, choice)`` of ``points``, from one residual grid."""
+) -> list[list[dict]]:
+    """The algebra rows of each ``(p, choice)`` of ``points``, in
+    :data:`~qdgates.audit.ALGEBRA_CHECK_IDS` order, from one residual grid."""
     try:
-        rows = algebra_residual_grid(TruncatedFockSpace(config.cutoff), points)
+        grid = algebra_residual_grid(TruncatedFockSpace(config.cutoff), points)
     except ValueError as exc:
-        rows = [exc] * len(points)
-    entries = []
-    for (p, choice), row in zip(points, rows):
-        for i, check_id in enumerate(ALGEBRA_CHECK_IDS):
-            note = ""
-            if check_id == NUMBER_PRODUCTS and not choice.psi1 == choice.psi2 == 1.0:
-                note = (
-                    f"{EXPECTED_FAIL_MARK}: the dressed products match the deformed "
-                    f"number spectrum only when psi1 == psi2 == 1"
-                )
-            # _entry calls the measure at once, while row, i and note are this row's
-            measure = lambda: (_row_residual(row, i), note)
-            entries.append(_entry(check_id, p.s, config.cutoff, choice, config.tolerance, measure))
-    return entries
+        grid = [exc] * len(points)
+    cutoff, tol = config.cutoff, config.tolerance
+    rows = []
+    for (p, choice), residuals in zip(points, grid):
+        products = "" if choice.psi1 == choice.psi2 == 1.0 else _PRODUCTS_NOTE
+        rows.append([
+            _entry(check_id, cutoff, tol, products if check_id == NUMBER_PRODUCTS else "",
+                   _row_residual, residuals, i)
+            for i, check_id in enumerate(ALGEBRA_CHECK_IDS)
+        ])
+    return rows
+
+
+def _deformed_table(p: DeformationParam, choice: FunctionChoice):
+    """The deformed CNOT table's residual (row amplitude spread or off-support) and note."""
+    rows = cnot_truth_table(p, choice, choice)
+    magnitudes = [abs(r.amplitude) for r in rows]
+    residual = max(max(magnitudes) - min(magnitudes), *(r.off_support for r in rows))
+    return residual, f"common row amplitude {magnitudes[0]:.17g}"
 
 
 def gate_entries(
     config: SweepConfig, p: DeformationParam, choice: FunctionChoice, plain_residual: float
-) -> list[ReportEntry]:
-    """Gate rows at one grid point; ``plain_residual`` is the plain CNOT table's,
-    which does not depend on s and is computed once per sweep."""
+) -> list[dict]:
+    """Gate rows at one grid point, in :data:`GATE_CHECK_IDS` order; ``plain_residual`` is
+    the plain CNOT table's, which does not depend on s and is computed once per sweep."""
     tol = config.tolerance
+    return [
+        _entry(NOT_CONDITION, QUBIT_CUTOFF, tol, "", check_not_condition, p, choice),
+        _entry(CNOT_CONDITION, QUBIT_CUTOFF, tol, "", check_cnot_condition, p,
+               choice.beta1, choice.beta2),
+        _entry(CNOT_TABLE, QUBIT_CUTOFF, tol, "", float, plain_residual),
+        _entry(CNOT_TABLE_DEFORMED, QUBIT_CUTOFF, tol, None, _deformed_table, p, choice),
+    ]
 
-    def deformed_table():
-        rows = cnot_truth_table(p, choice, choice)
-        magnitudes = [abs(r.amplitude) for r in rows]
-        spread = max(magnitudes) - min(magnitudes)
-        residual = max(spread, max(r.off_support for r in rows))
-        return residual, f"common row amplitude {magnitudes[0]:.17g}"
 
-    measures = {
-        NOT_CONDITION: lambda: (check_not_condition(p, choice), ""),
-        CNOT_CONDITION: lambda: (check_cnot_condition(p, choice.beta1, choice.beta2), ""),
-        CNOT_TABLE: lambda: (plain_residual, ""),
-        CNOT_TABLE_DEFORMED: deformed_table,
-    }
-    return [_entry(cid, p.s, QUBIT_CUTOFF, choice, tol, m) for cid, m in measures.items()]
+def _norm_ratio(p: DeformationParam, choice: FunctionChoice, samples: list):
+    """The norm-ratio residual and note; the measured sample is added to ``samples``."""
+    result = norm_ratio_experiment(p, choice.psi1, choice.beta1)
+    samples.append(result)
+    return result.distance_to_matched(), (
+        f"matches {result.matched_law}; measured {result.measured:.17g}, "
+        f"product {result.prediction_product:.17g}, sqrt {result.prediction_sqrt:.17g}"
+    )
 
 
 def norm_ratio_entries(
     config: SweepConfig, p: DeformationParam, choice: FunctionChoice
-) -> tuple[list[ReportEntry], list[NormRatioResult]]:
-    samples = []
-
-    def measure():
-        result = norm_ratio_experiment(p, choice.psi1, choice.beta1)
-        samples.append(result)
-        note = (
-            f"matches {result.matched_law}; measured {result.measured:.17g}, "
-            f"product {result.prediction_product:.17g}, sqrt {result.prediction_sqrt:.17g}"
-        )
-        return result.distance_to_matched(), note
-
-    entry = _entry(NORM_RATIO, p.s, QUBIT_CUTOFF, choice, config.tolerance, measure)
+) -> tuple[list[dict], list[NormRatioResult]]:
+    samples: list[NormRatioResult] = []
+    row = _entry(NORM_RATIO, QUBIT_CUTOFF, config.tolerance, None, _norm_ratio, p, choice, samples)
     # an error row leaves no sample behind, whatever its measure returned
-    return [entry], [] if entry.residual == ERROR_RESIDUAL else samples
+    return [row], [] if row["residual"] == ERROR_RESIDUAL else samples
 
 
 def run_sweep(config: SweepConfig, layers: Sequence[str] = SWEEP_LAYERS) -> SweepReport:
-    """The checks of ``layers`` (default: all) at every grid point;
-    deterministic for a fixed config."""
-    entries: list[ReportEntry] = []
-    samples: list[NormRatioResult] = []
-    points = [(p, FunctionChoice.from_families(config.psi_family, config.beta_family, p.q))
-              for p in map(DeformationParam, config.s_grid)]
-    if ALGEBRA_LAYER in layers:
-        entries.extend(algebra_entries(config, points))
-    if GATE_LAYER in layers:
+    """The checks of ``layers`` (default: all) at every grid point, walked once: each
+    point's rows in check-id order, counted into the summary as they are made.
+    Deterministic for a fixed config."""
+    grid = [(p, FunctionChoice.from_families(config.psi_family, config.beta_family, p.q))
+            for p in map(DeformationParam, config.s_grid)]
+    # the check ids of a point's rows as the layers make them, and the order that sorts them
+    made = [check_id for layer in SWEEP_LAYERS if layer in layers
+            for check_id in LAYER_CHECKS[layer]]
+    order = sorted(range(len(made)), key=made.__getitem__)
+    gates, norm_ratio = GATE_LAYER in layers, NORM_RATIO_LAYER in layers
+    algebra = algebra_entries(config, grid) if ALGEBRA_LAYER in layers else [[]] * len(grid)
+    if gates:
         plain_residual = max(max(abs(r.amplitude - 1.0), r.off_support) for r in cnot_truth_table())
-    for p, choice in points:
-        if GATE_LAYER in layers:
-            entries.extend(gate_entries(config, p, choice, plain_residual))
-        if NORM_RATIO_LAYER in layers:
-            point_entries, point_samples = norm_ratio_entries(config, p, choice)
-            entries.extend(point_entries)
-            samples.extend(point_samples)
-    return build_report(config, entries, samples)
+    points: list[dict] = []
+    samples: list[NormRatioResult] = []
+    fails = [0] * len(made)
+    unexpected = 0
+    for (p, choice), point_rows in zip(grid, algebra):
+        if gates:
+            point_rows = point_rows + gate_entries(config, p, choice, plain_residual)
+        if norm_ratio:
+            norm_rows, point_samples = norm_ratio_entries(config, p, choice)
+            point_rows = point_rows + norm_rows
+            samples += point_samples
+        rows = [point_rows[i] for i in order]
+        for i in [i for i, row in enumerate(rows) if not row["pass"]]:
+            fails[i] += 1
+            unexpected += EXPECTED_FAIL_MARK not in rows[i]["note"]
+        points.append({"s": p.s, "psi1": choice.psi1, "psi2": choice.psi2,
+                       "beta1": choice.beta1, "beta2": choice.beta2, "rows": rows})
+    total_fail = sum(fails)
+    return SweepReport(SCHEMA_VERSION, _tool_version, config, tuple(points), tuple(samples), {
+        "per_check": {check_id: {"pass": len(points) - n, "fail": n}
+                      for check_id, n in zip(sorted(made), fails)},
+        "total_pass": len(points) * len(made) - total_fail,
+        "total_fail": total_fail,
+        "unexpected_failures": unexpected,
+    })
 
 
 @dataclass(frozen=True)
@@ -392,37 +398,6 @@ def infer_psi_from_norm(
     return PsiInference(psi, n_hat, classified, min(d0, d1), law)
 
 
-def _cell(value):
-    """A CSV cell: floats at round-trip precision, booleans spelled as in JSON."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return value
-
-
-def _points(entries: Iterable[ReportEntry]) -> list[dict]:
-    """The JSON report's points: each run of consecutive entries whose five point cells
-    are equal, with the run's rows.  A NaN cell is equal to none, so its point has one row.
-    Between them, a point and its rows hold every column of ``ENTRY_COLUMNS`` once."""
-    points: list[dict] = []
-    last = None
-    for check_id, s, cutoff, psi1, psi2, beta1, beta2, residual, passed, note in entries:
-        cells = s, psi1, psi2, beta1, beta2
-        if cells != last:
-            rows: list[dict] = []
-            points.append(
-                {"s": s, "psi1": psi1, "psi2": psi2, "beta1": beta1, "beta2": beta2, "rows": rows}
-            )
-            # tuples compare cells by identity first, which would make a NaN equal to itself
-            last = None if any(map(ne, cells, cells)) else cells
-        rows.append(
-            {"check_id": check_id, "cutoff": cutoff, "note": note, "pass": passed,
-             "residual": residual}
-        )
-    return points
-
-
 def serialize(report: SweepReport, output_format: str | None = None) -> bytes:
     """Deterministic bytes for a report; identical configs give identical bytes."""
     fmt = output_format or report.config.output_format
@@ -431,37 +406,61 @@ def serialize(report: SweepReport, output_format: str | None = None) -> bytes:
             "schema_version": report.schema_version,
             "tool_version": report.tool_version,
             "config": report.config.to_payload(),
-            "points": _points(report.entries),
+            "points": report.points,
             "norm_ratio": [r._asdict() for r in report.norm_ratio],
             "summary": report.summary,
         }
-        return (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
+        # no report holds a cycle, so the encoder need not keep a marker per container
+        return (json.dumps(payload, sort_keys=True, check_circular=False) + "\n").encode("utf-8")
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(ENTRY_COLUMNS)
-        writer.writerows(map(_cell, e) for e in report.entries)
+        for point in report.points:
+            # floats at round-trip precision, a point's once; booleans spelled as in JSON
+            s, psi1, psi2, beta1, beta2 = (format(point[key], ".17g") for key in _POINT_CELLS)
+            writer.writerows(
+                (row["check_id"], s, row["cutoff"], psi1, psi2, beta1, beta2,
+                 format(row["residual"], ".17g"), "true" if row["pass"] else "false", row["note"])
+                for row in point["rows"]
+            )
         return buf.getvalue().encode("utf-8")
     raise ValueError(f"unsupported format {fmt!r}; use 'json' or 'csv'")
 
 
+def _require(record, keys: frozenset, where: str, *index) -> None:
+    """A ValueError naming ``where % index`` unless ``record`` is a JSON object with ``keys``."""
+    if not isinstance(record, dict):
+        raise ValueError(f"{where % index} is not a JSON object")
+    if not keys <= record.keys():
+        raise ValueError(f"{where % index} has no {', '.join(sorted(keys - record.keys()))}")
+
+
 def parse_report(blob: bytes) -> SweepReport:
-    """Rebuild a report from its JSON serialization (the inverse of serialize)."""
+    """Rebuild a report from its JSON serialization (the inverse of serialize),
+    keeping its points as they are read, once each is checked for its keys."""
     payload = json.loads(blob.decode("utf-8"))
     if not isinstance(payload, dict):
         raise ValueError(f"a report must be a JSON object, got {type(payload).__name__}")
     version = payload.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ValueError(f"report schema {version!r} is not {SCHEMA_VERSION!r}")
-    missing = sorted({"config", "norm_ratio", "points", "summary", "tool_version"} - payload.keys())
-    if missing:
-        raise ValueError(f"schema {version!r} report has no {', '.join(missing)}")
-    cells, points = itemgetter(*ENTRY_COLUMNS), payload["points"]
+    _require(payload, _REPORT_KEYS, "schema %r report", version)
+    points = payload["points"]
+    if not isinstance(points, list):
+        raise ValueError(f"report points must be a list, got {type(points).__name__}")
+    for i, point in enumerate(points):
+        _require(point, _POINT_KEYS, "report point %d", i)
+        rows = point["rows"]
+        if not isinstance(rows, list):
+            raise ValueError(f"report point {i} rows must be a list, got {type(rows).__name__}")
+        for j, row in enumerate(rows):
+            _require(row, _ROW_KEYS, "report point %d row %d", i, j)
     return SweepReport(
         schema_version=version,
         tool_version=payload["tool_version"],
         config=SweepConfig.from_payload(payload["config"]),
-        entries=tuple(ReportEntry._make(cells({**p, **row})) for p in points for row in p["rows"]),
+        points=tuple(points),
         norm_ratio=tuple(NormRatioResult(**r) for r in payload["norm_ratio"]),
         summary=payload["summary"],
     )

@@ -1,5 +1,5 @@
-"""Dense operators, dense states, per-level dressings and the exact radicand,
-kept only as test oracles.
+"""Dense operators, dense states, per-level dressings, the exact radicand and
+the report's flat-row bookkeeping, kept only as test oracles.
 
 The package builds no ``d x d`` operator and no dense state vector, and
 writes the dressing radicand once per precision: :func:`qdgates.fockspace.radicand`
@@ -9,12 +9,16 @@ ladder matrices, the band expanded into dense deformed ones, a state's
 amplitudes written out as a vector over every joint occupation, the
 dressing level by level in each of those two precisions (the float64 one
 also at ``n = 0``, which the dense creation matrices multiply into zero
-entries), and the radicand's terms in 60-digit ``decimal``.
+entries), and the radicand's terms in 60-digit ``decimal``.  A sweep makes
+each grid point's rows once, in check-id order, and counts its summary as it
+goes; the row sort, the point regrouping and the summary tally here build the
+same from flat rows the long way, as the reference it is checked against.
 """
 
 import decimal
 import math
 from decimal import Decimal
+from operator import ne
 
 import numpy as np
 
@@ -121,3 +125,48 @@ def exact_radicand_terms(n, s, psi1, psi2):
         n, s, psi1, psi2 = map(Decimal, (n, s, psi1, psi2))
         x = n * s
         return psi1 * _exact_sinh(x), (psi1 - psi2) * (-x).exp() / 2, n * _exact_sinh(s)
+
+
+def canonical_order(entries, s_grid):
+    """Flat report rows sorted by (grid index of their ``s``, check id)."""
+    order = {s: i for i, s in enumerate(s_grid)}
+    return sorted(entries, key=lambda e: (order[e.s], e.check_id))
+
+
+def group_points(entries):
+    """JSON report points from flat rows: each run of consecutive rows whose five point
+    cells are equal, with the run's rows.  A NaN cell is equal to none, so its point
+    has one row."""
+    points = []
+    last = None
+    for check_id, s, cutoff, psi1, psi2, beta1, beta2, residual, passed, note in entries:
+        cells = s, psi1, psi2, beta1, beta2
+        if cells != last:
+            rows = []
+            points.append(
+                {"s": s, "psi1": psi1, "psi2": psi2, "beta1": beta1, "beta2": beta2, "rows": rows}
+            )
+            # tuples compare cells by identity first, which would make a NaN equal to itself
+            last = None if any(map(ne, cells, cells)) else cells
+        rows.append(
+            {"check_id": check_id, "cutoff": cutoff, "note": note, "pass": passed,
+             "residual": residual}
+        )
+    return points
+
+
+def summarize(entries):
+    """A report summary tallied from flat rows."""
+    per_check = {}
+    unexpected = 0
+    for e in entries:
+        bucket = per_check.setdefault(e.check_id, {"pass": 0, "fail": 0})
+        bucket["pass" if e.passed else "fail"] += 1
+        if not e.passed and e.expected_pass():
+            unexpected += 1
+    return {
+        "per_check": per_check,
+        "total_pass": sum(b["pass"] for b in per_check.values()),
+        "total_fail": sum(b["fail"] for b in per_check.values()),
+        "unexpected_failures": unexpected,
+    }

@@ -150,10 +150,10 @@ class TestReportContract:
             assert all(r < 1e-12 for r in residuals)
 
     def test_pass_tracks_tolerance(self):
-        row = _entry("qcommutator", 0.5, 16, UNIT, 1e-8, lambda: (1e-6, ""))
-        assert not row.passed
-        row = _entry("qcommutator", 0.5, 16, UNIT, 1e-3, lambda: (1e-6, ""))
-        assert row.passed
+        row = _entry("qcommutator", 16, 1e-8, "", lambda: 1e-6)
+        assert not row["pass"]
+        row = _entry("qcommutator", 16, 1e-3, "", lambda: 1e-6)
+        assert row["pass"]
 
     @given(
         residual=st.floats(min_value=0, max_value=1e3),
@@ -161,10 +161,10 @@ class TestReportContract:
         factor=st.floats(min_value=1.0, max_value=1e6),
     )
     def test_monotone_in_tolerance(self, residual, tol_small, factor):
-        small = _entry("x", 0.5, 16, UNIT, tol_small, lambda: (residual, ""))
-        large = _entry("x", 0.5, 16, UNIT, tol_small * factor, lambda: (residual, ""))
-        if small.passed:
-            assert large.passed
+        small = _entry("x", 16, tol_small, "", lambda: residual)
+        large = _entry("x", 16, tol_small * factor, "", lambda: residual)
+        if small["pass"]:
+            assert large["pass"]
 
     def test_rejects_bad_residuals(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracle import canonical_order, group_points, summarize
 
 import qdgates
 import qdgates.report as report_module
@@ -24,7 +26,9 @@ from qdgates.report import (
     ALGEBRA_LAYER,
     ConfigError,
     ENTRY_COLUMNS,
+    EXPECTED_FAIL_MARK,
     GATE_LAYER,
+    LAYER_CHECKS,
     LAW_PRODUCT,
     LAW_SQRT,
     NORM_RATIO_LAYER,
@@ -103,6 +107,20 @@ class TestSweepConfig:
             config(s_grid=(0.1, 0.9), beta_family=family)
 
 
+@st.composite
+def sweep_configs(draw):
+    """A sweep config: up to four grid strengths, `1` or `q^k` families, cutoff 4 to 64."""
+    grid = draw(st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=4, unique=True))
+    family = st.one_of(
+        st.just(FunctionFamily()),
+        st.builds(FunctionFamily, st.just("power_of_q"), st.floats(-4, 4)),
+    )
+    return SweepConfig(
+        s_grid=tuple(sorted(grid)), psi_family=draw(family), beta_family=draw(family),
+        cutoff=draw(st.integers(4, 64)),
+    )
+
+
 class TestRunSweep:
     def test_unit_functions_pass_everything(self):
         report = run_sweep(config(s_grid=(0.5,), cutoff=16, tolerance=1e-10))
@@ -124,10 +142,10 @@ class TestRunSweep:
         # psi1 * psi2 == 1, but the products need psi1 == psi2 == 1: at (2, 0.5)
         # level 0 misses by sinh(ln 2)/sinh(0.3) (test_algebra_audit)
         p, choice = DeformationParam(0.3), FunctionChoice(psi1=2.0, psi2=0.5)
-        entries = algebra_entries(config(s_grid=(p.s,)), [(p, choice)])
-        (products,) = [e for e in entries if e.check_id == "number_products"]
-        assert not products.passed and not products.expected_pass()
-        assert products.note == (
+        (rows,) = algebra_entries(config(s_grid=(p.s,)), [(p, choice)])
+        (products,) = [row for row in rows if row["check_id"] == "number_products"]
+        assert not products["pass"] and EXPECTED_FAIL_MARK in products["note"]
+        assert products["note"] == (
             "expected failure: the dressed products match the deformed number spectrum "
             "only when psi1 == psi2 == 1"
         )
@@ -216,6 +234,35 @@ class TestRunSweep:
         assert parts[2].norm_ratio == full.norm_ratio
         assert not parts[0].norm_ratio and not parts[1].norm_ratio
 
+    @pytest.mark.parametrize("tolerance", [1e-10, 1e-30], ids=["expected-failures", "unexpected"])
+    @pytest.mark.parametrize("layer", SWEEP_LAYERS)
+    def test_a_single_layer_sweep_is_the_full_sweep_restricted_to_its_checks(
+        self, layer, tolerance
+    ):
+        # `qdgates audit`, `gates` and `states` print and write these rows and this summary
+        cfg = config(s_grid=S_GRID, psi_family=POWER_ONE, tolerance=tolerance)
+        full, part = run_sweep(cfg), run_sweep(cfg, layers=(layer,))
+        restricted = tuple(e for e in full.entries if e.check_id in LAYER_CHECKS[layer])
+        assert part.entries == restricted
+        assert part.summary == summarize(restricted)
+        assert part.summary["per_check"] == {
+            check_id: counts for check_id, counts in full.summary["per_check"].items()
+            if check_id in LAYER_CHECKS[layer]
+        }
+
+    @settings(deadline=None)
+    @given(sweep_configs(), st.randoms(use_true_random=False))
+    def test_a_sweep_walks_its_points_in_canonical_order(self, cfg, rng):
+        # sorting the rows by (grid index, check id), regrouping them into points
+        # and tallying them, the long way, gives the walk's report back
+        report = run_sweep(cfg)
+        entries = list(report.entries)
+        shuffled = entries[:]
+        rng.shuffle(shuffled)
+        assert canonical_order(shuffled, cfg.s_grid) == entries
+        assert group_points(entries) == list(report.points)
+        assert report.summary == summarize(entries)
+
     def test_plain_truth_table_runs_once_per_sweep(self, monkeypatch):
         calls = []
 
@@ -273,33 +320,38 @@ EDGE_TEXTS = st.text(st.one_of(ESCAPED, st.characters()), max_size=8)
 CHECK_IDS = st.one_of(st.sampled_from(("qcommutator", "norm_ratio")), EDGE_TEXTS)
 
 
-def report_of(entries, samples=()):
-    entries, samples = tuple(entries), tuple(samples)
-    summary = report_module._summarize(entries)
-    return SweepReport(SCHEMA_VERSION, qdgates.__version__, config(), entries, samples, summary)
+def point(s, psi1, psi2, beta1, beta2, rows):
+    return {"s": s, "psi1": psi1, "psi2": psi2, "beta1": beta1, "beta2": beta2, "rows": rows}
+
+
+def report_of(points, samples=()):
+    """A report of ``points`` and norm-ratio ``samples``, its summary tallied from the rows."""
+    report = SweepReport(
+        SCHEMA_VERSION, qdgates.__version__, config(), tuple(points), tuple(samples), {}
+    )
+    return dataclasses.replace(report, summary=summarize(report.entries))
 
 
 @st.composite
 def drawn_reports(draw):
-    """A report of drawn entries and norm-ratio samples.  The entries come in runs at
-    drawn points, so a point has several rows, check ids repeat at one point, and a
-    point recurs after another, as the very cell objects or as equal copies (-0.0
-    for 0.0, another NaN for NaN); often there are none."""
+    """A report of drawn points and norm-ratio samples.  A point has up to three rows,
+    whose check ids may repeat, and a point may recur after another, as the very cell
+    objects or as equal copies (-0.0 for 0.0, another NaN for NaN); often there are none."""
     f = EDGE_FLOATS
-    points = draw(st.lists(st.tuples(f, f, f, f, f), min_size=1, max_size=3))
-    entries = []
+    drawn_cells = draw(st.lists(st.tuples(f, f, f, f, f), min_size=1, max_size=3))
+    points = []
     for _ in range(draw(st.integers(0, 4))):
-        cells = draw(st.sampled_from(points))
+        cells = draw(st.sampled_from(drawn_cells))
         if draw(st.booleans()):
             cells = [-c if c == 0 else float(repr(c)) for c in cells]
-        s, psi1, psi2, beta1, beta2 = cells
-        for _ in range(draw(st.integers(1, 3))):
-            entries.append(ReportEntry(
-                draw(CHECK_IDS), s, draw(st.integers(-(2**70), 2**70)), psi1, psi2, beta1,
-                beta2, draw(f), draw(st.booleans()), draw(EDGE_TEXTS),
-            ))
+        rows = [
+            {"check_id": draw(CHECK_IDS), "cutoff": draw(st.integers(-(2**70), 2**70)),
+             "note": draw(EDGE_TEXTS), "pass": draw(st.booleans()), "residual": draw(f)}
+            for _ in range(draw(st.integers(0, 3)))
+        ]
+        points.append(point(*cells, rows))
     samples = draw(st.lists(st.builds(NormRatioResult, f, f, f, f, f, f, EDGE_TEXTS), max_size=3))
-    return report_of(entries, samples)
+    return report_of(points, samples)
 
 
 def nan_as_text(record):
@@ -417,17 +469,18 @@ print(hashlib.sha256(serialize(report)).hexdigest())
     @settings(deadline=None)
     @given(drawn_reports())
     @example(report_of(()))
-    # two rows at s = NaN, two NaN objects, and json.loads reads every NaN as one object:
-    # a point split only by object identity would be joined on the way back
-    @example(report_of([ReportEntry("a", s, 4, 1.0, 1.0, 1.0, 1.0, 0.0, True)
+    # two points at s = NaN, two NaN objects, and json.loads reads every NaN as one
+    # object: points joined by equal cells, or by cell identity, would be one point
+    @example(report_of([point(s, 1.0, 1.0, 1.0, 1.0, [{"check_id": "a", "cutoff": 4, "note": "",
+                                                     "pass": True, "residual": 0.0}])
                         for s in (math.nan, float("nan"))]))
     def test_json_round_trip_keeps_every_byte_and_row(self, report):
-        # on values no sweep writes; equal point cells with another JSON text
-        # (0.0 and -0.0, 1 and 1.0) read back as the first row of their point wrote them
+        # on values no sweep writes; each point reads back as its own, with its rows
         blob = serialize(report, "json")
         parsed = parse_report(blob)
         assert serialize(parsed, "json") == blob
         assert list(map(nan_as_text, parsed.entries)) == list(map(nan_as_text, report.entries))
+        assert [len(p["rows"]) for p in parsed.points] == [len(p["rows"]) for p in report.points]
         assert list(map(nan_as_text, parsed.norm_ratio)) == list(
             map(nan_as_text, report.norm_ratio)
         )
@@ -476,6 +529,50 @@ print(hashlib.sha256(serialize(report)).hexdigest())
         # these died with AttributeError and KeyError: 'points'
         with pytest.raises(ValueError, match=message):
             parse_report(blob)
+
+    @staticmethod
+    def refused(edit):
+        """The message parse_report refuses a two-point sweep's report with once ``edit``
+        has changed its payload."""
+        payload = json.loads(serialize(run_sweep(config(s_grid=(0.1, 0.5)))))
+        edit(payload)
+        with pytest.raises(ValueError) as err:
+            parse_report(json.dumps(payload).encode())
+        return str(err.value)
+
+    # each of these died with a bare KeyError, or parsed to a report with no rows
+
+    def test_points_that_are_not_a_list_are_refused(self):
+        def edit(payload):
+            payload["points"] = dict(enumerate(payload["points"]))
+
+        assert self.refused(edit) == "report points must be a list, got dict"
+
+    @pytest.mark.parametrize("key", ["beta1", "beta2", "psi1", "psi2", "rows", "s"])
+    def test_a_point_without_a_key_is_refused_by_its_index(self, key):
+        assert self.refused(lambda payload: payload["points"][1].pop(key)) == (
+            f"report point 1 has no {key}"
+        )
+
+    @pytest.mark.parametrize("key", ["check_id", "cutoff", "note", "pass", "residual"])
+    def test_a_row_without_a_key_is_refused_by_its_index(self, key):
+        assert self.refused(lambda payload: payload["points"][1]["rows"][2].pop(key)) == (
+            f"report point 1 row 2 has no {key}"
+        )
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda payload: payload["points"].append(0.5), "report point 2 is not a JSON object"),
+            (lambda payload: payload["points"][0].update(rows={}),
+             "report point 0 rows must be a list, got dict"),
+            (lambda payload: payload["points"][0]["rows"].append("note"),
+             "report point 0 row 9 is not a JSON object"),
+        ],
+        ids=["point", "rows", "row"],
+    )
+    def test_a_point_or_row_of_another_type_is_refused_by_its_index(self, edit, message):
+        assert self.refused(edit) == message
 
 
 class TestInference:
@@ -663,10 +760,10 @@ class TestCli:
         p, choice = DeformationParam(0.05), FunctionChoice(psi1=5e-324, psi2=5e-324)
         message = "the dressed basis vector has amplitude 0 (zero dressing at argument 1)"
         (norm_row,), samples = norm_ratio_entries(config(), p, choice)
-        rows = {e.check_id: e for e in [*gate_entries(config(), p, choice, 0.0), norm_row]}
+        rows = {row["check_id"]: row for row in [*gate_entries(config(), p, choice, 0.0), norm_row]}
         for check_id in ("cnot_table_deformed", "norm_ratio"):
-            assert rows[check_id].note == f"error: {message}"
-            assert rows[check_id].residual == -1.0 and not rows[check_id].passed
+            assert rows[check_id]["note"] == f"error: {message}"
+            assert rows[check_id]["residual"] == -1.0 and not rows[check_id]["pass"]
         assert samples == []
         with pytest.raises(ValueError) as err:
             two_qubit_state(1, 0, TruncatedFockSpace(4), p, choice, choice)

@@ -540,9 +540,10 @@ def test_deformed_cnot_keeps_each_dressed_amplitude_exactly(point):
         assert row.off_support == 0.0
     config = SweepConfig(s_grid=(p.s,))
     (deformed,) = [
-        e for e in gate_entries(config, p, choice, 0.0) if e.check_id == CNOT_TABLE_DEFORMED
+        row for row in gate_entries(config, p, choice, 0.0)
+        if row["check_id"] == CNOT_TABLE_DEFORMED
     ]
-    assert deformed.residual == 0.0
+    assert deformed["residual"] == 0.0
 
 
 moderate_complex = st.complex_numbers(min_magnitude=1e-6, max_magnitude=1e6)

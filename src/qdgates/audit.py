@@ -77,8 +77,11 @@ def _band_rows(cutoff: int, points: Sequence[tuple]) -> tuple:
     n = levels[1:]
     x = n * s
     head = g1 * np.sinh(x)
-    total = head + (g1 - g2) * np.exp(-x, out=np.zeros_like(x), where=g1 != g2) / 2
-    total[np.abs(total) < ZERO_ULPS * np.finfo(BAND_DTYPE).eps * np.abs(head)] = 0
+    if (g1 == g2).all():  # the second term is exactly 0, so the zero rule cannot fire
+        total = head
+    else:
+        total = head + (g1 - g2) * np.exp(-x) / 2
+        total[np.abs(total) < ZERO_ULPS * np.finfo(BAND_DTYPE).eps * np.abs(head)] = 0
     r = total / (n * np.sinh(s))
     bad = r < 0
     keep = ~bad.any(axis=1)
@@ -140,12 +143,15 @@ def _number_commutators(v, nu, s):
 
     Holds for every function choice: N differs from the plain number
     operator by a multiple of the identity, which commutes with everything.
+
+    One part gives the residual of both.  With ``A = nu[i] w`` and
+    ``B = w nu[i+1]``, entry (i, i+1) of [N, a_q] + a_q is fl(fl(A - B) + w)
+    and entry (i+1, i) of [N, a_q+] - a_q+ is fl(fl(B - A) - w).  Rounding to
+    nearest is symmetric, so the second is minus the first bit for bit, and
+    its magnitude is the same (inf and nan included).
     """
-    # interior entries (i, i+1) of [N, a_q] + a_q and (i+1, i) of [N, a_q+] - a_q+
     w = v[:, :-2]
-    lower = nu[:, :-3] * w - w * nu[:, 1:-2] + w
-    raise_ = nu[:, 1:-2] * w - w * nu[:, :-3] - w
-    return _abs_max(lower, raise_)
+    return _abs_max(nu[:, :-3] * w - w * nu[:, 1:-2] + w)
 
 
 def _number_products(v, nu, s):

@@ -76,8 +76,12 @@ class FunctionChoice:
             object.__setattr__(self, "psi3", self.psi1)
         if self.psi4 is None:
             object.__setattr__(self, "psi4", self.psi2)
-        check_dressing(psi1=self.psi1, psi2=self.psi2, psi3=self.psi3, psi4=self.psi4,
-                       beta1=self.beta1, beta2=self.beta2)
+        for value in (self.psi1, self.psi2, self.psi3, self.psi4, self.beta1, self.beta2):
+            # a finite positive float passes at once; anything else gets the full, named check
+            if not (type(value) is float and 0 < value < math.inf):
+                check_dressing(psi1=self.psi1, psi2=self.psi2, psi3=self.psi3, psi4=self.psi4,
+                               beta1=self.beta1, beta2=self.beta2)
+                break
 
     @classmethod
     def unit(cls) -> "FunctionChoice":

@@ -13,6 +13,9 @@ entries), and the radicand's terms in 60-digit ``decimal``.  A sweep makes
 each grid point's rows once, in check-id order, and counts its summary as it
 goes; the row sort, the point regrouping and the summary tally here build the
 same from flat rows the long way, as the reference it is checked against.
+The band's radicand and the number-commutator residual are also kept in the
+two-part forms the audit skips: both radicand terms and the zero rule at every
+row, and both commutators' interior entries.
 """
 
 import decimal
@@ -22,7 +25,7 @@ from operator import ne
 
 import numpy as np
 
-from qdgates.audit import ladder_band
+from qdgates.audit import BAND_DTYPE, _abs_max, ladder_band
 from qdgates.fockspace import ZERO_ULPS, RadicandError
 
 LD = np.longdouble
@@ -103,6 +106,36 @@ def longdouble_dressing(levels, p, psi1, psi2):
             )
         values.append(np.sqrt(r))
     return np.array(values, dtype=LD)
+
+
+def two_part_band_rows(cutoff, points):
+    """``qdgates.audit._band_rows`` with the radicand's second term and the zero rule
+    evaluated at every row, equal pairs included."""
+    s, g1, g2 = np.array(points, dtype=np.float64).astype(BAND_DTYPE).T[:, :, None]
+    levels = np.arange(cutoff).astype(BAND_DTYPE)
+    n = levels[1:]
+    x = n * s
+    head = g1 * np.sinh(x)
+    total = head + (g1 - g2) * np.exp(-x, out=np.zeros_like(x), where=g1 != g2) / 2
+    total[np.abs(total) < ZERO_ULPS * np.finfo(BAND_DTYPE).eps * np.abs(head)] = 0
+    r = total / (n * np.sinh(s))
+    bad = r < 0
+    keep = ~bad.any(axis=1)
+    errors = [
+        None if ok else RadicandError(f"negative radicand at level n={k} with psi1={a}, psi2={b}")
+        for (_, a, b), ok, k in zip(points, keep, bad.argmax(axis=1) + 1)
+    ]
+    s = s[keep]
+    return np.sqrt(n) * np.sqrt(r[keep]), levels - np.log(g2[keep]) / s, s, errors
+
+
+def two_part_number_commutators(v, nu, s):
+    """``qdgates.audit._number_commutators`` from both parts: the interior entries
+    (i, i+1) of [N, a_q] + a_q and (i+1, i) of [N, a_q+] - a_q+."""
+    w = v[:, :-2]
+    lower = nu[:, :-3] * w - w * nu[:, 1:-2] + w
+    raise_ = nu[:, 1:-2] * w - w * nu[:, :-3] - w
+    return _abs_max(lower, raise_)
 
 
 def _exact_sinh(x):

@@ -7,7 +7,9 @@ so every residual must agree exactly, not just closely.  The band's
 dressing must reproduce the per-level longdouble scalar loop bit for bit,
 and ``f_value`` the per-level ``math`` formula at every level but 0, which
 it refuses.  Each row of the grid computation, however its points are split
-into blocks, must be the one-point computation of its point.
+into blocks, must be the one-point computation of its point.  The band and
+the number-commutator residual skip terms whose values are known; they must
+equal the two-part forms that evaluate them, bit for bit.
 """
 
 import math
@@ -17,7 +19,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracle import LD, libm_dressing, longdouble_dressing, plain_ladder
+from oracle import (
+    LD,
+    libm_dressing,
+    longdouble_dressing,
+    plain_ladder,
+    two_part_band_rows,
+    two_part_number_commutators,
+)
 
 from qdgates import audit
 from qdgates.audit import DEFAULT_SHIFT_POLY, algebra_residual_grid, algebra_residuals, ladder_band
@@ -245,3 +254,59 @@ def test_blocks_hold_at_most_block_levels_of_band(cutoff, points, sizes):
     with mock.patch.object(audit, "_band_rows", recording):
         rows = algebra_residual_grid(TruncatedFockSpace(cutoff), grid)
     assert seen == sizes and len(rows) == points
+
+
+# psi2 is the float64 nearest q**2 psi1: the level-1 radicand sum, 1.4 longdouble eps of its
+# head, counts as 0 only by the zero rule
+ZERO_RULE_POINT = (0.671, 1.0, 3.8266892355586846)
+
+
+@st.composite
+def band_blocks(draw):
+    """A cutoff and a block of ``(s, psi1, psi2)`` points whose pairs are all equal, as in
+    every sweep, or mixed: some with a negative radicand, some at :data:`ZERO_RULE_POINT`.
+    At cutoff 12000 and s near 1 the band overflows longdouble, and its commutator entries
+    are inf or nan."""
+    cutoff = draw(st.sampled_from((4, 5, 16, 64, 1024, 12000)))
+    psi = st.one_of(st.sampled_from((1.0, 1e300)), st.floats(min_value=1e-300, max_value=1e300))
+    equal = draw(st.booleans())
+    points = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3 if cutoff > 1024 else 24))):
+        s = draw(st.one_of(st.just(1.0), st.floats(min_value=1e-3, max_value=1.0)))
+        psi1 = draw(psi)
+        if equal:
+            points.append((s, psi1, psi1))
+        else:
+            point = (s, psi1, draw(st.one_of(st.just(psi1), psi)))
+            points.append(draw(st.sampled_from((point, ZERO_RULE_POINT))))
+    return cutoff, points
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype == LD and got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@settings(deadline=None)
+@given(band_blocks())
+def test_one_part_forms_equal_the_two_part_oracles(block):
+    cutoff, points = block
+    with np.errstate(over="ignore", invalid="ignore"):
+        *band, errors = audit._band_rows(cutoff, points)
+        *two_part, two_part_errors = two_part_band_rows(cutoff, points)
+        commutators = audit._number_commutators(*band)
+        two_part_commutators = two_part_number_commutators(*band)
+    for got, want in zip(band, two_part):
+        assert_same_bits(got, want)
+    assert [e and str(e) for e in errors] == [e and str(e) for e in two_part_errors]
+    assert_same_bits(commutators, two_part_commutators)
+
+
+def test_the_drawn_bands_reach_the_zero_rule_and_an_overflow_row():
+    zero_rule_v = audit._band_rows(4, [ZERO_RULE_POINT])[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        v, nu, s, _ = audit._band_rows(12000, [(1.0, 1.0, 1.0)])
+        residual = audit._number_commutators(v, nu, s)
+    assert zero_rule_v[0, 0] == 0
+    assert np.isinf(v).any() and not np.isfinite(residual).all()

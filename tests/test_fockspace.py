@@ -248,6 +248,15 @@ class TestFunctionChoice:
         with pytest.raises(ValueError, match=f"^{field} must be finite and strictly positive"):
             FunctionChoice(**{field: value})
 
+    def test_names_the_first_bad_value_in_check_order(self):
+        # psi1..psi4 are checked before beta1 and beta2, whatever the keyword order
+        with pytest.raises(ValueError, match="^psi4 must be finite and strictly positive, got nan$"):
+            FunctionChoice(beta1=0.0, psi4=math.nan)
+
+    @pytest.mark.parametrize("value", [2, np.float64(2.0)])
+    def test_accepts_ints_and_float_subclasses_as_given(self, value):
+        assert FunctionChoice(psi1=value, beta2=value).psi3 is value
+
     def test_from_families(self):
         q = math.exp(0.5)
         c = FunctionChoice.from_families(

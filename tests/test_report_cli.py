@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import hashlib
 import json
 import math
@@ -17,7 +18,7 @@ from oracle import canonical_order, group_points, summarize
 import qdgates
 import qdgates.report as report_module
 from qdgates.audit import ALGEBRA_CHECK_IDS, float_residual
-from qdgates.cli import main
+from qdgates.cli import main, run
 from qdgates.fockspace import FunctionChoice, FunctionFamily, TruncatedFockSpace
 from qdgates.gates import cnot_truth_table
 from qdgates.qnumber import DeformationParam
@@ -869,3 +870,47 @@ class TestCli:
             "error: norm ratio overflows float64: measured 2.726e+347, product prediction 2.726e+347"
         )
         assert report.norm_ratio == ()
+
+
+# one command per exit status: all checks pass, an unexpected failure, a configuration error
+EXIT_CASES = [
+    (["sweep", "--s", "0.5"], 0),
+    (["audit", "--s", "0.5", "--tol", "5e-324"], 1),
+    (["sweep", "--s", "2"], 2),
+]
+
+
+class TestEntryPoint:
+    @pytest.fixture
+    def unfreeze(self):
+        yield
+        gc.unfreeze()
+
+    def test_main_leaves_the_heap_unfrozen(self, tmp_path):
+        before = gc.get_freeze_count()
+        assert main(["sweep", "--s", "0.5", "--out", str(tmp_path / "report.json")]) == 0
+        assert gc.get_freeze_count() == before
+
+    @pytest.mark.parametrize("argv,code", EXIT_CASES)
+    def test_run_freezes_the_heap_and_exits_with_mains_code(
+        self, argv, code, monkeypatch, capsys, unfreeze
+    ):
+        monkeypatch.setattr(sys, "argv", ["qdgates", *argv])
+        with pytest.raises(SystemExit) as done:
+            run()
+        assert done.value.code == code
+        assert gc.get_freeze_count() > 0
+
+    @pytest.mark.parametrize("argv,code", EXIT_CASES)
+    def test_the_module_run_writes_what_main_writes(self, argv, code, capsys):
+        src = str(Path(qdgates.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        done = subprocess.run(
+            [sys.executable, "-m", "qdgates.cli", *argv],
+            env=env, capture_output=True, timeout=120,
+        )
+        assert main(argv) == done.returncode == code
+        captured = capsys.readouterr()
+        assert done.stdout.decode("utf-8") == captured.out
+        assert done.stderr.decode("utf-8") == captured.err

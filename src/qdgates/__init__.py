@@ -13,7 +13,7 @@ from .fockspace import (
     TruncatedFockSpace,
     f_value,
 )
-from .audit import ALGEBRA_CHECK_IDS, algebra_residuals, ladder_band
+from .audit import ALGEBRA_CHECK_IDS, algebra_residual_grid, ladder_band
 from .qubits import (
     CaseIIOccupation,
     NormRatioResult,
@@ -23,7 +23,6 @@ from .qubits import (
     jm_state,
     norm_ratio_experiment,
     occupation_from_exponent,
-    occupation_from_value,
     qubit_state,
     two_qubit_state,
     vacuum,
@@ -59,7 +58,7 @@ __all__ = [
     "ladder_band",
     "f_value",
     "ALGEBRA_CHECK_IDS",
-    "algebra_residuals",
+    "algebra_residual_grid",
     "OscillatorPairState",
     "TwoQubitState",
     "CaseIIOccupation",
@@ -69,7 +68,6 @@ __all__ = [
     "jm_state",
     "two_qubit_state",
     "norm_ratio_experiment",
-    "occupation_from_value",
     "occupation_from_exponent",
     "case2_consistency_table",
     "TruthTableRow",

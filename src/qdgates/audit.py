@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fockspace import ZERO_ULPS, FunctionChoice, RadicandError, TruncatedFockSpace
+from .fockspace import ZERO_ULPS, RadicandError, TruncatedFockSpace
 from .qnumber import DeformationParam
 
 # The precision of the ladder band, and so of every algebra residual.
@@ -39,7 +39,6 @@ BAND_DTYPE = np.longdouble
 MIN_AUDIT_CUTOFF = 4
 # Band entries per block of grid points; a block holds at least one point.
 BLOCK_LEVELS = 2**14
-MAX_SHIFT_POLY_DEGREE = 4
 
 QCOMMUTATOR = "qcommutator"
 NUMBER_COMMUTATORS = "number_commutators"
@@ -47,9 +46,6 @@ NUMBER_PRODUCTS = "number_products"
 SHIFT_RULE = "shift_rule"
 
 ALGEBRA_CHECK_IDS = (QCOMMUTATOR, NUMBER_COMMUTATORS, NUMBER_PRODUCTS, SHIFT_RULE)
-
-# f(x) = x**2 + 1, the default polynomial probed against the shift rule.
-DEFAULT_SHIFT_POLY = (1.0, 0.0, 1.0)
 
 
 def float_residual(condition_id: str, residual) -> float:
@@ -169,47 +165,28 @@ def _number_products(v, nu, s):
     return _abs_max(d1, d2)
 
 
-def _shift_poly(f_coeffs: Sequence[float]):
-    coeffs = [float(c) for c in f_coeffs]
-    if not coeffs:
-        raise ValueError("shift-rule polynomial needs at least one coefficient")
-    if len(coeffs) - 1 > MAX_SHIFT_POLY_DEGREE:
-        raise ValueError(
-            f"shift-rule polynomial degree is capped at {MAX_SHIFT_POLY_DEGREE}, "
-            f"got degree {len(coeffs) - 1}"
-        )
-
-    def poly(x):
-        out = np.zeros_like(x)
-        for c in reversed(coeffs):
-            out = out * x + BAND_DTYPE(c)
-        return out
-
-    return poly
-
-
-def _shift_rule(v, nu, s, poly):
-    """a_q f(N) = f(N+1) a_q for a polynomial f given by ascending coefficients.
+def _shift_rule(v, nu, s):
+    """a_q f(N) = f(N+1) a_q at f(x) = x**2 + 1.
 
     A structural property of lowering operators against diagonal functions;
     holds for every function choice.
     """
+    def f(x):
+        return x * x + 1
+
     # interior entries (i, i+1) of a_q f(N) - f(N+1) a_q
     w = v[:, :-2]
-    return _abs_max(w * poly(nu[:, 1:-2]) - poly(nu[:, :-3] + 1) * w)
+    return _abs_max(w * f(nu[:, 1:-2]) - f(nu[:, :-3] + 1) * w)
 
 
-def algebra_residual_grid(
-    space: TruncatedFockSpace, points: Sequence, f_coeffs: Sequence[float] = DEFAULT_SHIFT_POLY
-) -> list:
+def algebra_residual_grid(space: TruncatedFockSpace, points: Sequence) -> list:
     """For each ``(p, choice)`` of ``points``, its four raw identity residuals in
     :data:`ALGEBRA_CHECK_IDS` order and the band precision, or its band's RadicandError.  A
     residual not finite in longdouble is a ValueError naming where the band or spectrum overflows.
-    A cutoff below :data:`MIN_AUDIT_CUTOFF` raises before the polynomial is checked."""
+    A cutoff below :data:`MIN_AUDIT_CUTOFF` raises."""
     if space.cutoff < MIN_AUDIT_CUTOFF:
         raise ValueError(f"audits need cutoff >= {MIN_AUDIT_CUTOFF} for a nonempty interior "
                          f"block, got {space.cutoff}")
-    poly = _shift_poly(f_coeffs)
     size = max(1, BLOCK_LEVELS // space.cutoff)
     rows: list = []
     for start in range(0, len(points), size):
@@ -217,7 +194,7 @@ def algebra_residual_grid(
         with np.errstate(over="ignore", invalid="ignore"):  # a band that overflows is named below
             v, nu, s, errors = _band_rows(space.cutoff, block)
             grid = (_qcommutator(v, nu, s), _number_commutators(v, nu, s),
-                    _number_products(v, nu, s), _shift_rule(v, nu, s, poly))
+                    _number_products(v, nu, s), _shift_rule(v, nu, s))
             residuals = zip(*grid)
             if not np.isfinite(grid).all():  # only then look for what overflows
                 residuals = iter([_overflow_row(*row) for row in zip(residuals, v, nu, s)])
@@ -240,18 +217,6 @@ def _overflow_row(residuals: tuple, v_row, nu_row, s) -> tuple:
         r if np.isfinite(r) else ValueError(f"{check_id} residual is not finite: {note}")
         for check_id, r in zip(ALGEBRA_CHECK_IDS, residuals)
     )
-
-
-def algebra_residuals(
-    space: TruncatedFockSpace,
-    p: DeformationParam,
-    choice: FunctionChoice,
-    f_coeffs: Sequence[float] = DEFAULT_SHIFT_POLY,
-) -> tuple:
-    """The four raw identity residuals at one grid point: the one-point case
-    of :func:`algebra_residual_grid`, raising its first error."""
-    (row,) = algebra_residual_grid(space, [(p, choice)], f_coeffs)
-    return tuple(_row_residual(row, i) for i in range(len(ALGEBRA_CHECK_IDS)))
 
 
 def _row_residual(row, i: int):

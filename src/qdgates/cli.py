@@ -44,27 +44,31 @@ def build_parser() -> argparse.ArgumentParser:
         prog="qdgates",
         description="deformed-oscillator algebra and gate-condition verification",
     )
+    # each subcommand takes only the flags it reads: gates and states build every
+    # row at QUBIT_CUTOFF, and infer writes no report
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--s", type=float, help="single deformation strength in (0, 1]")
     common.add_argument("--s-grid", help="comma-separated strictly increasing strengths")
-    common.add_argument("--cutoff", type=int, default=16, help="retained Fock levels (default 16)")
     common.add_argument("--psi", default="1", help="control dressing family: 1, q or q^<float>")
     common.add_argument("--beta", default="1", help="target dressing family: 1, q or q^<float>")
     common.add_argument("--tol", type=float, default=1e-10, help="pass/fail tolerance")
-    common.add_argument("--format", choices=("json", "csv"), default="json", dest="fmt")
-    common.add_argument("--out", help="write the serialized report to this path")
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--format", choices=("json", "csv"), default="json", dest="fmt")
+    output.add_argument("--out", help="write the serialized report to this path")
+    cutoff = argparse.ArgumentParser(add_help=False)
+    cutoff.add_argument("--cutoff", type=int, default=16, help="retained Fock levels (default 16)")
 
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("audit", parents=[common], help="operator-identity checks")
-    sub.add_parser("gates", parents=[common], help="gate conditions and truth tables")
-    sub.add_parser("states", parents=[common], help="state bookkeeping tables and norm ratios")
+    sub.add_parser("audit", parents=[common, cutoff, output], help="operator-identity checks")
+    sub.add_parser("gates", parents=[common, output], help="gate conditions and truth tables")
+    sub.add_parser("states", parents=[common, output], help="state bookkeeping tables and norm ratios")
 
     infer = sub.add_parser("infer", parents=[common], help="recover a dressing value from a norm ratio")
     infer.add_argument("--ratio", type=float, help="measured norm ratio (default: computed forward)")
     infer.add_argument("--n-hat", type=int, default=1, help="plain occupation for classification")
     infer.add_argument("--law", choices=(LAW_PRODUCT, LAW_SQRT), default=DEFAULT_LAW)
 
-    sweep = sub.add_parser("sweep", parents=[common], help="every registered check")
+    sweep = sub.add_parser("sweep", parents=[common, cutoff, output], help="every registered check")
     sweep.add_argument("--config", help="JSON config file; overrides the other flags")
     return parser
 
@@ -84,13 +88,14 @@ def _config_from_args(args) -> SweepConfig:
             raise ConfigError([f"cannot parse --s-grid {args.s_grid!r}"]) from None
     else:
         grid = DEFAULT_S_GRID
+    # a report from a command without --cutoff records the default, 16
     return SweepConfig(
         s_grid=grid,
         psi_family=FunctionFamily.parse(args.psi),
         beta_family=FunctionFamily.parse(args.beta),
-        cutoff=args.cutoff,
+        cutoff=getattr(args, "cutoff", SweepConfig.cutoff),
         tolerance=args.tol,
-        output_format=args.fmt,
+        output_format=getattr(args, "fmt", SweepConfig.output_format),
     )
 
 

@@ -231,8 +231,7 @@ def norm_ratio_experiment(p: DeformationParam, psi: float, beta: float) -> NormR
     return NormRatioResult(p.s, psi, beta, measured, product, sqrt, law)
 
 
-@dataclass(frozen=True)
-class CaseIIOccupation:
+class CaseIIOccupation(NamedTuple):
     """Deformed occupation eigenvalue implied by one dressing-function value.
 
     The deformed eigenvalue sits ``ln(psi)/s`` below the plain one, so a
@@ -243,23 +242,13 @@ class CaseIIOccupation:
     psi_value: float
     n_prime: float
 
-    def is_undeformed(self) -> bool:
-        return self.psi_value == 1.0
-
-
-def occupation_from_value(n_hat: int, psi_value: float, p: DeformationParam) -> CaseIIOccupation:
-    if psi_value <= 0:
-        raise ValueError(f"dressing value must be positive, got {psi_value!r}")
-    return CaseIIOccupation(n_hat, float(psi_value), n_hat - math.log(psi_value) / p.s)
-
 
 def occupation_from_exponent(n_hat: int, alpha: float, p: DeformationParam) -> CaseIIOccupation:
     """Occupation for psi = q**alpha; the deformed eigenvalue is exactly n_hat - alpha."""
     return CaseIIOccupation(n_hat, p.q ** alpha, float(n_hat - alpha))
 
 
-@dataclass(frozen=True)
-class CaseIIRow:
+class CaseIIRow(NamedTuple):
     """One deformed basis state with the function choices that pin its
     deformed occupations at the qubit values."""
 

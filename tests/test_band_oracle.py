@@ -9,7 +9,8 @@ and ``f_value`` the per-level ``math`` formula at every level but 0, which
 it refuses.  Each row of the grid computation, however its points are split
 into blocks, must be the one-point computation of its point.  The band and
 the number-commutator residual skip terms whose values are known; they must
-equal the two-part forms that evaluate them, bit for bit.
+equal the two-part forms that evaluate them, bit for bit.  The shift rule's
+fixed f(x) = x * x + 1 must equal Horner's rule on ``(1, 0, 1)``, bit for bit.
 """
 
 import math
@@ -21,15 +22,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracle import (
     LD,
+    SHIFT_POLY,
+    horner,
+    horner_shift_rule,
     libm_dressing,
     longdouble_dressing,
     plain_ladder,
+    point_residuals,
     two_part_band_rows,
     two_part_number_commutators,
 )
 
 from qdgates import audit
-from qdgates.audit import DEFAULT_SHIFT_POLY, algebra_residual_grid, algebra_residuals, ladder_band
+from qdgates.audit import algebra_residual_grid, ladder_band
 from qdgates.fockspace import FunctionChoice, RadicandError, TruncatedFockSpace, f_value
 from qdgates.qnumber import DeformationParam
 
@@ -52,7 +57,7 @@ def interior(m):
     return m[:-2, :-2]
 
 
-def dense_residuals(space, p, choice, f_coeffs=DEFAULT_SHIFT_POLY):
+def dense_residuals(space, p, choice):
     """qcommutator, number_commutators, number_products, shift_rule residuals."""
     a_q, a_q_dag, n_def = dense_ops(space, p, choice)
     s = LD(p.s)
@@ -73,13 +78,7 @@ def dense_residuals(space, p, choice, f_coeffs=DEFAULT_SHIFT_POLY):
     d2 = a_q @ a_q_dag - q_of_n1
     nprod = max(np.max(np.abs(interior(d1))), np.max(np.abs(interior(d2))))
 
-    def poly(x):
-        out = np.zeros_like(x)
-        for c in reversed([float(c) for c in f_coeffs]):
-            out = out * x + LD(c)
-        return out
-
-    shift = a_q @ np.diag(poly(nu)) - np.diag(poly(nu + 1)) @ a_q
+    shift = a_q @ np.diag(horner(SHIFT_POLY, nu)) - np.diag(horner(SHIFT_POLY, nu + 1)) @ a_q
     srule = np.max(np.abs(interior(shift)))
     return [qcomm, ncomm, nprod, srule]
 
@@ -95,7 +94,7 @@ def outcome(fn):
 def assert_band_matches_oracle(space, p, choice):
     """The raw band residuals are the dense ones bit for bit, in longdouble
     (a nan matching a nan), or both paths raise the same error."""
-    band = outcome(lambda: list(algebra_residuals(space, p, choice)))
+    band = outcome(lambda: list(point_residuals(space, p, choice)))
     dense = outcome(lambda: dense_residuals(space, p, choice))
     if isinstance(band, tuple) or isinstance(dense, tuple):
         assert band == dense
@@ -177,7 +176,7 @@ def test_errors_match_the_oracle():
     p = DeformationParam(0.5)
     choice = FunctionChoice(psi1=1.0, psi2=10.0)
     with pytest.raises(RadicandError, match="n=1"):
-        algebra_residuals(TruncatedFockSpace(8), p, choice)
+        point_residuals(TruncatedFockSpace(8), p, choice)
     assert_band_matches_oracle(TruncatedFockSpace(8), p, choice)
 
 
@@ -203,7 +202,7 @@ def test_grid_rows_equal_their_points(grid, block_levels):
     # with the default blocks and with blocks of a drawn size, down to one
     # point each, every row is its point's residuals or its point's error
     space, points = grid
-    expected = [outcome(lambda: list(algebra_residuals(space, p, c))) for p, c in points]
+    expected = [outcome(lambda: list(point_residuals(space, p, c))) for p, c in points]
     for levels in (audit.BLOCK_LEVELS, block_levels):
         with mock.patch.object(audit, "BLOCK_LEVELS", levels):
             rows = algebra_residual_grid(space, points)
@@ -226,8 +225,8 @@ def test_grid_keeps_errors_at_their_own_point():
     first, error, last = algebra_residual_grid(space, points)
     assert isinstance(error, RadicandError)
     assert str(error) == "negative radicand at level n=1 with psi1=1.0, psi2=10.0"
-    assert list(first) == list(algebra_residuals(space, *points[0]))
-    assert list(last) == list(algebra_residuals(space, *points[2]))
+    assert list(first) == list(point_residuals(space, *points[0]))
+    assert list(last) == list(point_residuals(space, *points[2]))
 
 
 def test_two_part_maxima_pass_over_a_later_nan_as_python_max_does():
@@ -303,10 +302,23 @@ def test_one_part_forms_equal_the_two_part_oracles(block):
     assert_same_bits(commutators, two_part_commutators)
 
 
+@settings(deadline=None)
+@given(band_blocks())
+def test_fixed_shift_rule_equals_the_horner_form(block):
+    # x * x + 1 and Horner's ((0 x + 1) x + 0) x + 1 are both fl(fl(x x) + 1), inf and nan
+    # included where the band overflows
+    cutoff, points = block
+    with np.errstate(over="ignore", invalid="ignore"):
+        v, nu, s, _ = audit._band_rows(cutoff, points)
+        assert_same_bits(audit._shift_rule(v, nu, s), horner_shift_rule(v, nu, s))
+
+
 def test_the_drawn_bands_reach_the_zero_rule_and_an_overflow_row():
     zero_rule_v = audit._band_rows(4, [ZERO_RULE_POINT])[0]
     with np.errstate(over="ignore", invalid="ignore"):
         v, nu, s, _ = audit._band_rows(12000, [(1.0, 1.0, 1.0)])
         residual = audit._number_commutators(v, nu, s)
+        shift_rule = audit._shift_rule(v, nu, s)
     assert zero_rule_v[0, 0] == 0
     assert np.isinf(v).any() and not np.isfinite(residual).all()
+    assert not np.isfinite(shift_rule).all()

@@ -17,7 +17,6 @@ from qdgates.qubits import (
     case2_consistency_table,
     jm_state,
     norm_ratio_experiment,
-    occupation_from_value,
     qubit_state,
     two_qubit_state,
     vacuum,
@@ -297,12 +296,3 @@ class TestCaseTwoBookkeeping:
         for row in case2_consistency_table(P_HALF):
             assert row.psi_family.evaluate(P_HALF.q) == pytest.approx(row.control.psi_value)
             assert row.beta_family.evaluate(P_HALF.q) == pytest.approx(row.target.psi_value)
-
-    def test_unit_function_collapses_to_plain_bookkeeping(self):
-        occ = occupation_from_value(3, 1.0, P_HALF)
-        assert occ.is_undeformed()
-        assert occ.n_prime == occ.n_hat
-
-    def test_value_and_exponent_paths_agree(self):
-        occ = occupation_from_value(1, P_HALF.q, P_HALF)
-        assert occ.n_prime == pytest.approx(0.0, abs=1e-12)

@@ -22,7 +22,12 @@ from qdgates.cli import main, run
 from qdgates.fockspace import FunctionChoice, FunctionFamily, TruncatedFockSpace
 from qdgates.gates import cnot_truth_table
 from qdgates.qnumber import DeformationParam
-from qdgates.qubits import NormRatioResult, norm_ratio_experiment, two_qubit_state
+from qdgates.qubits import (
+    NormRatioResult,
+    case2_consistency_table,
+    norm_ratio_experiment,
+    two_qubit_state,
+)
 from qdgates.report import (
     ALGEBRA_LAYER,
     ConfigError,
@@ -175,8 +180,8 @@ class TestRunSweep:
         assert all(r.matched_law == "product" for r in report.norm_ratio)
 
     def test_domain_errors_become_entries_instead_of_aborting(self, monkeypatch):
-        def broken(*args, **kwargs):
-            raise ValueError("rigged dressing failure")
+        def broken(space, points):
+            return [ValueError("rigged dressing failure")] * len(points)
 
         monkeypatch.setattr(report_module, "algebra_residual_grid", broken)
         report = run_sweep(config(s_grid=(0.5,)))
@@ -367,8 +372,12 @@ class TestRecords:
             ReportEntry("not_condition", 0.5, 4, 1.0, 1.0, 1.0, 1.0, 0.0, True),
             cnot_truth_table()[0],
             norm_ratio_experiment(DeformationParam(0.5), 1.0, 1.0),
+            infer_psi_from_norm(2.0, 1.0, DeformationParam(0.5)),
+            case2_consistency_table(DeformationParam(0.5))[0].control,
+            case2_consistency_table(DeformationParam(0.5))[0],
         ],
-        ids=["ReportEntry", "TruthTableRow", "NormRatioResult"],
+        ids=["ReportEntry", "TruthTableRow", "NormRatioResult", "PsiInference",
+             "CaseIIOccupation", "CaseIIRow"],
     )
     def test_fields_cannot_be_assigned(self, record):
         for name in record._fields:
@@ -691,6 +700,19 @@ class TestCli:
         expected = serialize(run_sweep(SweepConfig(s_grid=(0.5,), output_format="csv")))
         assert out.read_bytes() == expected
         assert out.read_text().splitlines()[0].startswith("check_id,")
+
+    @pytest.mark.parametrize(
+        "command,flag",
+        [("gates", "--cutoff=8"), ("states", "--cutoff=8"), ("infer", "--cutoff=8"),
+         ("infer", "--format=csv"), ("infer", "--out=r.json")],
+    )
+    def test_a_flag_the_command_does_not_read_is_refused(self, command, flag, capsys):
+        # infer used to take --out and write nothing, and gates and states took a
+        # --cutoff their rows never used
+        with pytest.raises(SystemExit) as refused:
+            main([command, "--s", "0.5", flag])
+        assert refused.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
     def test_config_errors_exit_two(self):
         assert main(["sweep", "--s-grid", "0.9,0.1"]) == 2

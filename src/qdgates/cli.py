@@ -13,7 +13,7 @@ import gc
 import json
 import sys
 
-from .fockspace import FunctionChoice, FunctionFamily
+from .fockspace import FunctionChoice
 from .qnumber import DeformationParam
 from .qubits import (
     QUBIT_CUTOFF,
@@ -24,12 +24,13 @@ from .qubits import (
 )
 from .report import (
     ALGEBRA_LAYER,
-    ConfigError,
     DEFAULT_LAW,
     GATE_LAYER,
     LAW_PRODUCT,
     LAW_SQRT,
     NORM_RATIO_LAYER,
+    SWEEP_LAYERS,
+    ConfigError,
     SweepConfig,
     infer_psi_from_norm,
     run_sweep,
@@ -38,6 +39,10 @@ from .report import (
 
 DEFAULT_S_GRID = (0.1, 0.5, 0.9)
 
+# Each settings flag's argparse dest and the config key it sets.
+_FLAG_KEYS = (("psi", "psi_family"), ("beta", "beta_family"), ("tol", "tolerance"),
+              ("cutoff", "cutoff"), ("fmt", "output_format"))
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -45,18 +50,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="deformed-oscillator algebra and gate-condition verification",
     )
     # each subcommand takes only the flags it reads: gates and states build every
-    # row at QUBIT_CUTOFF, and infer writes no report
+    # row at QUBIT_CUTOFF, and infer writes no report; a settings flag not given
+    # is None, and the config's own default applies
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--s", type=float, help="single deformation strength in (0, 1]")
     common.add_argument("--s-grid", help="comma-separated strictly increasing strengths")
-    common.add_argument("--psi", default="1", help="control dressing family: 1, q or q^<float>")
-    common.add_argument("--beta", default="1", help="target dressing family: 1, q or q^<float>")
-    common.add_argument("--tol", type=float, default=1e-10, help="pass/fail tolerance")
+    common.add_argument("--psi", help="control dressing family: 1, q or q^<float>")
+    common.add_argument("--beta", help="target dressing family: 1, q or q^<float>")
+    common.add_argument("--tol", type=float, help="pass/fail tolerance")
     output = argparse.ArgumentParser(add_help=False)
-    output.add_argument("--format", choices=("json", "csv"), default="json", dest="fmt")
+    output.add_argument("--format", choices=("json", "csv"), dest="fmt")
     output.add_argument("--out", help="write the serialized report to this path")
     cutoff = argparse.ArgumentParser(add_help=False)
-    cutoff.add_argument("--cutoff", type=int, default=16, help="retained Fock levels (default 16)")
+    cutoff.add_argument("--cutoff", type=int,
+                        help=f"retained Fock levels (default {SweepConfig.cutoff})")
 
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("audit", parents=[common, cutoff, output], help="operator-identity checks")
@@ -68,74 +75,48 @@ def build_parser() -> argparse.ArgumentParser:
     infer.add_argument("--n-hat", type=int, default=1, help="plain occupation for classification")
     infer.add_argument("--law", choices=(LAW_PRODUCT, LAW_SQRT), default=DEFAULT_LAW)
 
-    sweep = sub.add_parser("sweep", parents=[common, cutoff, output], help="every registered check")
-    sweep.add_argument("--config", help="JSON config file; overrides the other flags")
+    sweep = sub.add_parser("sweep", parents=[common, cutoff, output], help="the checks of every layer")
+    sweep.add_argument("--config", help="JSON config file; a flag given beside it overrides its key")
     return parser
 
 
 def _config_from_args(args) -> SweepConfig:
+    """The ``--config`` file's object, or the default grid's, with each settings flag
+    that was given laid over it."""
     if getattr(args, "config", None):
         with open(args.config, "rb") as fh:
-            return SweepConfig.from_payload(json.load(fh))
+            payload = json.load(fh)
+    else:
+        payload = {"s_grid": DEFAULT_S_GRID}
     if args.s is not None and args.s_grid is not None:
         raise ConfigError(["give either --s or --s-grid, not both"])
+    overrides = {key: getattr(args, flag, None) for flag, key in _FLAG_KEYS}
     if args.s is not None:
-        grid = (args.s,)
+        overrides["s_grid"] = [args.s]
     elif args.s_grid is not None:
         try:
-            grid = tuple(float(v) for v in args.s_grid.split(","))
+            overrides["s_grid"] = [float(v) for v in args.s_grid.split(",")]
         except ValueError:
             raise ConfigError([f"cannot parse --s-grid {args.s_grid!r}"]) from None
-    else:
-        grid = DEFAULT_S_GRID
-    # a report from a command without --cutoff records the default, 16
-    return SweepConfig(
-        s_grid=grid,
-        psi_family=FunctionFamily.parse(args.psi),
-        beta_family=FunctionFamily.parse(args.beta),
-        cutoff=getattr(args, "cutoff", SweepConfig.cutoff),
-        tolerance=args.tol,
-        output_format=getattr(args, "fmt", SweepConfig.output_format),
-    )
+    if isinstance(payload, dict):
+        payload = {**payload, **{k: v for k, v in overrides.items() if v is not None}}
+    return SweepConfig.from_payload(payload)
 
 
-def _emit(report, args) -> None:
-    blob = serialize(report)
-    if args.out:
-        with open(args.out, "wb") as fh:
-            fh.write(blob)
-    elif args.command == "sweep":
-        sys.stdout.write(blob.decode("utf-8"))
-
-
-def _print_entries(report) -> None:
+def _entry_lines(report):
+    """A line per row, then the summary's, each formatted as it is printed."""
     for e in report.entries:
         status = "PASS" if e.passed else "FAIL"
         line = f"{status} s={e.s:g} {e.check_id} residual={e.residual:.3e}"
-        if e.note:
-            line += f"  [{e.note}]"
-        print(line)
-    print(
+        yield f"{line}  [{e.note}]" if e.note else line
+    yield (
         f"summary: {report.summary['total_pass']} pass, {report.summary['total_fail']} fail "
         f"({report.summary['unexpected_failures']} unexpected)"
     )
 
 
-def _exit_code(report) -> int:
-    return 1 if report.unexpected_failures() else 0
-
-
-def _cmd_layer(args, layer: str) -> int:
-    report = run_sweep(_config_from_args(args), layers=(layer,))
-    _emit(report, args)
-    _print_entries(report)
-    return _exit_code(report)
-
-
-def _cmd_states(args) -> int:
-    # printed only once everything is built: an exit 2 writes nothing to stdout
-    config = _config_from_args(args)
-    space = TruncatedFockSpace(QUBIT_CUTOFF)
+def _state_lines(report) -> list[str]:
+    config, space = report.config, TruncatedFockSpace(QUBIT_CUTOFF)
     lines = []
     for s in config.s_grid:
         p = DeformationParam(s)
@@ -155,16 +136,32 @@ def _cmd_states(args) -> int:
                     f"({i}, {re:.12g}, {im:.12g})" for i, re, im in state.nonzero_triples()
                 )
                 lines.append(f"  |{x}{y}>  {triples}")
-    report = run_sweep(config, layers=(NORM_RATIO_LAYER,))
     for r in report.norm_ratio:
         lines.append(
             f"s={r.s:g} psi={r.psi:g} beta={r.beta:g}: measured={r.measured:.12g} "
             f"product={r.prediction_product:.12g} sqrt={r.prediction_sqrt:.12g} "
             f"-> {r.matched_law}"
         )
-    _emit(report, args)
-    print("\n".join(lines))
-    return _exit_code(report)
+    return lines
+
+
+def _run_report(args, layers, listing) -> int:
+    """Sweep ``layers``, write the report to ``--out`` if given, and print the lines
+    ``listing(report)`` gives; a sweep with no ``--out`` prints its report instead.
+    The listing is called before anything is written: the state lines, which can
+    raise, are built there, so an exit 2 writes nothing; the row lines, which
+    cannot, are formatted one at a time as they are printed."""
+    report = run_sweep(_config_from_args(args), layers)
+    if args.command == "sweep" and not args.out:
+        sys.stdout.write(serialize(report).decode("utf-8"))
+    else:
+        lines = listing(report)
+        if args.out:
+            with open(args.out, "wb") as fh:
+                fh.write(serialize(report))
+        for line in lines:
+            print(line)
+    return 1 if report.unexpected_failures() else 0
 
 
 def _cmd_infer(args) -> int:
@@ -185,26 +182,18 @@ def _cmd_infer(args) -> int:
             f"at n_hat={inference.n_hat}, log-distance {inference.log_distance:.3e}, "
             f"law={inference.law}"
         )
-        if args.ratio is None and abs(inference.inferred_psi - psi) > args.tol * max(1.0, psi):
+        tol = config.tolerance * max(1.0, psi)
+        if args.ratio is None and abs(inference.inferred_psi - psi) > tol:
             status = 1
     return status
 
 
-def _cmd_sweep(args) -> int:
-    config = _config_from_args(args)
-    report = run_sweep(config)
-    _emit(report, args)
-    if args.out:
-        _print_entries(report)
-    return _exit_code(report)
-
-
 _COMMANDS = {
-    "audit": lambda args: _cmd_layer(args, ALGEBRA_LAYER),
-    "gates": lambda args: _cmd_layer(args, GATE_LAYER),
-    "states": _cmd_states,
+    "audit": lambda args: _run_report(args, (ALGEBRA_LAYER,), _entry_lines),
+    "gates": lambda args: _run_report(args, (GATE_LAYER,), _entry_lines),
+    "states": lambda args: _run_report(args, (NORM_RATIO_LAYER,), _state_lines),
     "infer": _cmd_infer,
-    "sweep": _cmd_sweep,
+    "sweep": lambda args: _run_report(args, SWEEP_LAYERS, _entry_lines),
 }
 
 
@@ -213,7 +202,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 

@@ -46,11 +46,15 @@ class TruncatedFockSpace:
             raise ValueError(f"cutoff must be an integer >= 2, got {self.cutoff!r}")
 
 
+def _is_number(value) -> bool:
+    """An int or float, not a boolean: a number as a JSON payload or a caller gives it."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def check_dressing(**values) -> None:
     """Reject the first dressing value that is not a finite positive int or float."""
     for name, value in values.items():
-        number = isinstance(value, (int, float)) and not isinstance(value, bool)
-        if not (number and 0 < value < math.inf):
+        if not (_is_number(value) and 0 < value < math.inf):
             raise ValueError(f"{name} must be finite and strictly positive, got {value!r}")
 
 
@@ -62,6 +66,7 @@ class FunctionChoice:
     ``beta2`` the target side.  ``psi3``/``psi4`` belong to the second
     oscillator in the Hadamard construction and default to ``psi1``/``psi2``.
     All six sit under square roots and must be finite positive numbers.
+    ``FunctionChoice()``, all six equal to 1, is the undeformed-compatible choice.
     """
 
     psi1: float = 1.0
@@ -82,11 +87,6 @@ class FunctionChoice:
                 check_dressing(psi1=self.psi1, psi2=self.psi2, psi3=self.psi3, psi4=self.psi4,
                                beta1=self.beta1, beta2=self.beta2)
                 break
-
-    @classmethod
-    def unit(cls) -> "FunctionChoice":
-        """The undeformed-compatible choice: all six functions equal to 1."""
-        return cls()
 
     @classmethod
     def from_families(

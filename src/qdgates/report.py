@@ -1,7 +1,7 @@
 """Sweep orchestration, the dressing-inference demo, and report serialization.
 
 A sweep walks its grid once.  At each point it makes the rows of every
-registered check, each from one row builder, :func:`_entry`, the only place a
+check of its layers, each from one row builder, :func:`_entry`, the only place a
 residual becomes a verdict: a row passes when its residual, a finite
 nonnegative float64, is at most ``tol``; a check that raises a domain error,
 or measures a residual that is no such float, becomes an error row
@@ -27,7 +27,7 @@ from typing import NamedTuple, Sequence
 from . import __version__ as _tool_version
 from .audit import ALGEBRA_CHECK_IDS, MIN_AUDIT_CUTOFF, NUMBER_PRODUCTS
 from .audit import _row_residual, algebra_residual_grid, float_residual
-from .fockspace import CONSTANT_ONE, FunctionChoice, FunctionFamily, TruncatedFockSpace
+from .fockspace import FunctionChoice, FunctionFamily, TruncatedFockSpace, _is_number
 from .gates import CNOT_CONDITION, NOT_CONDITION
 from .gates import check_cnot_condition, check_not_condition, cnot_truth_table
 from .qnumber import DeformationParam
@@ -45,12 +45,6 @@ GATE_LAYER = "gates"
 NORM_RATIO_LAYER = "norm_ratio"
 SWEEP_LAYERS = (ALGEBRA_LAYER, GATE_LAYER, NORM_RATIO_LAYER)
 
-GATE_CHECK_IDS = (NOT_CONDITION, CNOT_CONDITION, CNOT_TABLE, CNOT_TABLE_DEFORMED)
-# Each layer's check ids, in the order its row function makes its rows.
-LAYER_CHECKS = {ALGEBRA_LAYER: ALGEBRA_CHECK_IDS, GATE_LAYER: GATE_CHECK_IDS,
-                NORM_RATIO_LAYER: (NORM_RATIO,)}
-REGISTERED_CHECKS = (*ALGEBRA_CHECK_IDS, *GATE_CHECK_IDS, NORM_RATIO)
-
 # The report's one column list, in ReportEntry field order.
 ENTRY_COLUMNS = (
     "check_id", "s", "cutoff", "psi1", "psi2", "beta1", "beta2", "residual", "pass", "note"
@@ -61,6 +55,8 @@ _REPORT_KEYS = frozenset({"config", "norm_ratio", "points", "summary", "tool_ver
 _POINT_CELLS = ("s", "psi1", "psi2", "beta1", "beta2")
 _POINT_KEYS = frozenset({*_POINT_CELLS, "rows"})
 _ROW_KEYS = frozenset({"check_id", "cutoff", "note", "pass", "residual"})
+_SAMPLE_KEYS = frozenset(NormRatioResult._fields)
+_SUMMARY_KEYS = frozenset({"per_check", "total_fail", "total_pass", "unexpected_failures"})
 
 EXPECTED_FAIL_MARK = "expected failure"
 _PRODUCTS_NOTE = (f"{EXPECTED_FAIL_MARK}: the dressed products match the deformed number "
@@ -100,11 +96,6 @@ def _first_bad_point(family: FunctionFamily, s_grid: Sequence[float]) -> str | N
     return None
 
 
-def _is_number(value) -> bool:
-    """An int or float from a JSON payload, not a boolean."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class SweepConfig:
     s_grid: tuple[float, ...]
@@ -116,9 +107,6 @@ class SweepConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "s_grid", tuple(float(s) for s in self.s_grid))
-        self.validate()
-
-    def validate(self) -> None:
         problems = []
         if not self.s_grid:
             problems.append("s_grid must be nonempty")
@@ -153,12 +141,15 @@ class SweepConfig:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "SweepConfig":
+        """The config a JSON object describes; a key it lacks, apart from s_grid, keeps its
+        field's default."""
         if not isinstance(payload, dict):
             raise ConfigError([f"config must be a JSON object, got {payload!r}"])
         s_grid = payload.get("s_grid")
-        cutoff = payload.get("cutoff", 16)
-        tolerance = payload.get("tolerance", 1e-10)
-        families = {name: payload.get(name, "1") for name in ("psi_family", "beta_family")}
+        cutoff = payload.get("cutoff", cls.cutoff)
+        tolerance = payload.get("tolerance", cls.tolerance)
+        families = {name: payload[name] for name in ("psi_family", "beta_family")
+                    if name in payload}
         problems = []
         if s_grid is None:
             problems.append("config must define s_grid")
@@ -178,15 +169,14 @@ class SweepConfig:
         def family(d) -> FunctionFamily:
             if isinstance(d, str):
                 return FunctionFamily.parse(d)
-            return FunctionFamily(d.get("kind", CONSTANT_ONE), d.get("exponent", 0.0))
+            return FunctionFamily(**{key: d[key] for key in ("kind", "exponent") if key in d})
 
         return cls(
             s_grid=tuple(s_grid),
-            psi_family=family(families["psi_family"]),
-            beta_family=family(families["beta_family"]),
             cutoff=int(cutoff),
             tolerance=float(tolerance),
-            output_format=str(payload.get("output_format", "json")),
+            output_format=str(payload.get("output_format", cls.output_format)),
+            **{name: family(d) for name, d in families.items()},
         )
 
 
@@ -277,8 +267,9 @@ def _deformed_table(p: DeformationParam, choice: FunctionChoice):
 def gate_entries(
     config: SweepConfig, p: DeformationParam, choice: FunctionChoice, plain_residual: float
 ) -> list[dict]:
-    """Gate rows at one grid point, in :data:`GATE_CHECK_IDS` order; ``plain_residual`` is
-    the plain CNOT table's, which does not depend on s and is computed once per sweep."""
+    """Gate rows at one grid point: the NOT and CNOT conditions, then the plain and the deformed
+    CNOT tables; ``plain_residual`` is the plain table's, which does not depend on s and is
+    computed once per sweep."""
     tol = config.tolerance
     return [
         _entry(NOT_CONDITION, QUBIT_CUTOFF, tol, "", check_not_condition, p, choice),
@@ -314,17 +305,12 @@ def run_sweep(config: SweepConfig, layers: Sequence[str] = SWEEP_LAYERS) -> Swee
     Deterministic for a fixed config."""
     grid = [(p, FunctionChoice.from_families(config.psi_family, config.beta_family, p.q))
             for p in map(DeformationParam, config.s_grid)]
-    # the check ids of a point's rows as the layers make them, and the order that sorts them
-    made = [check_id for layer in SWEEP_LAYERS if layer in layers
-            for check_id in LAYER_CHECKS[layer]]
-    order = sorted(range(len(made)), key=made.__getitem__)
     gates, norm_ratio = GATE_LAYER in layers, NORM_RATIO_LAYER in layers
     algebra = algebra_entries(config, grid) if ALGEBRA_LAYER in layers else [[]] * len(grid)
     if gates:
         plain_residual = max(max(abs(r.amplitude - 1.0), r.off_support) for r in cnot_truth_table())
     points: list[dict] = []
     samples: list[NormRatioResult] = []
-    fails = [0] * len(made)
     unexpected = 0
     for (p, choice), point_rows in zip(grid, algebra):
         if gates:
@@ -333,6 +319,12 @@ def run_sweep(config: SweepConfig, layers: Sequence[str] = SWEEP_LAYERS) -> Swee
             norm_rows, point_samples = norm_ratio_entries(config, p, choice)
             point_rows = point_rows + norm_rows
             samples += point_samples
+        if not points:
+            # every point makes the first one's check ids in the same order: sorting
+            # them once gives each point's row order and the summary's keys
+            made = [row["check_id"] for row in point_rows]
+            order = sorted(range(len(made)), key=made.__getitem__)
+            fails = [0] * len(made)
         rows = [point_rows[i] for i in order]
         for i in [i for i, row in enumerate(rows) if not row["pass"]]:
             fails[i] += 1
@@ -452,11 +444,17 @@ def parse_report(blob: bytes) -> SweepReport:
             raise ValueError(f"report point {i} rows must be a list, got {type(rows).__name__}")
         for j, row in enumerate(rows):
             _require(row, _ROW_KEYS, "report point %d row %d", i, j)
+    samples = payload["norm_ratio"]
+    if not isinstance(samples, list):
+        raise ValueError(f"report norm_ratio must be a list, got {type(samples).__name__}")
+    for i, sample in enumerate(samples):
+        _require(sample, _SAMPLE_KEYS, "report norm_ratio sample %d", i)
+    _require(payload["summary"], _SUMMARY_KEYS, "report summary")
     return SweepReport(
         schema_version=version,
         tool_version=payload["tool_version"],
         config=SweepConfig.from_payload(payload["config"]),
         points=tuple(points),
-        norm_ratio=tuple(NormRatioResult(**r) for r in payload["norm_ratio"]),
+        norm_ratio=tuple(NormRatioResult(**r) for r in samples),
         summary=payload["summary"],
     )

@@ -54,7 +54,7 @@ def test_01_ladder_limit_recovery():
 def test_02_algebra_audit_at_unit_functions():
     worst = 0.0
     for s in S_GRID:
-        residuals = point_residuals(AUDIT_SPACE, DeformationParam(s), FunctionChoice.unit())
+        residuals = point_residuals(AUDIT_SPACE, DeformationParam(s), FunctionChoice())
         worst = max(worst, float(max(residuals)))
     _verdict(2, "all four operator identities below 1e-12", worst < 1e-12, f"worst {worst:.3e}")
 

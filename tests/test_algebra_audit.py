@@ -20,7 +20,7 @@ from qdgates.report import _entry
 
 SPACE = TruncatedFockSpace(16)
 S_GRID = (0.1, 0.5, 0.9)
-UNIT = FunctionChoice.unit()
+UNIT = FunctionChoice()
 
 
 def shared(value: float) -> FunctionChoice:

@@ -168,7 +168,7 @@ def test_band_residuals_equal_dense_oracle_at_fixed_points(s, psi1, psi2):
 
 
 def test_band_residuals_equal_dense_oracle_at_cutoff_256():
-    assert_band_matches_oracle(TruncatedFockSpace(256), DeformationParam(0.7), FunctionChoice.unit())
+    assert_band_matches_oracle(TruncatedFockSpace(256), DeformationParam(0.7), FunctionChoice())
 
 
 def test_errors_match_the_oracle():
@@ -220,7 +220,7 @@ def test_grid_rows_equal_their_points(grid, block_levels):
 def test_grid_keeps_errors_at_their_own_point():
     # a negative radicand at the middle point leaves its neighbours' rows alone
     p = DeformationParam(0.5)
-    points = [(p, FunctionChoice.unit()), (p, FunctionChoice(1.0, 10.0)), (p, FunctionChoice(2.0, 2.0))]
+    points = [(p, FunctionChoice()), (p, FunctionChoice(1.0, 10.0)), (p, FunctionChoice(2.0, 2.0))]
     space = TruncatedFockSpace(8)
     first, error, last = algebra_residual_grid(space, points)
     assert isinstance(error, RadicandError)
@@ -249,7 +249,7 @@ def test_blocks_hold_at_most_block_levels_of_band(cutoff, points, sizes):
         seen.append(len(block))
         return band_rows(cutoff, block)
 
-    grid = [(DeformationParam(0.01 + 0.001 * i), FunctionChoice.unit()) for i in range(points)]
+    grid = [(DeformationParam(0.01 + 0.001 * i), FunctionChoice()) for i in range(points)]
     with mock.patch.object(audit, "_band_rows", recording):
         rows = algebra_residual_grid(TruncatedFockSpace(cutoff), grid)
     assert seen == sizes and len(rows) == points

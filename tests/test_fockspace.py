@@ -228,7 +228,7 @@ class TestLadderBand:
 
 class TestFunctionChoice:
     def test_defaults_are_undeformed_compatible(self):
-        c = FunctionChoice.unit()
+        c = FunctionChoice()
         assert (c.psi1, c.psi2, c.psi3, c.psi4, c.beta1, c.beta2) == (1.0,) * 6
 
     def test_hadamard_pair_defaults_to_first_pair(self):

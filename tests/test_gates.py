@@ -242,7 +242,7 @@ class TestCnotGate:
         assert sorted(accepted) == sorted(flips)
 
     def test_deformed_unit_functions_match_plain_gate(self):
-        unit = FunctionChoice.unit()
+        unit = FunctionChoice()
         for x in (0, 1):
             for y in (0, 1):
                 state = two_qubit_state(x, y, SPACE, P_HALF, unit, unit)
@@ -333,7 +333,7 @@ class TestZeroAmplitudeDressing:
         # they used to come back as all-zero vectors with no support
         control = FunctionChoice(*self.ZERO)
         target = FunctionChoice(beta1=self.ZERO[0], beta2=self.ZERO[1])
-        unit = FunctionChoice.unit()
+        unit = FunctionChoice()
         builds = (
             lambda x: qubit_state(x, SPACE, self.P_ONE, control),
             lambda x: two_qubit_state(x, 1 - x, SPACE, self.P_ONE, control, unit),
@@ -390,6 +390,6 @@ class TestCnotCondition:
     ids=[*GATE_IDS, "qubit-state", "two-qubit-state"],
 )
 def test_deformed_mode_needs_parameters(gate, given):
-    p, choice = (P_HALF, None) if given == "p-only" else (None, FunctionChoice.unit())
+    p, choice = (P_HALF, None) if given == "p-only" else (None, FunctionChoice())
     with pytest.raises(ValueError, match="needs both a DeformationParam and a FunctionChoice"):
         gate(1, p, choice)

@@ -134,7 +134,7 @@ class TestDeformedQubits:
     @pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
     @pytest.mark.parametrize("x", [0, 1])
     def test_unit_functions_reproduce_plain_qubits(self, s, x):
-        state = qubit_state(x, SPACE, DeformationParam(s), FunctionChoice.unit())
+        state = qubit_state(x, SPACE, DeformationParam(s), FunctionChoice())
         assert state == qubit_state(x, SPACE)
 
     @pytest.mark.parametrize("x", [0, 1])
@@ -157,7 +157,7 @@ class TestDeformedQubits:
         # the only dressing factor touching a qubit level is pinned at 1,
         # so the gap is far below the linear-in-s bound
         for x in (0, 1):
-            state = qubit_state(x, SPACE, DeformationParam(s), FunctionChoice.unit())
+            state = qubit_state(x, SPACE, DeformationParam(s), FunctionChoice())
             gap = np.max(np.abs(dense(state) - dense(qubit_state(x, SPACE))))
             assert gap <= s
             assert gap < 1e-12
@@ -194,7 +194,7 @@ class TestTwoQubitStates:
         assert two_qubit_state(0, 0, SPACE).support() == ((0, 1, 0, 1),)
 
     def test_unit_functions_match_basis_product(self):
-        unit = FunctionChoice.unit()
+        unit = FunctionChoice()
         for x in (0, 1):
             for y in (0, 1):
                 built = two_qubit_state(x, y, SPACE, P_HALF, unit, unit)

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -34,11 +35,9 @@ from qdgates.report import (
     ENTRY_COLUMNS,
     EXPECTED_FAIL_MARK,
     GATE_LAYER,
-    LAYER_CHECKS,
     LAW_PRODUCT,
     LAW_SQRT,
     NORM_RATIO_LAYER,
-    REGISTERED_CHECKS,
     SCHEMA_VERSION,
     SWEEP_LAYERS,
     ReportEntry,
@@ -55,6 +54,19 @@ from qdgates.report import (
 
 S_GRID = (0.1, 0.5, 0.9)
 POWER_ONE = FunctionFamily("power_of_q", 1.0)
+
+# Each layer's check ids, stated here: a sweep reads its row order and its summary's
+# keys from the rows its layers make, and the package keeps no list of them.
+LAYER_CHECK_IDS = {
+    ALGEBRA_LAYER: ("number_commutators", "number_products", "qcommutator", "shift_rule"),
+    GATE_LAYER: ("cnot_condition", "cnot_table", "cnot_table_deformed", "not_condition"),
+    NORM_RATIO_LAYER: ("norm_ratio",),
+}
+ALL_CHECK_IDS = tuple(sorted(c for ids in LAYER_CHECK_IDS.values() for c in ids))
+LAYER_SUBSETS = [
+    layers for n in range(1, len(SWEEP_LAYERS) + 1)
+    for layers in itertools.combinations(SWEEP_LAYERS, n)
+]
 
 
 def config(**kwargs):
@@ -130,13 +142,13 @@ def sweep_configs(draw):
 class TestRunSweep:
     def test_unit_functions_pass_everything(self):
         report = run_sweep(config(s_grid=(0.5,), cutoff=16, tolerance=1e-10))
-        assert len(report.entries) == len(REGISTERED_CHECKS)
+        assert len(report.entries) == len(ALL_CHECK_IDS)
         assert report.summary["total_fail"] == 0
         assert report.unexpected_failures() == 0
 
     def test_nonunit_family_fails_only_the_product_relation(self):
         report = run_sweep(config(s_grid=S_GRID, psi_family=POWER_ONE))
-        assert len(report.entries) == len(S_GRID) * len(REGISTERED_CHECKS)
+        assert len(report.entries) == len(S_GRID) * len(ALL_CHECK_IDS)
         products = [e for e in report.entries if e.check_id == "number_products"]
         flips = [e for e in report.entries if e.check_id == "not_condition"]
         assert len(products) == len(S_GRID) and all(not e.passed for e in products)
@@ -163,7 +175,7 @@ class TestRunSweep:
         assert report.summary["total_pass"] == passed
         assert report.summary["total_fail"] == failed
         per_check = report.summary["per_check"]
-        for check_id in REGISTERED_CHECKS:
+        for check_id in ALL_CHECK_IDS:
             rows = [e for e in report.entries if e.check_id == check_id]
             assert per_check[check_id]["pass"] == sum(1 for e in rows if e.passed)
             assert per_check[check_id]["fail"] == sum(1 for e in rows if not e.passed)
@@ -185,7 +197,7 @@ class TestRunSweep:
 
         monkeypatch.setattr(report_module, "algebra_residual_grid", broken)
         report = run_sweep(config(s_grid=(0.5,)))
-        assert len(report.entries) == len(REGISTERED_CHECKS)
+        assert len(report.entries) == len(ALL_CHECK_IDS)
         errored = [e for e in report.entries if e.note.startswith("error:")]
         assert len(errored) == 4
         assert all(e.residual == -1.0 and not e.passed for e in errored)
@@ -241,19 +253,21 @@ class TestRunSweep:
         assert not parts[0].norm_ratio and not parts[1].norm_ratio
 
     @pytest.mark.parametrize("tolerance", [1e-10, 1e-30], ids=["expected-failures", "unexpected"])
-    @pytest.mark.parametrize("layer", SWEEP_LAYERS)
-    def test_a_single_layer_sweep_is_the_full_sweep_restricted_to_its_checks(
-        self, layer, tolerance
+    @pytest.mark.parametrize("layers", LAYER_SUBSETS, ids="+".join)
+    def test_a_sweep_of_some_layers_is_the_full_sweep_restricted_to_their_checks(
+        self, layers, tolerance
     ):
-        # `qdgates audit`, `gates` and `states` print and write these rows and this summary
+        # `qdgates audit`, `gates` and `states` print and write one layer's rows and summary
         cfg = config(s_grid=S_GRID, psi_family=POWER_ONE, tolerance=tolerance)
-        full, part = run_sweep(cfg), run_sweep(cfg, layers=(layer,))
-        restricted = tuple(e for e in full.entries if e.check_id in LAYER_CHECKS[layer])
+        full, part = run_sweep(cfg), run_sweep(cfg, layers=layers)
+        checks = sorted(c for layer in layers for c in LAYER_CHECK_IDS[layer])
+        restricted = tuple(e for e in full.entries if e.check_id in checks)
         assert part.entries == restricted
         assert part.summary == summarize(restricted)
+        assert list(part.summary["per_check"]) == checks
         assert part.summary["per_check"] == {
             check_id: counts for check_id, counts in full.summary["per_check"].items()
-            if check_id in LAYER_CHECKS[layer]
+            if check_id in checks
         }
 
     @settings(deadline=None)
@@ -358,6 +372,18 @@ def drawn_reports(draw):
         points.append(point(*cells, rows))
     samples = draw(st.lists(st.builds(NormRatioResult, f, f, f, f, f, f, EDGE_TEXTS), max_size=3))
     return report_of(points, samples)
+
+
+SAMPLE = dict(zip(NormRatioResult._fields, (0.5, 1.0, 1.0, 1.0, 1.0, 1.0, "product")))
+SUMMARY = {"per_check": {}, "total_fail": 0, "total_pass": 0, "unexpected_failures": 0}
+
+
+def report_blob(**keys):
+    """The bytes of a schema-2 report with no points and one norm-ratio sample, ``keys``
+    replacing its own."""
+    payload = {"schema_version": "2", "tool_version": "0.1.0", "config": {"s_grid": [0.5]},
+               "points": [], "norm_ratio": [SAMPLE], "summary": SUMMARY}
+    return json.dumps({**payload, **keys}).encode()
 
 
 def nan_as_text(record):
@@ -499,11 +525,11 @@ print(hashlib.sha256(serialize(report)).hexdigest())
         report = run_sweep(config(s_grid=S_GRID, psi_family=POWER_ONE))
         points = json.loads(serialize(report, "json"))["points"]
         assert [point["s"] for point in points] == list(S_GRID)
-        assert all(len(point["rows"]) == len(REGISTERED_CHECKS) for point in points)
+        assert all(len(point["rows"]) == len(ALL_CHECK_IDS) for point in points)
 
     def test_parsed_rows_of_one_point_share_its_cell_objects(self):
         parsed = parse_report(serialize(run_sweep(config(s_grid=S_GRID, psi_family=POWER_ONE))))
-        n = len(REGISTERED_CHECKS)
+        n = len(ALL_CHECK_IDS)
         for first in range(0, len(parsed.entries), n):
             rows = parsed.entries[first:first + n]
             for column in ("s", "psi1", "psi2", "beta1", "beta2"):
@@ -533,10 +559,23 @@ print(hashlib.sha256(serialize(report)).hexdigest())
             (b"[]", "^a report must be a JSON object, got list$"),
             (b'{"schema_version": "2"}',
              "^schema '2' report has no config, norm_ratio, points, summary, tool_version$"),
+            (report_blob(norm_ratio=[{**SAMPLE, "measured": 2.0}, {"s": 0.5, "psi": 1.0}]),
+             "^report norm_ratio sample 1 has no beta, matched_law, measured, "
+             "prediction_product, prediction_sqrt$"),
+            (report_blob(norm_ratio=[SAMPLE, 0.5]),
+             "^report norm_ratio sample 1 is not a JSON object$"),
+            (report_blob(norm_ratio={"0": SAMPLE}), "^report norm_ratio must be a list, got dict$"),
+            (report_blob(summary=[0, 0]), "^report summary is not a JSON object$"),
+            (report_blob(summary={"total_pass": 0, "total_fail": 0}),
+             "^report summary has no per_check, unexpected_failures$"),
         ],
+        ids=["list", "no-keys", "sample-without-fields", "sample-not-object", "samples-not-list",
+             "summary-not-object", "summary-without-keys"],
     )
     def test_a_malformed_report_is_refused_by_name(self, blob, message):
-        # these died with AttributeError and KeyError: 'points'
+        # these died with AttributeError, KeyError: 'points', or (the norm-ratio samples and the
+        # summary) a bare TypeError or KeyError when read
+        assert parse_report(report_blob()).summary == SUMMARY
         with pytest.raises(ValueError, match=message):
             parse_report(blob)
 
@@ -700,6 +739,36 @@ class TestCli:
         expected = serialize(run_sweep(SweepConfig(s_grid=(0.5,), output_format="csv")))
         assert out.read_bytes() == expected
         assert out.read_text().splitlines()[0].startswith("check_id,")
+
+    # a config file whose every key differs from its default
+    FILE_CONFIG = {"s_grid": [0.2, 0.6], "psi_family": "q^0.5", "beta_family": "q^3",
+                   "cutoff": 12, "tolerance": 1e-9, "output_format": "json"}
+
+    @pytest.mark.parametrize(
+        "flags,settings",
+        [
+            (["--psi", "q"], {"psi_family": "q"}),
+            (["--beta", "q^2"], {"beta_family": "q^2"}),
+            (["--tol", "1e-8"], {"tolerance": 1e-8}),
+            (["--cutoff", "8"], {"cutoff": 8}),
+            (["--format", "csv"], {"output_format": "csv"}),
+            (["--s", "0.3"], {"s_grid": [0.3]}),
+            (["--s-grid", "0.3,0.7"], {"s_grid": [0.3, 0.7]}),
+            (["--format", "csv", "--cutoff", "8"], {"output_format": "csv", "cutoff": 8}),
+        ],
+        ids=["psi", "beta", "tol", "cutoff", "format", "s", "s-grid", "format+cutoff"],
+    )
+    def test_a_flag_beside_config_overrides_its_key(self, flags, settings, tmp_path):
+        # each flag's key takes the flag's value, every other key keeps the file's; flags
+        # given beside --config used to be ignored, so `--format csv --cutoff 8` wrote JSON
+        # at the file's cutoff
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(self.FILE_CONFIG))
+        out = tmp_path / "report"
+        assert main(["sweep", "--config", str(cfg), *flags, "--out", str(out)]) == 0
+        expected = SweepConfig.from_payload({**self.FILE_CONFIG, **settings})
+        assert expected != SweepConfig.from_payload(self.FILE_CONFIG)
+        assert out.read_bytes() == serialize(run_sweep(expected))
 
     @pytest.mark.parametrize(
         "command,flag",

@@ -330,7 +330,7 @@ def test_run_sweep_builds_no_two_qubit_vectors(monkeypatch):
     # the counter does see a caller that still builds the vectors
     p = DeformationParam(0.5)
     space = TruncatedFockSpace(4)
-    choice = FunctionChoice.unit()
+    choice = FunctionChoice()
     apply_cnot(qubits_module.two_qubit_state(1, 0, space, p, choice, choice), p, choice, choice)
     assert calls == ["two_qubit_state"]
 
@@ -455,17 +455,17 @@ NEGATIVE_ZERO = complex(-0.0, -0.0)
 @given(qubit_points(), finite_complex, finite_complex, finite_float)
 @example((TruncatedFockSpace(4), ZERO_P, ZERO_CHOICE, 0, 1), 1 + 0j, 0j, 0.0)
 @example((TruncatedFockSpace(4), ZERO_P, ZERO_CHOICE, 1, 0), 2 + 1j, -1j, 0.0)
-@example((TruncatedFockSpace(2), P_HALF, FunctionChoice.unit(), 1, 0), 1 + 0j, NEAR_LIMIT, 0.0)
-@example((TruncatedFockSpace(3), P_HALF, FunctionChoice.unit(), 1, 0), 1 + 0j, NEAR_LIMIT, 0.0)
+@example((TruncatedFockSpace(2), P_HALF, FunctionChoice(), 1, 0), 1 + 0j, NEAR_LIMIT, 0.0)
+@example((TruncatedFockSpace(3), P_HALF, FunctionChoice(), 1, 0), 1 + 0j, NEAR_LIMIT, 0.0)
 # the flip's up amplitude is -0.0 + (-0.0): its sign comes from the zero image entry
-@example((TruncatedFockSpace(2), P_HALF, FunctionChoice.unit(), 0, 0), NEGATIVE_ZERO, -1 + 1j, 0.0)
+@example((TruncatedFockSpace(2), P_HALF, FunctionChoice(), 0, 0), NEGATIVE_ZERO, -1 + 1j, 0.0)
 # the Hadamard's sum passes the float64 limit: nan+infj, which the state refuses
-@example((TruncatedFockSpace(4), P_HALF, FunctionChoice.unit(), 0, 0), 1.2e308j, 1.2e308j, 0.0)
+@example((TruncatedFockSpace(4), P_HALF, FunctionChoice(), 0, 0), 1.2e308j, 1.2e308j, 0.0)
 def test_one_gate_path_equals_the_forked_gate_bodies(point, down, up, theta):
     space, p, choice, x, y = point
     pair_state = OscillatorPairState(space, {_occupations(0): down, _occupations(1): up})
     quad_state = TwoQubitState(space, {_occupations(x, y): down})
-    unit = FunctionChoice.unit()
+    unit = FunctionChoice()
     assert_gate_outcome(
         gate_outcome(lambda: apply_phase_shift(pair_state, theta)),
         gate_outcome(lambda: forked_phase(pair_state, theta)),
@@ -699,7 +699,7 @@ def test_cnot_condition_agrees_with_the_deformed_table(point):
     # fails exactly where the table's target amplitude has a negative radicand
     p, a, b = point
     condition = outcome(lambda: check_cnot_condition(p, a, b))
-    unit, target = FunctionChoice.unit(), FunctionChoice(beta1=a, beta2=b)
+    unit, target = FunctionChoice(), FunctionChoice(beta1=a, beta2=b)
     table = outcome(lambda: cnot_truth_table(p, unit, target))
     assert raised(condition, RadicandError) == raised(table, RadicandError)
     if condition == bits(0.0):

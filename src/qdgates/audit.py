@@ -15,6 +15,13 @@ the same floating-point order as the dense matrix products, so the residuals
 are bit for bit those of the dense operators; the only entries left out are
 the zeros off the band.  :func:`algebra_residual_grid` builds the band once per
 block of grid points as ``(points x levels)`` arrays: the same bits at any shape.
+Each term that two identities read is built once per block: the number
+diagonals, ``s nu``, ``sinh(s)`` and the deformed spectrum ``[N]``, ``[N+1]``.
+Where every point of a block has psi2 == 1, the spectrum is the radicand's own
+``sinh(n s)``, one level apart, over its ``sinh(s)``, with the bits of its own
+evaluation: ``ln(1)`` is exactly 0, so nu is the integer levels; IEEE products
+commute, so ``s n`` is ``n s``; ``n + 1`` is exact; and both are the same
+``np.sinh`` over the same longdouble values.
 
 The band is always in extended precision (:data:`BAND_DTYPE`,
 ``np.longdouble``).  At cutoff 16 and s close to 1 the deformed diagonal
@@ -65,28 +72,34 @@ def float_residual(condition_id: str, residual) -> float:
 
 
 def _band_rows(cutoff: int, points: Sequence[tuple]) -> tuple:
-    """``(v, nu, s, errors)`` of ``(s, psi1, psi2)`` points: each point's RadicandError or
-    None, and the band rows (and ``s`` column) of the points without one, in order.  The
-    radicand is :func:`qdgates.fockspace.radicand`'s expression and zero rule, in longdouble."""
+    """``(v, nu, s, errors, sinh_s, sinh_ns)`` of ``(s, psi1, psi2)`` points: each point's
+    RadicandError or None, and the band rows (and ``s`` and ``sinh(s)`` columns) of the points
+    without one, in order.  The radicand is :func:`qdgates.fockspace.radicand`'s expression and
+    zero rule, in longdouble.  ``sinh_ns`` is its ``sinh(n s)`` rows at levels ``0 .. cutoff-1``
+    if every such point has psi2 == 1, where they are also the deformed number spectrum's
+    (:func:`_spectrum`), and None otherwise."""
     s, g1, g2 = np.array(points, dtype=np.float64).astype(BAND_DTYPE).T[:, :, None]
     levels = np.arange(cutoff).astype(BAND_DTYPE)
     n = levels[1:]
-    x = n * s
-    head = g1 * np.sinh(x)
+    x = levels * s
+    sinh_ns = np.sinh(x)
+    head = g1 * sinh_ns[:, 1:]
     if (g1 == g2).all():  # the second term is exactly 0, so the zero rule cannot fire
         total = head
     else:
-        total = head + (g1 - g2) * np.exp(-x) / 2
+        total = head + (g1 - g2) * np.exp(-x[:, 1:]) / 2
         total[np.abs(total) < ZERO_ULPS * np.finfo(BAND_DTYPE).eps * np.abs(head)] = 0
-    r = total / (n * np.sinh(s))
+    sinh_s = np.sinh(s)
+    r = total / (n * sinh_s)
     bad = r < 0
     keep = ~bad.any(axis=1)
     errors = [
         None if ok else RadicandError(f"negative radicand at level n={k} with psi1={a}, psi2={b}")
         for (_, a, b), ok, k in zip(points, keep, bad.argmax(axis=1) + 1)
     ]
-    s = s[keep]
-    return np.sqrt(n) * np.sqrt(r[keep]), levels - np.log(g2[keep]) / s, s, errors
+    s, g2 = s[keep], g2[keep]
+    shared = sinh_ns[keep] if (g2 == 1).all() else None
+    return np.sqrt(n) * np.sqrt(r[keep]), levels - np.log(g2) / s, s, errors, sinh_s[keep], shared
 
 
 def ladder_band(
@@ -101,7 +114,7 @@ def ladder_band(
     never evaluated, so ``psi1 < psi2`` is allowed; a negative radicand at
     some ``n >= 1`` raises :class:`RadicandError` naming the first such level.
     """
-    v, nu, _, (error,) = _band_rows(space.cutoff, [(p.s, psi1, psi2)])
+    v, nu, _, (error,), *_ = _band_rows(space.cutoff, [(p.s, psi1, psi2)])
     if error:
         raise error
     return v[0], nu[0]
@@ -122,16 +135,14 @@ def _number_diagonals(v):
     return sq[:, 1:-1], sq[:, :-2]
 
 
-def _qcommutator(v, nu, s):
-    """a_q a_q+ - q a_q+ a_q against q**(-N).
+def _qcommutator(aad, ada, sn, s):
+    """a_q a_q+ - q a_q+ a_q against q**(-N), from the number diagonals and ``sn = s nu``.
 
     Holds iff psi1 == psi2: at level 0, where a_q+ a_q vanishes, a_q a_q+
     is F(1)**2 = (q psi1 - psi2/q)/(q - 1/q) against q**(-N) = psi2.  Every
     level above matches for any choice.
     """
-    aad, ada = _number_diagonals(v)
-    q = np.exp(s)
-    return _abs_max(aad - q * ada - np.exp(-s * nu[:, :-2]))
+    return _abs_max(aad - np.exp(s) * ada - np.exp(-sn))
 
 
 def _number_commutators(v, nu, s):
@@ -150,7 +161,19 @@ def _number_commutators(v, nu, s):
     return _abs_max(nu[:, :-3] * w - w * nu[:, 1:-2] + w)
 
 
-def _number_products(v, nu, s):
+def _spectrum(nu, sn, s, sinh_s, sinh_ns):
+    """The deformed number spectrum ``([N], [N+1])`` on the interior block, ``[x]`` being
+    ``sinh(s x)/sinh(s)``: from ``sn = s nu`` and ``s (nu + 1)``, or, given the band's
+    ``sinh_ns`` (every psi2 == 1), read from it one level apart, with the same bits for the
+    reasons the module docstring gives."""
+    if sinh_ns is None:
+        sinh_nu = np.sinh(sn), np.sinh(s * (nu[:, :-2] + 1))
+    else:
+        sinh_nu = sinh_ns[:, :-2], sinh_ns[:, 1:-1]
+    return [x / sinh_s for x in sinh_nu]
+
+
+def _number_products(aad, ada, spectrum):
     """a_q+ a_q against the deformed number [N], a_q a_q+ against [N+1].
 
     Holds iff psi1 == psi2 == 1.  psi1 * psi2 == 1 is not enough: it matches
@@ -158,11 +181,8 @@ def _number_products(v, nu, s):
     [-ln(psi2)/s], which is 0 only for psi2 == 1.  For every other choice
     the two sides genuinely disagree and the residual documents the gap.
     """
-    aad, ada = _number_diagonals(v)
-    n = nu[:, :-2]
-    d1 = ada - np.sinh(s * n) / np.sinh(s)
-    d2 = aad - np.sinh(s * (n + 1)) / np.sinh(s)
-    return _abs_max(d1, d2)
+    n, n1 = spectrum
+    return _abs_max(ada - n, aad - n1)
 
 
 def _shift_rule(v, nu, s):
@@ -179,6 +199,20 @@ def _shift_rule(v, nu, s):
     return _abs_max(w * f(nu[:, 1:-2]) - f(nu[:, :-3] + 1) * w)
 
 
+def _block_grid(cutoff: int, block: Sequence[tuple]) -> tuple:
+    """``(grid, v, spectrum, errors)`` of a block of ``(s, psi1, psi2)`` points: the four
+    residual rows in :data:`ALGEBRA_CHECK_IDS` order over the points without a RadicandError,
+    their band and :func:`_spectrum`, and :func:`_band_rows`' errors.  Each term two identities
+    share (the number diagonals, ``s nu``, ``sinh(s)`` and the spectrum) is built once."""
+    v, nu, s, errors, sinh_s, sinh_ns = _band_rows(cutoff, block)
+    aad, ada = _number_diagonals(v)
+    sn = s * nu[:, :-2]
+    spectrum = _spectrum(nu, sn, s, sinh_s, sinh_ns)
+    grid = (_qcommutator(aad, ada, sn, s), _number_commutators(v, nu, s),
+            _number_products(aad, ada, spectrum), _shift_rule(v, nu, s))
+    return grid, v, spectrum, errors
+
+
 def algebra_residual_grid(space: TruncatedFockSpace, points: Sequence) -> list:
     """For each ``(p, choice)`` of ``points``, its four raw identity residuals in
     :data:`ALGEBRA_CHECK_IDS` order and the band precision, or its band's RadicandError.  A
@@ -192,23 +226,20 @@ def algebra_residual_grid(space: TruncatedFockSpace, points: Sequence) -> list:
     for start in range(0, len(points), size):
         block = [(p.s, c.psi1, c.psi2) for p, c in points[start : start + size]]
         with np.errstate(over="ignore", invalid="ignore"):  # a band that overflows is named below
-            v, nu, s, errors = _band_rows(space.cutoff, block)
-            grid = (_qcommutator(v, nu, s), _number_commutators(v, nu, s),
-                    _number_products(v, nu, s), _shift_rule(v, nu, s))
+            grid, v, spectrum, errors = _block_grid(space.cutoff, block)
             residuals = zip(*grid)
             if not np.isfinite(grid).all():  # only then look for what overflows
-                residuals = iter([_overflow_row(*row) for row in zip(residuals, v, nu, s)])
+                residuals = iter([_overflow_row(*row) for row in zip(residuals, v, *spectrum)])
         rows.extend(error or next(residuals) for error in errors)
     return rows
 
 
-def _overflow_row(residuals: tuple, v_row, nu_row, s) -> tuple:
+def _overflow_row(residuals: tuple, v_row, n_row, n1_row) -> tuple:
     """``residuals``, each that is not finite made a ValueError naming the first level where the
-    band ``v_row`` or, if it is finite, the [N] or [N+1] of :func:`_number_products` is not."""
+    band ``v_row`` or, if it is finite, the spectrum's [N] ``n_row`` or [N+1] ``n1_row`` is not."""
     finite, what, start = np.isfinite(v_row), "the ladder band", 1
     if finite.all():
-        n, sinh_s = nu_row[:-2], np.sinh(s)
-        finite = np.isfinite(np.sinh(s * n) / sinh_s) & np.isfinite(np.sinh(s * (n + 1)) / sinh_s)
+        finite = np.isfinite(n_row) & np.isfinite(n1_row)
         what, start = "the deformed number spectrum", 0
     if finite.all():
         return residuals

@@ -449,6 +449,9 @@ def parse_report(blob: bytes) -> SweepReport:
         raise ValueError(f"report norm_ratio must be a list, got {type(samples).__name__}")
     for i, sample in enumerate(samples):
         _require(sample, _SAMPLE_KEYS, "report norm_ratio sample %d", i)
+        if len(sample) > len(_SAMPLE_KEYS):  # a NormRatioResult has no place for it
+            unknown = ", ".join(sorted(sample.keys() - _SAMPLE_KEYS))
+            raise ValueError(f"report norm_ratio sample {i} has unknown {unknown}")
     _require(payload["summary"], _SUMMARY_KEYS, "report summary")
     return SweepReport(
         schema_version=version,

@@ -15,9 +15,11 @@ goes; the row sort, the point regrouping and the summary tally here build the
 same from flat rows the long way, as the reference it is checked against.
 The band's radicand and the number-commutator residual are also kept in the
 two-part forms the audit skips: both radicand terms and the zero rule at every
-row, and both commutators' interior entries.  The shift rule's f(x) = x**2 + 1
-is also evaluated as a general polynomial, by Horner's rule on its ascending
-coefficients.
+row, and both commutators' interior entries.  The q-commutator and
+number-product residuals are kept as each was before a block shared its terms,
+each building its own number diagonals, ``s * nu``, ``sinh(s)`` and spectrum.
+The shift rule's f(x) = x**2 + 1 is also evaluated as a general polynomial, by
+Horner's rule on its ascending coefficients.
 """
 
 import decimal
@@ -27,7 +29,9 @@ from operator import ne
 
 import numpy as np
 
-from qdgates.audit import BAND_DTYPE, _abs_max, algebra_residual_grid, ladder_band
+from qdgates.audit import (
+    BAND_DTYPE, _abs_max, _number_diagonals, algebra_residual_grid, ladder_band,
+)
 from qdgates.fockspace import ZERO_ULPS, RadicandError
 
 LD = np.longdouble
@@ -129,6 +133,23 @@ def two_part_band_rows(cutoff, points):
     ]
     s = s[keep]
     return np.sqrt(n) * np.sqrt(r[keep]), levels - np.log(g2[keep]) / s, s, errors
+
+
+def separate_qcommutator(v, nu, s):
+    """``qdgates.audit._qcommutator`` from the band alone, with its own diagonals and ``s * nu``."""
+    aad, ada = _number_diagonals(v)
+    q = np.exp(s)
+    return _abs_max(aad - q * ada - np.exp(-s * nu[:, :-2]))
+
+
+def separate_number_products(v, nu, s):
+    """``qdgates.audit._number_products`` from the band alone: its own diagonals, its own
+    ``sinh(s nu)`` and ``sinh(s (nu + 1))``, and its own ``sinh(s)``."""
+    aad, ada = _number_diagonals(v)
+    n = nu[:, :-2]
+    d1 = ada - np.sinh(s * n) / np.sinh(s)
+    d2 = aad - np.sinh(s * (n + 1)) / np.sinh(s)
+    return _abs_max(d1, d2)
 
 
 def point_residuals(space, p, choice):

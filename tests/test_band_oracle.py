@@ -11,6 +11,9 @@ into blocks, must be the one-point computation of its point.  The band and
 the number-commutator residual skip terms whose values are known; they must
 equal the two-part forms that evaluate them, bit for bit.  The shift rule's
 fixed f(x) = x * x + 1 must equal Horner's rule on ``(1, 0, 1)``, bit for bit.
+A block builds each term two identities read once, and at psi2 == 1 reads the
+number spectrum from the band's own sinh(n s); its residuals must equal each
+identity built from the band alone, bit for bit.
 """
 
 import math
@@ -18,7 +21,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracle import (
     LD,
@@ -29,6 +32,8 @@ from oracle import (
     longdouble_dressing,
     plain_ladder,
     point_residuals,
+    separate_number_products,
+    separate_qcommutator,
     two_part_band_rows,
     two_part_number_commutators,
 )
@@ -292,7 +297,7 @@ def assert_same_bits(got, want):
 def test_one_part_forms_equal_the_two_part_oracles(block):
     cutoff, points = block
     with np.errstate(over="ignore", invalid="ignore"):
-        *band, errors = audit._band_rows(cutoff, points)
+        *band, errors, _, _ = audit._band_rows(cutoff, points)
         *two_part, two_part_errors = two_part_band_rows(cutoff, points)
         commutators = audit._number_commutators(*band)
         two_part_commutators = two_part_number_commutators(*band)
@@ -303,20 +308,64 @@ def test_one_part_forms_equal_the_two_part_oracles(block):
 
 
 @settings(deadline=None)
+@given(band_blocks(), st.booleans())
+@example((16, [(0.3712, 2.0, 1.0)]), False)
+@example((64, [(0.5, 1.0, 1.0), (0.5, 0.1, 1.0), (0.9, 2.0, 1.0)]), False)
+@example((64, [(0.5, 1.0, 1.0), (0.5, 0.1, 2.0)]), False)
+@example((12000, [(1.0, 1.0, 1.0)]), False)
+def test_shared_terms_equal_each_identity_alone(block, unit_psi2):
+    # the block's residuals, from terms it shares, are each identity's from the band alone;
+    # the spectrum share depends on psi2 alone, so half the draws set psi2 = 1 at every point,
+    # and the examples hold psi1 != 1, a negative radicand and an error beside a shared block
+    cutoff, points = block
+    if unit_psi2:
+        points = [(s, psi1, 1.0) for s, psi1, _ in points]
+    with np.errstate(over="ignore", invalid="ignore"):
+        grid, _, _, errors = audit._block_grid(cutoff, points)
+        v, nu, s, band_errors, _, sinh_ns = audit._band_rows(cutoff, points)
+        alone = (separate_qcommutator(v, nu, s), audit._number_commutators(v, nu, s),
+                 separate_number_products(v, nu, s), audit._shift_rule(v, nu, s))
+    assert [e and str(e) for e in errors] == [e and str(e) for e in band_errors]
+    kept = [psi2 for (_, _, psi2), error in zip(points, errors) if error is None]
+    assert (sinh_ns is not None) == all(psi2 == 1 for psi2 in kept)
+    for got, want in zip(grid, alone):
+        assert_same_bits(got, want)
+
+
+@pytest.mark.parametrize("unit, calls", [(True, 1), (False, 3)], ids=["psi2=1", "psi2=q"])
+def test_the_spectrum_at_unit_psi2_is_the_bands_own_sinh(unit, calls):
+    # sinh runs over the band's levels once, for the radicand, where every psi2 == 1; where
+    # psi2 = q the spectrum takes two more, sinh(s nu) and sinh(s (nu + 1))
+    sinh, shapes = np.sinh, []
+
+    def counting(x, *args, **kwargs):
+        if np.shape(x)[-1:] != (1,):  # not sinh(s)
+            shapes.append(np.shape(x))
+        return sinh(x, *args, **kwargs)
+
+    params = [DeformationParam(s) for s in (0.2, 0.5, 0.9)]
+    grid = [(p, FunctionChoice() if unit else FunctionChoice(p.q, p.q)) for p in params]
+    with mock.patch.object(np, "sinh", counting):
+        rows = algebra_residual_grid(TruncatedFockSpace(64), grid)
+    assert len(shapes) == calls and all(shape[0] == 3 for shape in shapes)
+    assert all(isinstance(row, tuple) for row in rows)
+
+
+@settings(deadline=None)
 @given(band_blocks())
 def test_fixed_shift_rule_equals_the_horner_form(block):
     # x * x + 1 and Horner's ((0 x + 1) x + 0) x + 1 are both fl(fl(x x) + 1), inf and nan
     # included where the band overflows
     cutoff, points = block
     with np.errstate(over="ignore", invalid="ignore"):
-        v, nu, s, _ = audit._band_rows(cutoff, points)
+        v, nu, s, *_ = audit._band_rows(cutoff, points)
         assert_same_bits(audit._shift_rule(v, nu, s), horner_shift_rule(v, nu, s))
 
 
 def test_the_drawn_bands_reach_the_zero_rule_and_an_overflow_row():
     zero_rule_v = audit._band_rows(4, [ZERO_RULE_POINT])[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        v, nu, s, _ = audit._band_rows(12000, [(1.0, 1.0, 1.0)])
+        v, nu, s, *_ = audit._band_rows(12000, [(1.0, 1.0, 1.0)])
         residual = audit._number_commutators(v, nu, s)
         shift_rule = audit._shift_rule(v, nu, s)
     assert zero_rule_v[0, 0] == 0

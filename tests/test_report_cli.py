@@ -565,16 +565,19 @@ print(hashlib.sha256(serialize(report)).hexdigest())
             (report_blob(norm_ratio=[SAMPLE, 0.5]),
              "^report norm_ratio sample 1 is not a JSON object$"),
             (report_blob(norm_ratio={"0": SAMPLE}), "^report norm_ratio must be a list, got dict$"),
+            (report_blob(norm_ratio=[SAMPLE, {**SAMPLE, "extra": 1}]),
+             "^report norm_ratio sample 1 has unknown extra$"),
             (report_blob(summary=[0, 0]), "^report summary is not a JSON object$"),
             (report_blob(summary={"total_pass": 0, "total_fail": 0}),
              "^report summary has no per_check, unexpected_failures$"),
         ],
         ids=["list", "no-keys", "sample-without-fields", "sample-not-object", "samples-not-list",
-             "summary-not-object", "summary-without-keys"],
+             "sample-with-unknown-key", "summary-not-object", "summary-without-keys"],
     )
     def test_a_malformed_report_is_refused_by_name(self, blob, message):
         # these died with AttributeError, KeyError: 'points', or (the norm-ratio samples and the
-        # summary) a bare TypeError or KeyError when read
+        # summary) a bare TypeError or KeyError when read; a sample with an unknown key is refused,
+        # not trimmed, since dropping the key would change the bytes of a round trip
         assert parse_report(report_blob()).summary == SUMMARY
         with pytest.raises(ValueError, match=message):
             parse_report(blob)

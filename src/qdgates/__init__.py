@@ -28,14 +28,12 @@ from .qubits import (
     vacuum,
 )
 from .gates import (
-    TruthTableRow,
     apply_cnot,
     apply_hadamard,
     apply_not,
     apply_phase_shift,
     check_cnot_condition,
     check_not_condition,
-    cnot_truth_table,
 )
 from .report import (
     PsiInference,
@@ -70,14 +68,12 @@ __all__ = [
     "norm_ratio_experiment",
     "occupation_from_exponent",
     "case2_consistency_table",
-    "TruthTableRow",
     "apply_not",
     "apply_hadamard",
     "apply_phase_shift",
     "apply_cnot",
     "check_not_condition",
     "check_cnot_condition",
-    "cnot_truth_table",
     "SweepConfig",
     "SweepReport",
     "PsiInference",

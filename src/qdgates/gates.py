@@ -12,14 +12,13 @@ complex arithmetic, and each float it meets is made ``complex`` first: Python
 versions make the float complex, and the two can differ in a zero's sign.
 The realizability conditions are closed forms that return their float64
 residual, which the report judges: the NOT condition is |psi1/psi2 - 1|,
-the CNOT one the sign of a radicand.
+the CNOT one the sign and range of a radicand.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from typing import NamedTuple
 
 from .audit import float_residual
 from .fockspace import FunctionChoice, RadicandError, check_dressing, radicand
@@ -135,47 +134,23 @@ def apply_cnot(
     return TwoQubitState(state.space, {_occupations(x, 1 - y): coefficient * complex(amplitude)})
 
 
-class TruthTableRow(NamedTuple):
-    """One transition of the controlled flip, with the output measured
-    against the expected undeformed basis element."""
-
-    input_bits: tuple[int, int]
-    expected_bits: tuple[int, int]
-    amplitude: complex
-    off_support: float
-
-
-def cnot_truth_table(
-    p: DeformationParam | None = None,
-    choice_a: FunctionChoice | None = None,
-    choice_b: FunctionChoice | None = None,
-) -> list[TruthTableRow]:
-    """Run all four basis transitions of the controlled flip.
-
-    Given a dressing, every row picks up the same scalar relative to the
-    plain table, so the amplitudes are constant across rows once the gate is
-    realizable; the caller inspects amplitudes (undeformed: exactly 1) or
-    their spread (deformed).
-
-    Every input and output is one amplitude on one basis pattern, and
-    :func:`apply_cnot` multiplies it by its quotient by itself, exactly 1, so
-    every row carries the two-qubit amplitude and nothing off its pattern.
-    """
-    amp = complex(_two_qubit_amplitude(p, choice_a, choice_b))
-    return [TruthTableRow((x, y), (x, y ^ x), amp, 0.0) for x in (0, 1) for y in (0, 1)]
-
-
 def check_cnot_condition(p: DeformationParam, beta1: float, beta2: float) -> float:
     """Both sides of the target-swap condition at the qubit occupations.
 
     With the swapped target carrying k_hat = k, both sides at either control
     value k are the square root of the argument-1 radicand times zeroth
     powers, so the residual is exactly 0.  What the check tests is that the
-    radicand, :func:`qdgates.fockspace.radicand` at 1 as the deformed table
-    takes it, is not negative: a negative one raises :class:`RadicandError`.
+    radicand, :func:`qdgates.fockspace.radicand` at 1 as the target's dressed
+    amplitude takes it, is a float64 that is not negative: a negative one
+    raises :class:`RadicandError`, one beyond float64 a ValueError, as that
+    amplitude does.
     """
     check_dressing(beta1=beta1, beta2=beta2)
-    if radicand(1, p.s, beta1, beta2) < 0:
+    r = radicand(1, p.s, beta1, beta2)
+    if r < 0:
         raise RadicandError(f"negative radicand in swap-condition factor at argument 1 "
                             f"with beta1={beta1}, beta2={beta2}")
+    if not math.isfinite(r):
+        raise ValueError(f"swap-condition radicand overflows float64 at argument 1 "
+                         f"with beta1={beta1}, beta2={beta2}")
     return 0.0

@@ -12,14 +12,14 @@ from oracle import band_matrices, dense, plain_ladder, point_residuals
 from qdgates.cli import main
 from qdgates.fockspace import FunctionChoice, TruncatedFockSpace
 from qdgates.gates import (
+    apply_cnot,
     apply_hadamard,
     apply_phase_shift,
     check_cnot_condition,
     check_not_condition,
-    cnot_truth_table,
 )
 from qdgates.qnumber import DeformationParam, q_factorial, q_number
-from qdgates.qubits import norm_ratio_experiment, qubit_state
+from qdgates.qubits import norm_ratio_experiment, qubit_state, two_qubit_state
 from qdgates.report import infer_psi_from_norm
 
 S_GRID = (0.1, 0.5, 0.9)
@@ -86,20 +86,24 @@ def test_04_controlled_flip_condition_is_an_identity():
 
 
 def test_05_controlled_flip_truth_table():
-    plain = cnot_truth_table()
-    exact = all(r.amplitude == 1.0 and r.off_support == 0.0 for r in plain)
-    transitions = [r.expected_bits for r in plain] == [(0, 0), (0, 1), (1, 1), (1, 0)]
+    # the gate itself on the four plain and the four dressed basis states: each
+    # goes to its flip when the control is up and to itself otherwise, with
+    # amplitude exactly 1 when plain and one scalar common to all four when dressed
     p = DeformationParam(0.5)
-    dressed = cnot_truth_table(
-        p=p,
-        choice_a=FunctionChoice(psi1=p.q, psi2=p.q),
-        choice_b=FunctionChoice(beta1=p.q**2, beta2=p.q**2),
-    )
-    magnitudes = [abs(r.amplitude) for r in dressed]
-    spread = max(magnitudes) - min(magnitudes)
-    ok = exact and transitions and spread < 1e-12
+    dressing = (p, FunctionChoice(psi1=p.q, psi2=p.q), FunctionChoice(beta1=p.q**2, beta2=p.q**2))
+    transitions = exact = True
+    scalars = set()
+    for x, y in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        (flipped,) = two_qubit_state(x, y ^ x, QUBIT_SPACE).support()
+        plain = apply_cnot(two_qubit_state(x, y, QUBIT_SPACE))
+        dressed = apply_cnot(two_qubit_state(x, y, QUBIT_SPACE, *dressing), *dressing)
+        transitions &= plain.support() == dressed.support() == (flipped,)
+        exact &= plain.amplitudes == {flipped: 1.0}
+        scalars.update(dressed.amplitudes.values())
+    # the common scalar is the control's dressing q**0.5 times the target's q
+    common = len(scalars) == 1 and math.isclose(abs(*scalars), p.q**1.5, rel_tol=1e-13)
     _verdict(5, "truth table exact when plain, single common scalar when dressed",
-             ok, f"ratio spread {spread:.3e}")
+             transitions and exact and common, f"dressed amplitudes {sorted(map(abs, scalars))}")
 
 
 def test_06_superposition_and_phase_sanity():

@@ -13,7 +13,6 @@ from qdgates.gates import (
     apply_phase_shift,
     check_cnot_condition,
     check_not_condition,
-    cnot_truth_table,
 )
 from qdgates.qnumber import DeformationParam
 from qdgates.qubits import (
@@ -46,7 +45,8 @@ def _controlled_flip(x, p, choice):
 
 
 def _table(x, p, choice):
-    return cnot_truth_table(p, choice, choice)
+    # both transitions of control x, the truth table's rows for that control
+    return [apply_cnot(two_qubit_state(x, y, SPACE), p, choice, choice) for y in (0, 1)]
 
 
 # each state on a basis label x, plain or dressed by p and one choice
@@ -267,30 +267,43 @@ class TestCnotGate:
             apply_cnot(two_qubit_state(x, 0, SPACE), p, choice, choice)
 
 
+def dressed_table(p, choice_a, choice_b):
+    """The one amplitude the dressed CNOT leaves on each of the four dressed basis
+    states, after checking that each lands on its flip (control up) or on itself."""
+    dressing, amplitudes = (p, choice_a, choice_b), []
+    for x, y in itertools.product((0, 1), repeat=2):
+        image = apply_cnot(two_qubit_state(x, y, SPACE, *dressing), *dressing)
+        assert image.support() == two_qubit_state(x, y ^ x, SPACE).support()
+        amplitudes.extend(image.amplitudes.values())
+    return amplitudes
+
+
 class TestCnotTruthTable:
     def test_plain_rows_have_exact_unit_amplitude(self):
-        for row in cnot_truth_table():
-            assert row.amplitude == 1.0
-            assert row.off_support == 0.0
-        assert [r.expected_bits for r in cnot_truth_table()] == [(0, 0), (0, 1), (1, 1), (1, 0)]
+        # the plain gate on the four basis states, in table order: each lands on
+        # its flip with amplitude exactly 1 and nothing beside it
+        expected = []
+        for x, y in itertools.product((0, 1), repeat=2):
+            out = apply_cnot(two_qubit_state(x, y, SPACE))
+            (flipped,) = two_qubit_state(x, y ^ x, SPACE).support()
+            assert out.amplitudes == {flipped: 1.0}
+            expected.append((x, y ^ x))
+        assert expected == [(0, 0), (0, 1), (1, 1), (1, 0)]
 
     def test_deformed_rows_share_one_scalar(self):
         choice_a = FunctionChoice(psi1=P_HALF.q, psi2=P_HALF.q)
         choice_b = FunctionChoice(beta1=P_HALF.q**2, beta2=P_HALF.q**2)
-        rows = cnot_truth_table(p=P_HALF, choice_a=choice_a, choice_b=choice_b)
-        magnitudes = [abs(r.amplitude) for r in rows]
-        assert max(magnitudes) - min(magnitudes) < 1e-12
-        assert all(r.off_support == 0.0 for r in rows)
+        amplitudes = dressed_table(P_HALF, choice_a, choice_b)
+        assert len(set(amplitudes)) == 1
         # the common scalar is the product of the two dressing values
-        assert magnitudes[0] == pytest.approx(P_HALF.q**1.5, rel=1e-13)
+        assert abs(amplitudes[0]) == pytest.approx(P_HALF.q**1.5, rel=1e-13)
 
     def test_a_dressing_alone_makes_the_table_deformed(self):
         # psi = 2 dresses the control by sqrt(2) at argument 1; a table given
         # the dressing without a separate switch used to read 1.0 on every row
         choice = FunctionChoice(psi1=2.0, psi2=2.0)
-        rows = cnot_truth_table(p=P_HALF, choice_a=choice, choice_b=choice)
-        assert [abs(r.amplitude) for r in rows] == pytest.approx([math.sqrt(2)] * 4, rel=1e-15)
-        assert all(r.off_support == 0.0 for r in rows)
+        amplitudes = dressed_table(P_HALF, choice, choice)
+        assert [abs(a) for a in amplitudes] == pytest.approx([math.sqrt(2)] * 4, rel=1e-15)
 
 
 class TestLevelZeroDressing:
@@ -308,10 +321,7 @@ class TestLevelZeroDressing:
         assert np.allclose(dense(out), expected, atol=1e-15)
 
     def test_deformed_truth_table(self):
-        rows = cnot_truth_table(P_HALF, self.CHOICE, self.CHOICE)
-        magnitudes = [abs(r.amplitude) for r in rows]
-        assert max(magnitudes) - min(magnitudes) < 1e-15
-        assert all(r.off_support == 0.0 for r in rows)
+        assert len(set(dressed_table(P_HALF, self.CHOICE, self.CHOICE))) == 1
 
 
 class TestZeroAmplitudeDressing:
@@ -370,6 +380,19 @@ class TestCnotCondition:
     def test_negative_radicand_raises(self):
         with pytest.raises(RadicandError, match="beta"):
             check_cnot_condition(P_HALF, 1.0, 10.0)
+
+    def test_overflowing_radicand_raises(self):
+        # beta = q**709.7 is 1.65e308 at s = 1, and its argument-1 radicand
+        # overflows float64; the condition used to pass there
+        p = DeformationParam(1.0)
+        beta = p.q**709.7
+        with pytest.raises(ValueError) as err:
+            check_cnot_condition(p, beta, beta)
+        assert not isinstance(err.value, RadicandError)
+        assert str(err.value) == (
+            f"swap-condition radicand overflows float64 at argument 1 "
+            f"with beta1={beta}, beta2={beta}"
+        )
 
     def test_rejects_non_positive_functions(self):
         with pytest.raises(ValueError):

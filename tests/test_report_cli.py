@@ -21,7 +21,6 @@ import qdgates.report as report_module
 from qdgates.audit import ALGEBRA_CHECK_IDS, float_residual
 from qdgates.cli import main, run
 from qdgates.fockspace import FunctionChoice, FunctionFamily, TruncatedFockSpace
-from qdgates.gates import cnot_truth_table
 from qdgates.qnumber import DeformationParam
 from qdgates.qubits import (
     NormRatioResult,
@@ -109,6 +108,12 @@ class TestSweepConfig:
     def test_payload_rejects_values_a_conversion_would_change(self, field, value):
         with pytest.raises(ConfigError, match=f"{field} must be"):
             SweepConfig.from_payload({"s_grid": [0.5], field: value})
+
+    def test_payload_stores_an_integral_tolerance_as_a_float(self):
+        # from_payload hands the tolerance on as read; the config stores the
+        # float its report writes, so a file's 1 and the field's 1.0 are one config
+        c = SweepConfig.from_payload({"s_grid": [0.5], "tolerance": 1})
+        assert type(c.tolerance) is float and c == config(s_grid=(0.5,), tolerance=1.0)
 
     def test_payload_accepts_an_integral_float_cutoff(self):
         c = SweepConfig.from_payload({"s_grid": [0.5], "cutoff": 16.0})
@@ -283,18 +288,13 @@ class TestRunSweep:
         assert group_points(entries) == list(report.points)
         assert report.summary == summarize(entries)
 
-    def test_plain_truth_table_runs_once_per_sweep(self, monkeypatch):
-        calls = []
-
-        def counted(*args, **kwargs):
-            # a plain table is called with no arguments, a dressed one with its dressing
-            calls.append(bool(args or kwargs))
-            return cnot_truth_table(*args, **kwargs)
-
-        monkeypatch.setattr(report_module, "cnot_truth_table", counted)
-        run_sweep(config(s_grid=S_GRID))
-        assert calls.count(False) == 1
-        assert calls.count(True) == len(S_GRID)
+    def test_plain_table_row_reads_zero_at_every_point(self):
+        # the plain gate does not depend on s or the dressing, so its row is the
+        # constant that test_05_controlled_flip_truth_table carries
+        report = run_sweep(config(s_grid=S_GRID, psi_family=POWER_ONE), layers=(GATE_LAYER,))
+        rows = [e for e in report.entries if e.check_id == "cnot_table"]
+        assert [e.s for e in rows] == list(S_GRID)
+        assert all(e.residual == 0.0 and e.passed and e.note == "" for e in rows)
 
     def test_a_sweep_validates_each_point_dressing_once(self, monkeypatch):
         # the gate and norm-ratio layers check their bare floats, so the one
@@ -396,14 +396,12 @@ class TestRecords:
         "record",
         [
             ReportEntry("not_condition", 0.5, 4, 1.0, 1.0, 1.0, 1.0, 0.0, True),
-            cnot_truth_table()[0],
             norm_ratio_experiment(DeformationParam(0.5), 1.0, 1.0),
             infer_psi_from_norm(2.0, 1.0, DeformationParam(0.5)),
             case2_consistency_table(DeformationParam(0.5))[0].control,
             case2_consistency_table(DeformationParam(0.5))[0],
         ],
-        ids=["ReportEntry", "TruthTableRow", "NormRatioResult", "PsiInference",
-             "CaseIIOccupation", "CaseIIRow"],
+        ids=["ReportEntry", "NormRatioResult", "PsiInference", "CaseIIOccupation", "CaseIIRow"],
     )
     def test_fields_cannot_be_assigned(self, record):
         for name in record._fields:
@@ -419,6 +417,16 @@ class TestSerialization:
     def test_json_round_trip(self):
         report = run_sweep(config(s_grid=(0.1, 0.5), psi_family=POWER_ONE))
         assert parse_report(serialize(report, "json")) == report
+
+    def test_an_integral_tolerance_round_trips_and_a_boolean_one_is_refused(self):
+        # tolerance=1 used to write 1, which reads back as 1.0 and writes 1.0, and
+        # tolerance=True to write true, which parse_report refuses
+        blob = serialize(run_sweep(config(tolerance=1), layers=(GATE_LAYER,)))
+        assert b'"tolerance": 1.0' in blob
+        assert serialize(parse_report(blob)) == blob
+        with pytest.raises(ConfigError) as err:
+            config(tolerance=True)
+        assert err.value.problems == ["tolerance must be a positive number, got True"]
 
     def test_identical_configs_give_identical_bytes(self):
         first = serialize(run_sweep(config(s_grid=S_GRID, psi_family=POWER_ONE)))
@@ -855,7 +863,7 @@ class TestCli:
         p, choice = DeformationParam(0.05), FunctionChoice(psi1=5e-324, psi2=5e-324)
         message = "the dressed basis vector has amplitude 0 (zero dressing at argument 1)"
         (norm_row,), samples = norm_ratio_entries(config(), p, choice)
-        rows = {row["check_id"]: row for row in [*gate_entries(config(), p, choice, 0.0), norm_row]}
+        rows = {row["check_id"]: row for row in [*gate_entries(config(), p, choice), norm_row]}
         for check_id in ("cnot_table_deformed", "norm_ratio"):
             assert rows[check_id]["note"] == f"error: {message}"
             assert rows[check_id]["residual"] == -1.0 and not rows[check_id]["pass"]
@@ -914,6 +922,16 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err == f"configuration error: {message}\n"
         assert captured.out == ""
+
+    def test_overflowing_beta_lists_the_cnot_condition_as_an_error_row(self, capsys):
+        # beta = q**709.7 overflows the argument-1 radicand at s = 1; the
+        # condition used to print PASS beside the deformed table's error row
+        assert main(["gates", "--s", "1", "--beta", "q^709.7"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        (condition,) = [line for line in lines if " cnot_condition " in line]
+        assert condition.startswith("FAIL s=1 cnot_condition residual=-1.000e+00  [error: ")
+        assert "swap-condition radicand overflows float64 at argument 1" in condition
+        assert lines[-1] == "summary: 2 pass, 2 fail (2 unexpected)"
 
     def test_longdouble_band_overflow_is_named_and_silent(self, capsys):
         # at s = 1 sinh(n) overflows longdouble below cutoff 20000, and every

@@ -55,7 +55,6 @@ from qdgates.fockspace import (
 )
 from qdgates.gates import (
     _SQRT2,
-    TruthTableRow,
     _basis_component,
     _qubit_components,
     apply_cnot,
@@ -64,7 +63,6 @@ from qdgates.gates import (
     apply_phase_shift,
     check_cnot_condition,
     check_not_condition,
-    cnot_truth_table,
 )
 from qdgates.qnumber import DeformationParam, q_factorial
 from qdgates.qubits import (
@@ -137,7 +135,9 @@ def at_held(vectors, entry):
 
 
 def oracle_cnot_truth_table(p, choice_a, choice_b, space):
-    """The deformed table, each row built from oracle states as before."""
+    """The deformed table, each row built from oracle states as before: the input
+    labels, the expected output labels, the output's amplitude at the expected
+    pattern and its largest magnitude at any other."""
 
     def state(x, y):
         return oracle_two_qubit(x, y, p, choice_a, choice_b, space)
@@ -158,7 +158,21 @@ def oracle_cnot_truth_table(p, choice_a, choice_b, space):
         expected = (x, y ^ x)
         idx = basis_index(space, _occupations(*expected))
         off = float(np.max(np.abs(np.delete(state_out, idx))))
-        rows.append(TruthTableRow((x, y), expected, complex(state_out[idx]), off))
+        rows.append(((x, y), expected, complex(state_out[idx]), off))
+    return rows
+
+
+def cnot_table(space, *dressing):
+    """The rows of :func:`oracle_cnot_truth_table` as ``apply_cnot`` gives them, on
+    the basis states plain or dressed by ``(p, choice_a, choice_b)``, read from the
+    amplitudes the output holds."""
+    rows = []
+    for x, y in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        out = apply_cnot(two_qubit_state(x, y, space, *dressing), *dressing).amplitudes
+        expected = (x, y ^ x)
+        pattern = _occupations(*expected)
+        off = max((abs(a) for k, a in out.items() if k != pattern), default=0.0)
+        rows.append(((x, y), expected, complex(out.get(pattern, 0j)), off))
     return rows
 
 
@@ -204,8 +218,8 @@ def bits(value):
     """Every bit of an amplitude vector, a float or a truth table, signed zeros included."""
     if isinstance(value, list):
         return [
-            (r.input_bits, r.expected_bits, bits(np.complex128(r.amplitude)), bits(r.off_support))
-            for r in value
+            (labels, expected, bits(np.complex128(amplitude)), bits(off))
+            for labels, expected, amplitude, off in value
         ]
     value = np.asarray(value)
     return value.dtype.str, value.shape, value.tobytes()
@@ -276,7 +290,7 @@ def test_closed_form_equals_the_creation_matrix_oracle(point):
         lambda: oracle_two_qubit(x, y, p, choice, choice, space),
     )
     assert_matches_oracle(
-        lambda: cnot_truth_table(p, choice, choice),
+        lambda: cnot_table(space, p, choice, choice),
         lambda: oracle_cnot_truth_table(p, choice, choice, space),
     )
     assert_matches_oracle(
@@ -298,16 +312,15 @@ def oracle_plain_cnot_truth_table(space):
         expected = (x, y ^ x)
         idx = basis_index(space, _occupations(*expected))
         off = float(np.max(np.abs(np.delete(state_out, idx))))
-        rows.append(TruthTableRow((x, y), expected, complex(state_out[idx]), off))
+        rows.append(((x, y), expected, complex(state_out[idx]), off))
     return rows
 
 
 @pytest.mark.parametrize("cutoff", [None, 2, 3, 6])
 def test_plain_truth_table_equals_the_vector_oracle(cutoff):
-    # None is the sweep's call, on the default qubit space
-    space = TruncatedFockSpace(cutoff) if cutoff else None
-    oracle = oracle_plain_cnot_truth_table(space or TruncatedFockSpace(QUBIT_CUTOFF))
-    assert bits(cnot_truth_table()) == bits(oracle)
+    # None is the qubit space the sweep's gate rows name
+    space = TruncatedFockSpace(cutoff or QUBIT_CUTOFF)
+    assert bits(cnot_table(space)) == bits(oracle_plain_cnot_truth_table(space))
 
 
 def test_run_sweep_builds_no_two_qubit_vectors(monkeypatch):
@@ -528,22 +541,25 @@ SELF_QUOTIENT_POINT = (
 @example(SELF_QUOTIENT_POINT)
 def test_deformed_cnot_keeps_each_dressed_amplitude_exactly(point):
     # the deformed CNOT maps each dressed basis state to its image with one
-    # common scalar, so every table row carries the input amplitude exactly
+    # common scalar, so every transition carries the input amplitude exactly;
+    # the sweep's deformed table row reads the two-qubit dressing without
+    # applying the gate, and must pass at 0 and note that amplitude bit for bit
     space, p, choice = point
-    rows = cnot_truth_table(p, choice, choice)
-    for row in rows:
-        basis = two_qubit_state(*row.input_bits, space, p, choice, choice)
-        (amp,) = basis.amplitudes.values()
-        image = apply_cnot(basis, p, choice, choice)
-        assert image.amplitudes == {_occupations(*row.expected_bits): amp}
-        assert bits(np.complex128(row.amplitude)) == bits(np.complex128(amp))
-        assert row.off_support == 0.0
-    config = SweepConfig(s_grid=(p.s,))
-    (deformed,) = [
-        row for row in gate_entries(config, p, choice, 0.0)
+    (row,) = [
+        row for row in gate_entries(SweepConfig(s_grid=(p.s,)), p, choice)
         if row["check_id"] == CNOT_TABLE_DEFORMED
     ]
-    assert deformed["residual"] == 0.0
+    assert row["residual"] == 0.0 and row["pass"]
+    label, noted = row["note"].rsplit(" ", 1)
+    assert label == "common row amplitude"
+    for x, y in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        basis = two_qubit_state(x, y, space, p, choice, choice)
+        (amp,) = basis.amplitudes.values()
+        image = apply_cnot(basis, p, choice, choice).amplitudes
+        assert image.keys() == {_occupations(x, y ^ x)}
+        (out,) = image.values()
+        assert bits(np.complex128(out)) == bits(np.complex128(amp))
+        assert bits(np.complex128(out)) == bits(np.complex128(float(noted)))
 
 
 moderate_complex = st.complex_numbers(min_magnitude=1e-6, max_magnitude=1e6)
@@ -687,6 +703,7 @@ def raised(result, error):
 
 P_TENTH = DeformationParam(0.1)
 OVERFLOW = (ValueError, "dressing radicand overflows float64 at level n=1")
+CONDITION_OVERFLOW = (ValueError, "swap-condition radicand overflows float64 at argument 1")
 
 
 @settings(deadline=None)
@@ -695,16 +712,17 @@ OVERFLOW = (ValueError, "dressing radicand overflows float64 at level n=1")
 @example((DeformationParam(1e-10), 1e308, 1.0))  # radicand beyond float64
 @example((DeformationParam(1e-300), 1e-308, math.nextafter(1e-308, 1.0)))  # its terms underflow
 def test_cnot_condition_agrees_with_the_deformed_table(point):
-    # both take the sign of fockspace.radicand at argument 1: the condition
-    # fails exactly where the table's target amplitude has a negative radicand
+    # both read fockspace.radicand at argument 1: the condition fails exactly
+    # where the table's target amplitude has a negative radicand or one beyond float64
     p, a, b = point
     condition = outcome(lambda: check_cnot_condition(p, a, b))
     unit, target = FunctionChoice(), FunctionChoice(beta1=a, beta2=b)
-    table = outcome(lambda: cnot_truth_table(p, unit, target))
+    table = outcome(lambda: cnot_table(TruncatedFockSpace(QUBIT_CUTOFF), p, unit, target))
     assert raised(condition, RadicandError) == raised(table, RadicandError)
+    assert raised(condition, CONDITION_OVERFLOW) == raised(table, OVERFLOW)
     if condition == bits(0.0):
-        # a zero radicand is a zero amplitude; one beyond float64 no amplitude at all
-        assert isinstance(table, list) or raised(table, ZERO_AMPLITUDE) or raised(table, OVERFLOW)
+        # a zero radicand is a zero amplitude
+        assert isinstance(table, list) or raised(table, ZERO_AMPLITUDE)
     # where the exact radicand is clear of the zero rule's band and of float64
     # underflow, the condition has its sign
     head, tail, _ = exact_radicand_terms(1, p.s, a, b)

@@ -12,6 +12,7 @@ import argparse
 import gc
 import json
 import sys
+from dataclasses import fields
 
 from .fockspace import FunctionChoice
 from .qnumber import DeformationParam
@@ -30,7 +31,6 @@ from .report import (
     LAW_SQRT,
     NORM_RATIO_LAYER,
     SWEEP_LAYERS,
-    ConfigError,
     SweepConfig,
     infer_psi_from_norm,
     run_sweep,
@@ -39,9 +39,9 @@ from .report import (
 
 DEFAULT_S_GRID = (0.1, 0.5, 0.9)
 
-# Each settings flag's argparse dest and the config key it sets.
-_FLAG_KEYS = (("psi", "psi_family"), ("beta", "beta_family"), ("tol", "tolerance"),
-              ("cutoff", "cutoff"), ("fmt", "output_format"))
+
+def float_list(text: str) -> list[float]:
+    return [float(v) for v in text.split(",")]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -51,15 +51,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     # each subcommand takes only the flags it reads: gates and states build every
     # row at QUBIT_CUTOFF, and infer writes no report; a settings flag not given
-    # is None, and the config's own default applies
+    # is None, and the config's own default applies; each flag's dest is its config key
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--s", type=float, help="single deformation strength in (0, 1]")
-    common.add_argument("--s-grid", help="comma-separated strictly increasing strengths")
-    common.add_argument("--psi", help="control dressing family: 1, q or q^<float>")
-    common.add_argument("--beta", help="target dressing family: 1, q or q^<float>")
-    common.add_argument("--tol", type=float, help="pass/fail tolerance")
+    strengths = common.add_mutually_exclusive_group()
+    strengths.add_argument("--s", type=float, nargs=1, dest="s_grid", metavar="S",
+                           help="single deformation strength in (0, 1]")
+    strengths.add_argument("--s-grid", type=float_list,
+                           help="comma-separated strictly increasing strengths")
+    common.add_argument("--psi", dest="psi_family", help="control dressing family: 1, q or q^<float>")
+    common.add_argument("--beta", dest="beta_family", help="target dressing family: 1, q or q^<float>")
+    common.add_argument("--tol", type=float, dest="tolerance", help="pass/fail tolerance")
     output = argparse.ArgumentParser(add_help=False)
-    output.add_argument("--format", choices=("json", "csv"), dest="fmt")
+    output.add_argument("--format", choices=("json", "csv"), dest="output_format")
     output.add_argument("--out", help="write the serialized report to this path")
     cutoff = argparse.ArgumentParser(add_help=False)
     cutoff.add_argument("--cutoff", type=int,
@@ -83,21 +86,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _config_from_args(args) -> SweepConfig:
     """The ``--config`` file's object, or the default grid's, with each settings flag
     that was given laid over it."""
+    payload = {"s_grid": DEFAULT_S_GRID}
     if getattr(args, "config", None):
         with open(args.config, "rb") as fh:
             payload = json.load(fh)
-    else:
-        payload = {"s_grid": DEFAULT_S_GRID}
-    if args.s is not None and args.s_grid is not None:
-        raise ConfigError(["give either --s or --s-grid, not both"])
-    overrides = {key: getattr(args, flag, None) for flag, key in _FLAG_KEYS}
-    if args.s is not None:
-        overrides["s_grid"] = [args.s]
-    elif args.s_grid is not None:
-        try:
-            overrides["s_grid"] = [float(v) for v in args.s_grid.split(",")]
-        except ValueError:
-            raise ConfigError([f"cannot parse --s-grid {args.s_grid!r}"]) from None
+    overrides = {f.name: getattr(args, f.name, None) for f in fields(SweepConfig)}
     if isinstance(payload, dict):
         payload = {**payload, **{k: v for k, v in overrides.items() if v is not None}}
     return SweepConfig.from_payload(payload)

@@ -20,6 +20,7 @@ never evaluated.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .qnumber import DeformationParam
@@ -47,8 +48,8 @@ class TruncatedFockSpace:
 
 
 def _is_number(value) -> bool:
-    """An int or float, not a boolean: a number as a JSON payload or a caller gives it."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A float, or a plain int (no boolean) that float64 holds: ``float(value)`` cannot overflow."""
+    return isinstance(value, float) or type(value) is int and abs(value) <= sys.float_info.max
 
 
 def check_dressing(**values) -> None:
@@ -110,7 +111,9 @@ class FunctionFamily:
 
     def __post_init__(self) -> None:
         if self.kind not in (CONSTANT_ONE, POWER_OF_Q):
-            raise ValueError(f"unknown function family kind {self.kind!r}")
+            raise ValueError(f"kind must be {CONSTANT_ONE!r} or {POWER_OF_Q!r}, got {self.kind!r}")
+        if not _is_number(self.exponent) or self.kind == CONSTANT_ONE and self.exponent != 0:
+            raise ValueError(f"exponent must be a number (0 for family 1), got {self.exponent!r}")
         object.__setattr__(self, "exponent", float(self.exponent))
 
     def evaluate(self, q: float) -> float:
@@ -136,7 +139,17 @@ class FunctionFamily:
                 return cls(POWER_OF_Q, float(text[2:]))
             except ValueError:
                 pass
-        raise ValueError(f"cannot parse function family {text!r}; expected '1', 'q' or 'q^<float>'")
+        raise ValueError(f"must be '1', 'q' or 'q^<float>', got {text!r}")
+
+    @classmethod
+    def from_payload(cls, spelling) -> "FunctionFamily":
+        """The family a config spells: a string for :meth:`parse`, or a ``{kind, exponent}``
+        object, a key left out keeping its default.  A message reads after the field's name."""
+        if isinstance(spelling, dict) and spelling.keys() <= {"kind", "exponent"}:
+            return cls(**spelling)
+        if not isinstance(spelling, str):
+            raise ValueError(f"must be a family string or object, got {spelling!r}")
+        return cls.parse(spelling)
 
 
 def radicand(n: float, s: float, psi1: float, psi2: float) -> float:

@@ -21,7 +21,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple, Sequence
 
 from . import __version__ as _tool_version
@@ -74,19 +74,18 @@ DEFAULT_LAW = LAW_PRODUCT
 
 
 class ConfigError(ValueError):
-    """Sweep configuration rejected; carries every problem at once."""
+    """Sweep configuration rejected; carries every problem at once: each field's, which the
+    config checks, and its JSON object's, which :meth:`SweepConfig.from_payload` reads."""
 
     def __init__(self, problems: list[str]):
         self.problems = list(problems)
         super().__init__("; ".join(self.problems))
 
 
-def _first_bad_point(family: FunctionFamily, s_grid: Sequence[float]) -> str | None:
-    """``"at s=..."`` for the first valid grid strength where ``family`` is not a finite positive
+def _first_bad_point(family: FunctionFamily, strengths: Sequence[float]) -> str | None:
+    """``"at s=..."`` for the first of ``strengths`` where ``family`` is not a finite positive
     normal float (it overflows, underflows to 0 or to a subnormal it names, or is no number)."""
-    for s in s_grid:
-        if not 0.0 < s <= 1.0:
-            continue  # reported as a grid problem
+    for s in strengths:
         try:
             value = family.evaluate(DeformationParam(s).q)
         except OverflowError:
@@ -106,20 +105,25 @@ class SweepConfig:
     output_format: str = "json"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "s_grid", tuple(float(s) for s in self.s_grid))
-        problems = []
-        if not self.s_grid:
-            problems.append("s_grid must be nonempty")
-        if any(not (0.0 < s <= 1.0) for s in self.s_grid):
+        problems, grid = [], ()
+        if isinstance(self.s_grid, (list, tuple)) and all(map(_is_number, self.s_grid)):
+            grid = tuple(float(s) for s in self.s_grid)
+            object.__setattr__(self, "s_grid", grid)
+            if not grid:
+                problems.append("s_grid must be nonempty")
+        else:
+            problems.append(f"s_grid must be a list of numbers, got {self.s_grid!r}")
+        strengths = [s for s in grid if 0.0 < s <= 1.0]  # the others are one grid problem
+        if len(strengths) < len(grid):
             problems.append("s_grid values must lie in (0, 1]")
-        if any(b <= a for a, b in zip(self.s_grid, self.s_grid[1:])):
+        if any(b <= a for a, b in zip(grid, grid[1:])):
             problems.append("s_grid must be strictly increasing")
         for name, family in (("psi_family", self.psi_family), ("beta_family", self.beta_family)):
-            where = _first_bad_point(family, self.s_grid)
+            where = _first_bad_point(family, strengths)
             if where is not None:
                 problems.append(f"{name} {family.label()} is not a finite positive float {where}")
-        if not isinstance(self.cutoff, int) or self.cutoff < MIN_AUDIT_CUTOFF:
-            problems.append(f"cutoff must be an integer >= {MIN_AUDIT_CUTOFF}")
+        if type(self.cutoff) is not int or self.cutoff < MIN_AUDIT_CUTOFF:
+            problems.append(f"cutoff must be an integer >= {MIN_AUDIT_CUTOFF}, got {self.cutoff!r}")
         if not (_is_number(self.tolerance) and self.tolerance > 0):
             problems.append(f"tolerance must be a positive number, got {self.tolerance!r}")
         elif self.tolerance == math.inf:
@@ -143,40 +147,29 @@ class SweepConfig:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "SweepConfig":
-        """The config a JSON object describes; a key it lacks, apart from s_grid, keeps its
-        field's default."""
+        """The config a JSON object describes: a key it lacks keeps its field's default (s_grid
+        has none), and a key that names no field is refused.  Families are read by
+        :meth:`FunctionFamily.from_payload`; the config checks every field."""
         if not isinstance(payload, dict):
             raise ConfigError([f"config must be a JSON object, got {payload!r}"])
-        s_grid = payload.get("s_grid")
-        cutoff = payload.get("cutoff", cls.cutoff)
-        families = {name: payload[name] for name in ("psi_family", "beta_family")
-                    if name in payload}
-        problems = []
-        if s_grid is None:
-            problems.append("config must define s_grid")
-        elif not (isinstance(s_grid, (list, tuple)) and all(map(_is_number, s_grid))):
-            problems.append(f"s_grid must be a list of numbers, got {s_grid!r}")
-        # int() below would turn 16.5 into 16 and true into 1
-        if not _is_number(cutoff) or (isinstance(cutoff, float) and not cutoff.is_integer()):
-            problems.append(f"cutoff must be an integer, got {cutoff!r}")
-        for name, d in families.items():
-            if not (isinstance(d, str) or isinstance(d, dict) and _is_number(d.get("exponent", 0))):
-                problems.append(f"{name} must be a family string or object, got {d!r}")
+        names = [f.name for f in fields(cls)]
+        problems = [f"config has unknown key {key!r}" for key in payload if key not in names]
+        kwargs = {name: payload[name] for name in names if name in payload}
+        for name in ("psi_family", "beta_family"):
+            try:
+                kwargs[name] = FunctionFamily.from_payload(kwargs.get(name, {}))
+            except ValueError as exc:
+                problems.append(f"{name} {exc}")
+                del kwargs[name]
+        if isinstance(kwargs.get("cutoff"), float) and kwargs["cutoff"].is_integer():
+            kwargs["cutoff"] = int(kwargs["cutoff"])  # JSON may spell 16 as 16.0
+        try:
+            config = cls(**{"s_grid": (), **kwargs})  # no s_grid is an empty one
+        except ConfigError as err:
+            problems += err.problems
         if problems:
             raise ConfigError(problems)
-
-        def family(d) -> FunctionFamily:
-            if isinstance(d, str):
-                return FunctionFamily.parse(d)
-            return FunctionFamily(**{key: d[key] for key in ("kind", "exponent") if key in d})
-
-        return cls(
-            s_grid=tuple(s_grid),
-            cutoff=int(cutoff),
-            tolerance=payload.get("tolerance", cls.tolerance),
-            output_format=str(payload.get("output_format", cls.output_format)),
-            **{name: family(d) for name, d in families.items()},
-        )
+        return config
 
 
 class ReportEntry(NamedTuple):

@@ -242,10 +242,12 @@ class TestFunctionChoice:
 
     @pytest.mark.parametrize(
         "field,value",
-        [("psi1", math.inf), ("beta1", math.inf), ("psi2", math.nan), ("psi3", True)],
+        [("psi1", math.inf), ("beta1", math.inf), ("psi2", math.nan), ("psi3", True),
+         pytest.param("beta2", 10**400, id="beta2-400-digits")],
     )
     def test_rejects_non_finite_and_boolean_values(self, field, value):
-        # an infinite pair used to give a NOT residual of nan, and True was stored as given
+        # an infinite pair used to give a NOT residual of nan, True was stored as given, and
+        # an int beyond float64 was accepted and raised OverflowError where it was used
         with pytest.raises(ValueError, match=f"^{field} must be finite and strictly positive"):
             FunctionChoice(**{field: value})
 
@@ -293,3 +295,39 @@ class TestFunctionFamily:
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
             FunctionFamily("exponential", 1.0)
+
+    @pytest.mark.parametrize(
+        "kind,exponent",
+        [("constant_one", 2.0), ("constant_one", math.nan), ("power_of_q", 10**400),
+         ("power_of_q", True), ("power_of_q", "2")],
+        ids=["constant-2", "constant-nan", "400-digits", "true", "string"],
+    )
+    def test_rejects_an_exponent_that_is_no_number_or_not_0_for_the_constant(self, kind, exponent):
+        # the constant family used to run psi = 1 whatever its exponent, and 10**400
+        # ended in OverflowError
+        with pytest.raises(ValueError) as err:
+            FunctionFamily(kind, exponent)
+        assert str(err.value) == f"exponent must be a number (0 for family 1), got {exponent!r}"
+
+    def test_the_constant_family_takes_exponent_0(self):
+        # to_payload writes the constant family with exponent 0.0
+        assert FunctionFamily("constant_one", 0) == FunctionFamily() == FunctionFamily.parse("1")
+
+    @pytest.mark.parametrize(
+        "spelling,expected",
+        [("q^2", FunctionFamily("power_of_q", 2.0)), ({}, FunctionFamily()),
+         ({"kind": "power_of_q"}, FunctionFamily("power_of_q", 0.0)),
+         ({"kind": "power_of_q", "exponent": -1}, FunctionFamily("power_of_q", -1.0))],
+        ids=["string", "empty-object", "kind-only", "int-exponent"],
+    )
+    def test_from_payload_reads_a_string_or_an_object(self, spelling, expected):
+        assert FunctionFamily.from_payload(spelling) == expected
+
+    @pytest.mark.parametrize(
+        "spelling", [2, None, ["q"], {"kind": "power_of_q", "power": 2}],
+        ids=["number", "null", "list", "unknown-key"],
+    )
+    def test_from_payload_refuses_other_spellings(self, spelling):
+        with pytest.raises(ValueError) as err:
+            FunctionFamily.from_payload(spelling)
+        assert str(err.value) == f"must be a family string or object, got {spelling!r}"

@@ -73,6 +73,43 @@ def config(**kwargs):
     return SweepConfig(**kwargs)
 
 
+# JSON values as json.loads gives them, with NaN, Infinity and integers of up to 401 digits
+NUMBERS = st.integers(-(10**400), 10**400) | st.floats()
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | NUMBERS | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+# values a config's field is likely to take, so that many drawn payloads are accepted
+FIELD_VALUES = {
+    "s_grid": st.lists(st.floats(0.0, 1.0, exclude_min=True) | st.just(1), min_size=1,
+                       max_size=3, unique=True).map(sorted),
+    "psi_family": st.sampled_from(["1", "q", "q^2", "q^-0.5", "q^x"]) | st.fixed_dictionaries(
+        {}, optional={"kind": st.sampled_from(["constant_one", "power_of_q"]),
+                      "exponent": st.floats(-4.0, 4.0) | NUMBERS}
+    ),
+    "cutoff": st.integers(4, 64) | st.floats(4.0, 64.0) | NUMBERS,
+    "tolerance": st.floats(0.0, 1.0, exclude_min=True) | NUMBERS,
+    "output_format": st.sampled_from(["json", "csv", "xml"]),
+}
+FIELD_VALUES["beta_family"] = FIELD_VALUES["psi_family"]
+
+
+@st.composite
+def config_payloads(draw):
+    """A JSON value a config file could hold: mostly an object with s_grid and some other
+    keys of a config, now and then the misspelled ``cutof``, each holding a value its field
+    is likely to take or, one time in five, any JSON value."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(JSON_VALUES)
+    keys = draw(st.lists(st.sampled_from([*FIELD_VALUES, "cutof"]), unique=True))
+    if draw(st.integers(0, 9)) > 0 and "s_grid" not in keys:
+        keys.append("s_grid")
+    return {key: draw(JSON_VALUES if draw(st.integers(0, 4)) == 0 else
+                      FIELD_VALUES.get(key, JSON_VALUES)) for key in keys}
+
+
 class TestSweepConfig:
     def test_empty_grid_names_the_field(self):
         with pytest.raises(ConfigError, match="s_grid"):
@@ -118,6 +155,22 @@ class TestSweepConfig:
     def test_payload_accepts_an_integral_float_cutoff(self):
         c = SweepConfig.from_payload({"s_grid": [0.5], "cutoff": 16.0})
         assert c.cutoff == 16 and isinstance(c.cutoff, int)
+
+    @settings(deadline=None)
+    @given(config_payloads())
+    @example({"s_grid": [0.5], "tolerance": 10**400})
+    @example({"s_grid": [0.5, 10**400]})
+    @example({"s_grid": [0.5], "psi_family": {"kind": "power_of_q", "exponent": 10**400}})
+    @example({"s_grid": [0.5], "cutof": 8})
+    def test_a_drawn_payload_is_refused_by_name_or_round_trips(self, payload):
+        # configs only: no sweep runs; the 400-digit integers used to raise OverflowError
+        try:
+            c = SweepConfig.from_payload(payload)
+        except ValueError:  # a ConfigError is one
+            return
+        # repr, unlike ==, tells -0.0 from 0.0 and equates NaN with NaN: a q^nan family
+        # is accepted on a grid where q rounds to 1, since 1.0**nan is 1.0
+        assert repr(SweepConfig.from_payload(c.to_payload())) == repr(c)
 
     @pytest.mark.parametrize(
         "exponent,bad_s", [(900.0, 0.9), (-2000.0, 0.9), (-800.0, 0.9), (math.nan, 0.1)]
@@ -575,17 +628,19 @@ print(hashlib.sha256(serialize(report)).hexdigest())
             (report_blob(norm_ratio={"0": SAMPLE}), "^report norm_ratio must be a list, got dict$"),
             (report_blob(norm_ratio=[SAMPLE, {**SAMPLE, "extra": 1}]),
              "^report norm_ratio sample 1 has unknown extra$"),
+            (report_blob(config={"s_grid": [0.5], "extra": 1}), "^config has unknown key 'extra'$"),
             (report_blob(summary=[0, 0]), "^report summary is not a JSON object$"),
             (report_blob(summary={"total_pass": 0, "total_fail": 0}),
              "^report summary has no per_check, unexpected_failures$"),
         ],
         ids=["list", "no-keys", "sample-without-fields", "sample-not-object", "samples-not-list",
-             "sample-with-unknown-key", "summary-not-object", "summary-without-keys"],
+             "sample-with-unknown-key", "config-with-unknown-key", "summary-not-object",
+             "summary-without-keys"],
     )
     def test_a_malformed_report_is_refused_by_name(self, blob, message):
         # these died with AttributeError, KeyError: 'points', or (the norm-ratio samples and the
-        # summary) a bare TypeError or KeyError when read; a sample with an unknown key is refused,
-        # not trimmed, since dropping the key would change the bytes of a round trip
+        # summary) a bare TypeError or KeyError when read; a sample or a config with an unknown
+        # key is refused, not trimmed, since dropping the key would change the bytes of a round trip
         assert parse_report(report_blob()).summary == SUMMARY
         with pytest.raises(ValueError, match=message):
             parse_report(blob)
@@ -794,11 +849,16 @@ class TestCli:
         assert refused.value.code == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
-    def test_config_errors_exit_two(self):
+    def test_config_errors_exit_two(self, capsys):
         assert main(["sweep", "--s-grid", "0.9,0.1"]) == 2
         assert main(["audit", "--psi", "bogus"]) == 2
-        assert main(["audit", "--s", "0.5", "--s-grid", "0.1,0.2"]) == 2
         assert main(["audit", "--cutoff", "2"]) == 2
+        # argparse owns the strength flags: it refuses both together, and a grid it cannot parse
+        for strengths in (["--s", "0.5", "--s-grid", "0.1,0.2"], ["--s-grid", "0.1,x"]):
+            with pytest.raises(SystemExit) as refused:
+                main(["audit", *strengths])
+            assert refused.value.code == 2
+        assert "argument --s-grid: not allowed with argument --s" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "payload,message",
@@ -806,11 +866,30 @@ class TestCli:
             ([0.5], "config must be a JSON object, got [0.5]"),
             ({"s_grid": 0.5}, "s_grid must be a list of numbers, got 0.5"),
             ({"s_grid": [0.5], "psi_family": 2}, "psi_family must be a family string or object, got 2"),
+            ({"s_grid": [0.5], "tolerance": 10**400},
+             f"tolerance must be a positive number, got {10**400}"),
+            ({"s_grid": [0.5, 10**400]}, f"s_grid must be a list of numbers, got [0.5, {10**400}]"),
+            ({"s_grid": [0.5], "psi_family": {"kind": "power_of_q", "exponent": 10**400}},
+             f"psi_family exponent must be a number (0 for family 1), got {10**400}"),
+            ({"s_grid": [0.5], "beta_family": {"exponent": 2}},
+             "beta_family exponent must be a number (0 for family 1), got 2"),
+            ({"s_grid": [0.5], "cutof": 8}, "config has unknown key 'cutof'"),
+            ({"s_grid": [2.0], "cutoff": "x", "tolerance": -1},
+             "s_grid values must lie in (0, 1]; cutoff must be an integer >= 4, got 'x'; "
+             "tolerance must be a positive number, got -1"),
+            ({"s_grid": [0.5], "cutof": 8, "psi_family": "bogus", "tolerance": 0},
+             "config has unknown key 'cutof'; psi_family must be '1', 'q' or 'q^<float>', "
+             "got 'bogus'; tolerance must be a positive number, got 0"),
         ],
-        ids=["list", "scalar-grid", "numeric-family"],
+        ids=["list", "scalar-grid", "numeric-family", "huge-tolerance", "huge-strength",
+             "huge-exponent", "constant-with-exponent", "misspelled-key", "three-problems",
+             "key-family-and-field-problems"],
     )
     def test_malformed_config_file_is_a_config_error(self, payload, message, tmp_path, capsys):
-        # each of these used to end in a traceback and exit 1
+        # the first three used to end in a traceback and exit 1, and so did the three
+        # 400-digit integers, with OverflowError; the constant family ran psi = 1 whatever its
+        # exponent, a misspelled key was ignored, and of the last two payloads' three problems
+        # each only one was named
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(payload))
         assert main(["sweep", "--config", str(cfg)]) == 2

@@ -14,8 +14,6 @@ import json
 import sys
 from dataclasses import fields
 
-from .fockspace import FunctionChoice
-from .qnumber import DeformationParam
 from .qubits import (
     QUBIT_CUTOFF,
     TruncatedFockSpace,
@@ -109,22 +107,20 @@ def _entry_lines(report):
 
 
 def _state_lines(report) -> list[str]:
-    config, space = report.config, TruncatedFockSpace(QUBIT_CUTOFF)
+    space = TruncatedFockSpace(QUBIT_CUTOFF)
     lines = []
-    for s in config.s_grid:
-        p = DeformationParam(s)
-        lines.append(f"s={s:g} deformed-occupation bookkeeping:")
+    for p, choice in report.config.grid():
+        lines.append(f"s={p.s:g} deformed-occupation bookkeeping:")
         for row in case2_consistency_table(p):
             lines.append(
                 f"  |{row.state_label}>  psi={row.psi_rule} beta={row.beta_rule}  "
                 f"n_hat={row.control.n_hat} n'={row.control.n_prime:g}  "
                 f"k_hat={row.target.n_hat} k'={row.target.n_prime:g}"
             )
-        choice = FunctionChoice.from_families(config.psi_family, config.beta_family, p.q)
-        lines.append(f"s={s:g} dressed basis amplitudes (index, re, im):")
+        lines.append(f"s={p.s:g} dressed basis amplitudes (index, re, im):")
         for x in (0, 1):
             for y in (0, 1):
-                state = two_qubit_state(x, y, space, p, choice, choice)
+                state = two_qubit_state(x, y, space, p, choice)
                 triples = ", ".join(
                     f"({i}, {re:.12g}, {im:.12g})" for i, re, im in state.nonzero_triples()
                 )
@@ -160,17 +156,15 @@ def _run_report(args, layers, listing) -> int:
 def _cmd_infer(args) -> int:
     config = _config_from_args(args)
     status = 0
-    for s in config.s_grid:
-        p = DeformationParam(s)
-        psi = config.psi_family.evaluate(p.q)
-        beta = config.beta_family.evaluate(p.q)
+    for p, choice in config.grid():
+        psi, beta = choice.psi1, choice.beta1
         if args.ratio is not None:
             ratio = args.ratio
         else:
             ratio = norm_ratio_experiment(p, psi, beta).measured
         inference = infer_psi_from_norm(ratio, beta, p, n_hat=args.n_hat, law=args.law)
         print(
-            f"s={s:g} ratio={ratio:.12g} -> psi={inference.inferred_psi:.12g} "
+            f"s={p.s:g} ratio={ratio:.12g} -> psi={inference.inferred_psi:.12g} "
             f"(true {psi:.12g}), occupation encoding n'={inference.classified_n_prime} "
             f"at n_hat={inference.n_hat}, log-distance {inference.log_distance:.3e}, "
             f"law={inference.law}"

@@ -89,21 +89,14 @@ class FunctionChoice:
                                beta1=self.beta1, beta2=self.beta2)
                 break
 
-    @classmethod
-    def from_families(
-        cls, psi_family: "FunctionFamily", beta_family: "FunctionFamily", q: float
-    ) -> "FunctionChoice":
-        psi = psi_family.evaluate(q)
-        beta = beta_family.evaluate(q)
-        return cls(psi1=psi, psi2=psi, beta1=beta, beta2=beta)
-
 
 @dataclass(frozen=True)
 class FunctionFamily:
     """Either the constant function 1 or the power q**exponent.
 
-    A family is evaluated afresh at every grid point of a sweep, so a single
-    object describes the arbitrary-function choice across all of them.
+    A family is evaluated afresh at every grid point of a sweep (by
+    ``SweepConfig.grid``), so a single object describes the arbitrary-function
+    choice across all of them.
     """
 
     kind: str = CONSTANT_ONE

@@ -1,6 +1,6 @@
 """Qubit gate actions on oscillator-pair states and realizability checks.
 
-A gate, like a state, is deformed exactly when given a dressing (p and every
+A gate, like a state, is deformed exactly when given a dressing (p and a
 choice), and acts on the dressed basis vectors as the plain gate acts on the
 plain ones.  Those are the states of :mod:`qubits`, one amplitude on one
 occupation pattern, so every gate is scalar arithmetic on the down and up
@@ -21,7 +21,7 @@ import cmath
 import math
 
 from .audit import float_residual
-from .fockspace import FunctionChoice, RadicandError, check_dressing, radicand
+from .fockspace import FunctionChoice, RadicandError, radicand
 from .qnumber import DeformationParam
 from .qubits import OscillatorPairState, TwoQubitState, _dressed_amplitude, _occupations
 from .qubits import _pair_amplitude, _two_qubit_amplitude
@@ -121,31 +121,32 @@ def _basis_component(state: TwoQubitState) -> tuple[tuple[int, int], complex]:
 def apply_cnot(
     state: TwoQubitState,
     p: DeformationParam | None = None,
-    choice_a: FunctionChoice | None = None,
-    choice_b: FunctionChoice | None = None,
+    choice: FunctionChoice | None = None,
 ) -> TwoQubitState:
     """Flip the target qubit exactly when the control is up; a control-down
-    input comes back unchanged, after the same argument and dressing checks."""
+    input comes back unchanged, after the same argument and dressing checks.
+    Given a dressing, the control is dressed by ``choice``'s psi pair and the
+    target by its beta pair."""
     (x, y), amp = _basis_component(state)
-    amplitude = _two_qubit_amplitude(p, choice_a, choice_b)
+    amplitude = _two_qubit_amplitude(p, choice)
     coefficient = amp / complex(amplitude)
     if x == 0:
         return state
     return TwoQubitState(state.space, {_occupations(x, 1 - y): coefficient * complex(amplitude)})
 
 
-def check_cnot_condition(p: DeformationParam, beta1: float, beta2: float) -> float:
+def check_cnot_condition(p: DeformationParam, choice: FunctionChoice) -> float:
     """Both sides of the target-swap condition at the qubit occupations.
 
     With the swapped target carrying k_hat = k, both sides at either control
     value k are the square root of the argument-1 radicand times zeroth
     powers, so the residual is exactly 0.  What the check tests is that the
-    radicand, :func:`qdgates.fockspace.radicand` at 1 as the target's dressed
-    amplitude takes it, is a float64 that is not negative: a negative one
-    raises :class:`RadicandError`, one beyond float64 a ValueError, as that
-    amplitude does.
+    radicand, :func:`qdgates.fockspace.radicand` at 1 of ``choice``'s beta
+    pair as the target's dressed amplitude takes it, is a float64 that is not
+    negative: a negative one raises :class:`RadicandError`, one beyond float64
+    a ValueError, as that amplitude does.  The psi pair plays no part.
     """
-    check_dressing(beta1=beta1, beta2=beta2)
+    beta1, beta2 = choice.beta1, choice.beta2
     r = radicand(1, p.s, beta1, beta2)
     if r < 0:
         raise RadicandError(f"negative radicand in swap-condition factor at argument 1 "

@@ -7,8 +7,10 @@ occupation (1, 0) is spin up (label 1), (0, 1) spin down (label 0), the map
 pattern not listed is 0, and every state built here lists one pattern.  Its
 amplitude is 1 when plain, as for the vacuum and every ``jm_state`` (the
 creation-operator normalization cancels exactly).  A qubit state, like a
-gate, is dressed exactly when given a dressing (p and every choice); its
-amplitude is then the dressing at argument 1 (:func:`_dressed_amplitude`),
+gate, is dressed exactly when given a dressing, ``p`` and a ``FunctionChoice``:
+one pair is dressed by the choice's psi pair, a two-qubit state's control by
+its psi pair and its target by its beta pair.  The amplitude is then the
+dressing at argument 1 (:func:`_dressed_amplitude`),
 the only dressing value the single quantum meets: :func:`qdgates.fockspace.f_value`,
 computed with ``math``, so it is the same on every host; the gates combine
 amplitudes in Python's complex arithmetic.  Dense amplitude vectors and
@@ -91,13 +93,12 @@ def _occupations(*labels: int) -> tuple[int, ...]:
     return tuple(n for x in labels for n in (x, 1 - x))
 
 
-def _is_deformed(p, *choices) -> bool:
-    """Whether a state or gate is dressed: given p and every choice it is,
-    given none of them it is plain, and given only some of them it raises."""
-    missing = [arg is None for arg in (p, *choices)]
-    if any(missing) and not all(missing):
+def _is_deformed(p, choice) -> bool:
+    """Whether a state or gate is dressed: given p and a choice it is, given
+    neither it is plain, and given one alone it raises."""
+    if (p is None) != (choice is None):
         raise ValueError("deformed mode needs both a DeformationParam and a FunctionChoice")
-    return not any(missing)
+    return p is not None
 
 
 def vacuum(space: TruncatedFockSpace) -> OscillatorPairState:
@@ -141,16 +142,14 @@ def _pair_amplitude(p: DeformationParam | None, choice: FunctionChoice | None) -
     return 1.0
 
 
-def _two_qubit_amplitude(
-    p: DeformationParam | None, choice_a: FunctionChoice | None, choice_b: FunctionChoice | None
-) -> float:
+def _two_qubit_amplitude(p: DeformationParam | None, choice: FunctionChoice | None) -> float:
     """Amplitude of a two-qubit basis state, whatever its labels: 1.0 when
-    plain; when dressed, the control's under the psi pair of ``choice_a``
-    times the target's under the beta pair of ``choice_b``."""
-    if not _is_deformed(p, choice_a, choice_b):
+    plain; when dressed, the control's under ``choice``'s psi pair times the
+    target's under its beta pair."""
+    if not _is_deformed(p, choice):
         return 1.0
-    control = _dressed_amplitude(p, choice_a.psi1, choice_a.psi2)
-    return control * _dressed_amplitude(p, choice_b.beta1, choice_b.beta2)
+    control = _dressed_amplitude(p, choice.psi1, choice.psi2)
+    return control * _dressed_amplitude(p, choice.beta1, choice.beta2)
 
 
 def qubit_state(
@@ -169,13 +168,12 @@ def two_qubit_state(
     y: int,
     space: TruncatedFockSpace,
     p: DeformationParam | None = None,
-    choice_a: FunctionChoice | None = None,
-    choice_b: FunctionChoice | None = None,
+    choice: FunctionChoice | None = None,
 ) -> TwoQubitState:
     """Product basis state |x>|y> over two oscillator pairs; when given a
-    dressing, the control is dressed by the psi pair of ``choice_a`` and the
-    target by the beta pair of ``choice_b``."""
-    return TwoQubitState(space, {_occupations(x, y): _two_qubit_amplitude(p, choice_a, choice_b)})
+    dressing, the control is dressed by ``choice``'s psi pair and the target
+    by its beta pair."""
+    return TwoQubitState(space, {_occupations(x, y): _two_qubit_amplitude(p, choice)})
 
 
 class NormRatioResult(NamedTuple):

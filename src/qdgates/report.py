@@ -122,6 +122,8 @@ class SweepConfig:
             where = _first_bad_point(family, strengths)
             if where is not None:
                 problems.append(f"{name} {family.label()} is not a finite positive float {where}")
+            elif not math.isfinite(family.exponent):  # q**nan is 1.0 where q rounds to 1
+                problems.append(f"{name} exponent must be finite, got {family.exponent!r}")
         if type(self.cutoff) is not int or self.cutoff < MIN_AUDIT_CUTOFF:
             problems.append(f"cutoff must be an integer >= {MIN_AUDIT_CUTOFF}, got {self.cutoff!r}")
         if not (_is_number(self.tolerance) and self.tolerance > 0):
@@ -134,6 +136,15 @@ class SweepConfig:
             problems.append("output_format must be 'json' or 'csv'")
         if problems:
             raise ConfigError(problems)
+
+    def grid(self) -> list[tuple[DeformationParam, FunctionChoice]]:
+        """Each grid strength's ``(p, choice)``, in grid order: the control pair dressed by
+        the psi family at that point's q, the target pair by the beta family."""
+        points = []
+        for p in map(DeformationParam, self.s_grid):
+            psi, beta = self.psi_family.evaluate(p.q), self.beta_family.evaluate(p.q)
+            points.append((p, FunctionChoice(psi1=psi, psi2=psi, beta1=beta, beta2=beta)))
+        return points
 
     def to_payload(self) -> dict:
         return {
@@ -251,7 +262,7 @@ def algebra_entries(
 def _deformed_table(p: DeformationParam, choice: FunctionChoice):
     """The deformed CNOT table's residual and note: the dressed gate leaves the one two-qubit
     amplitude on each of the four transitions, so the rows' spread is 0."""
-    amplitude = _two_qubit_amplitude(p, choice, choice)
+    amplitude = _two_qubit_amplitude(p, choice)
     return 0.0, f"common row amplitude {amplitude:.17g}"
 
 
@@ -266,8 +277,7 @@ def gate_entries(config: SweepConfig, p: DeformationParam, choice: FunctionChoic
     tol = config.tolerance
     return [
         _entry(NOT_CONDITION, QUBIT_CUTOFF, tol, "", check_not_condition, p, choice),
-        _entry(CNOT_CONDITION, QUBIT_CUTOFF, tol, "", check_cnot_condition, p,
-               choice.beta1, choice.beta2),
+        _entry(CNOT_CONDITION, QUBIT_CUTOFF, tol, "", check_cnot_condition, p, choice),
         # the plain gate maps each basis state to its flip with amplitude exactly 1 at every s
         # (test_05_controlled_flip_truth_table)
         _entry(CNOT_TABLE, QUBIT_CUTOFF, tol, "", float, 0.0),
@@ -298,8 +308,7 @@ def run_sweep(config: SweepConfig, layers: Sequence[str] = SWEEP_LAYERS) -> Swee
     """The checks of ``layers`` (default: all) at every grid point, walked once: each
     point's rows in check-id order, counted into the summary as they are made.
     Deterministic for a fixed config."""
-    grid = [(p, FunctionChoice.from_families(config.psi_family, config.beta_family, p.q))
-            for p in map(DeformationParam, config.s_grid)]
+    grid = config.grid()
     gates, norm_ratio = GATE_LAYER in layers, NORM_RATIO_LAYER in layers
     algebra = algebra_entries(config, grid) if ALGEBRA_LAYER in layers else [[]] * len(grid)
     points: list[dict] = []

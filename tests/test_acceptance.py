@@ -80,7 +80,8 @@ def test_04_controlled_flip_condition_is_an_identity():
         p = DeformationParam(s)
         for beta1 in (1 / p.q, 1.0, p.q):
             for beta2 in (1 / p.q, 1.0, p.q):
-                worst = max(worst, check_cnot_condition(p, beta1, beta2))
+                choice = FunctionChoice(beta1=beta1, beta2=beta2)
+                worst = max(worst, check_cnot_condition(p, choice))
     _verdict(4, "target-swap condition residual below 1e-12 for 9 function pairs",
              worst < 1e-12, f"worst {worst:.3e}")
 
@@ -90,7 +91,7 @@ def test_05_controlled_flip_truth_table():
     # goes to its flip when the control is up and to itself otherwise, with
     # amplitude exactly 1 when plain and one scalar common to all four when dressed
     p = DeformationParam(0.5)
-    dressing = (p, FunctionChoice(psi1=p.q, psi2=p.q), FunctionChoice(beta1=p.q**2, beta2=p.q**2))
+    dressing = (p, FunctionChoice(psi1=p.q, psi2=p.q, beta1=p.q**2, beta2=p.q**2))
     transitions = exact = True
     scalars = set()
     for x, y in ((0, 0), (0, 1), (1, 0), (1, 1)):

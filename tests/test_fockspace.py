@@ -260,14 +260,6 @@ class TestFunctionChoice:
     def test_accepts_ints_and_float_subclasses_as_given(self, value):
         assert FunctionChoice(psi1=value, beta2=value).psi3 is value
 
-    def test_from_families(self):
-        q = math.exp(0.5)
-        c = FunctionChoice.from_families(
-            FunctionFamily("power_of_q", 2.0), FunctionFamily("power_of_q", -1.0), q
-        )
-        assert c.psi1 == c.psi2 == pytest.approx(q**2)
-        assert c.beta1 == c.beta2 == pytest.approx(1 / q)
-
 
 class TestFunctionFamily:
     def test_constant_one(self):

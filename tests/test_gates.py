@@ -41,12 +41,12 @@ def _superpose(x, p, choice):
 
 
 def _controlled_flip(x, p, choice):
-    return apply_cnot(two_qubit_state(x, 1 - x, SPACE), p, choice, choice)
+    return apply_cnot(two_qubit_state(x, 1 - x, SPACE), p, choice)
 
 
 def _table(x, p, choice):
     # both transitions of control x, the truth table's rows for that control
-    return [apply_cnot(two_qubit_state(x, y, SPACE), p, choice, choice) for y in (0, 1)]
+    return [apply_cnot(two_qubit_state(x, y, SPACE), p, choice) for y in (0, 1)]
 
 
 # each state on a basis label x, plain or dressed by p and one choice
@@ -55,7 +55,7 @@ def _qubit(x, p, choice):
 
 
 def _two_qubit(x, p, choice):
-    return two_qubit_state(x, 1 - x, SPACE, p, choice, choice)
+    return two_qubit_state(x, 1 - x, SPACE, p, choice)
 
 
 GATE_IDS = ["not", "hadamard", "cnot", "truth-table"]
@@ -245,9 +245,9 @@ class TestCnotGate:
         unit = FunctionChoice()
         for x in (0, 1):
             for y in (0, 1):
-                state = two_qubit_state(x, y, SPACE, P_HALF, unit, unit)
+                state = two_qubit_state(x, y, SPACE, P_HALF, unit)
                 plain = apply_cnot(two_qubit_state(x, y, SPACE))
-                dressed = apply_cnot(state, p=P_HALF, choice_a=unit, choice_b=unit)
+                dressed = apply_cnot(state, p=P_HALF, choice=unit)
                 assert np.array_equal(dense(dressed), dense(plain))
 
 
@@ -264,13 +264,13 @@ class TestCnotGate:
         # a control-down input used to come back unchanged without these checks
         choice = FunctionChoice(beta1=1.0, beta2=beta2)
         with pytest.raises(error, match=match):
-            apply_cnot(two_qubit_state(x, 0, SPACE), p, choice, choice)
+            apply_cnot(two_qubit_state(x, 0, SPACE), p, choice)
 
 
-def dressed_table(p, choice_a, choice_b):
+def dressed_table(p, choice):
     """The one amplitude the dressed CNOT leaves on each of the four dressed basis
     states, after checking that each lands on its flip (control up) or on itself."""
-    dressing, amplitudes = (p, choice_a, choice_b), []
+    dressing, amplitudes = (p, choice), []
     for x, y in itertools.product((0, 1), repeat=2):
         image = apply_cnot(two_qubit_state(x, y, SPACE, *dressing), *dressing)
         assert image.support() == two_qubit_state(x, y ^ x, SPACE).support()
@@ -291,9 +291,8 @@ class TestCnotTruthTable:
         assert expected == [(0, 0), (0, 1), (1, 1), (1, 0)]
 
     def test_deformed_rows_share_one_scalar(self):
-        choice_a = FunctionChoice(psi1=P_HALF.q, psi2=P_HALF.q)
-        choice_b = FunctionChoice(beta1=P_HALF.q**2, beta2=P_HALF.q**2)
-        amplitudes = dressed_table(P_HALF, choice_a, choice_b)
+        q = P_HALF.q
+        amplitudes = dressed_table(P_HALF, FunctionChoice(psi1=q, psi2=q, beta1=q**2, beta2=q**2))
         assert len(set(amplitudes)) == 1
         # the common scalar is the product of the two dressing values
         assert abs(amplitudes[0]) == pytest.approx(P_HALF.q**1.5, rel=1e-13)
@@ -302,7 +301,7 @@ class TestCnotTruthTable:
         # psi = 2 dresses the control by sqrt(2) at argument 1; a table given
         # the dressing without a separate switch used to read 1.0 on every row
         choice = FunctionChoice(psi1=2.0, psi2=2.0)
-        amplitudes = dressed_table(P_HALF, choice, choice)
+        amplitudes = dressed_table(P_HALF, choice)
         assert [abs(a) for a in amplitudes] == pytest.approx([math.sqrt(2)] * 4, rel=1e-15)
 
 
@@ -321,7 +320,7 @@ class TestLevelZeroDressing:
         assert np.allclose(dense(out), expected, atol=1e-15)
 
     def test_deformed_truth_table(self):
-        assert len(set(dressed_table(P_HALF, self.CHOICE, self.CHOICE))) == 1
+        assert len(set(dressed_table(P_HALF, self.CHOICE))) == 1
 
 
 class TestZeroAmplitudeDressing:
@@ -340,14 +339,14 @@ class TestZeroAmplitudeDressing:
     }
 
     def test_the_dressed_states_raise(self):
-        # they used to come back as all-zero vectors with no support
+        # they used to come back as all-zero vectors with no support; each choice
+        # leaves the other pair at its unit default
         control = FunctionChoice(*self.ZERO)
         target = FunctionChoice(beta1=self.ZERO[0], beta2=self.ZERO[1])
-        unit = FunctionChoice()
         builds = (
             lambda x: qubit_state(x, SPACE, self.P_ONE, control),
-            lambda x: two_qubit_state(x, 1 - x, SPACE, self.P_ONE, control, unit),
-            lambda x: two_qubit_state(x, 1 - x, SPACE, self.P_ONE, unit, target),
+            lambda x: two_qubit_state(x, 1 - x, SPACE, self.P_ONE, control),
+            lambda x: two_qubit_state(x, 1 - x, SPACE, self.P_ONE, target),
         )
         for build in builds:
             for x in (0, 1):
@@ -369,17 +368,18 @@ class TestCnotCondition:
         values = (1 / p.q, 1.0, p.q)
         for beta1 in values:
             for beta2 in values:
-                residual = check_cnot_condition(p, beta1, beta2)
+                residual = check_cnot_condition(p, FunctionChoice(beta1=beta1, beta2=beta2))
                 assert isinstance(residual, float)
                 assert residual < 1e-12
 
     def test_zero_radicand_pair_still_passes(self):
         # beta1 = 1/q, beta2 = q makes the dressed value vanish exactly
-        assert check_cnot_condition(P_HALF, 1 / P_HALF.q, P_HALF.q) == 0.0
+        choice = FunctionChoice(beta1=1 / P_HALF.q, beta2=P_HALF.q)
+        assert check_cnot_condition(P_HALF, choice) == 0.0
 
     def test_negative_radicand_raises(self):
         with pytest.raises(RadicandError, match="beta"):
-            check_cnot_condition(P_HALF, 1.0, 10.0)
+            check_cnot_condition(P_HALF, FunctionChoice(beta1=1.0, beta2=10.0))
 
     def test_overflowing_radicand_raises(self):
         # beta = q**709.7 is 1.65e308 at s = 1, and its argument-1 radicand
@@ -387,7 +387,7 @@ class TestCnotCondition:
         p = DeformationParam(1.0)
         beta = p.q**709.7
         with pytest.raises(ValueError) as err:
-            check_cnot_condition(p, beta, beta)
+            check_cnot_condition(p, FunctionChoice(beta1=beta, beta2=beta))
         assert not isinstance(err.value, RadicandError)
         assert str(err.value) == (
             f"swap-condition radicand overflows float64 at argument 1 "
@@ -395,14 +395,16 @@ class TestCnotCondition:
         )
 
     def test_rejects_non_positive_functions(self):
+        # the condition takes a choice, and no choice holds a beta of 0
         with pytest.raises(ValueError):
-            check_cnot_condition(P_HALF, 0.0, 1.0)
+            check_cnot_condition(P_HALF, FunctionChoice(beta1=0.0, beta2=1.0))
 
     @pytest.mark.parametrize("bad", [0, math.nan, math.inf, True])
     def test_rejects_a_beta_in_function_choice_words(self, bad):
-        for args, name in (((bad, 1.0), "beta1"), ((1.0, bad), "beta2")):
+        # the choice the condition reads refuses a bad beta when it is built, by name
+        for name in ("beta1", "beta2"):
             with pytest.raises(ValueError) as err:
-                check_cnot_condition(P_HALF, *args)
+                FunctionChoice(**{name: bad})
             assert str(err.value) == f"{name} must be finite and strictly positive, got {bad!r}"
 
 

@@ -175,7 +175,7 @@ class TestLevelZeroDressing:
         assert state.nonzero_triples() == [(SPACE.cutoff * x + 1 - x, expected, 0.0)]
 
     def test_two_qubit_state_needs_only_argument_one(self):
-        state = two_qubit_state(0, 1, SPACE, P_HALF, self.CHOICE, self.CHOICE)
+        state = two_qubit_state(0, 1, SPACE, P_HALF, self.CHOICE)
         assert state.support() == ((0, 1, 1, 0),)
         assert state.norm() == pytest.approx(f_value(1, P_HALF, 1.0, 1.2) ** 2, rel=1e-15)
 
@@ -197,14 +197,13 @@ class TestTwoQubitStates:
         unit = FunctionChoice()
         for x in (0, 1):
             for y in (0, 1):
-                built = two_qubit_state(x, y, SPACE, P_HALF, unit, unit)
+                built = two_qubit_state(x, y, SPACE, P_HALF, unit)
                 assert built == two_qubit_state(x, y, SPACE)
 
     def test_control_and_target_scale_independently(self):
         q = P_HALF.q
-        choice_a = FunctionChoice(psi1=q, psi2=q)
-        choice_b = FunctionChoice(beta1=q**2, beta2=q**2)
-        state = two_qubit_state(1, 1, SPACE, P_HALF, choice_a, choice_b)
+        choice = FunctionChoice(psi1=q, psi2=q, beta1=q**2, beta2=q**2)
+        state = two_qubit_state(1, 1, SPACE, P_HALF, choice)
         expected = math.sqrt(q) * math.sqrt(q**2)
         amp = state.amplitudes[(1, 0, 1, 0)]
         assert amp == pytest.approx(expected, rel=1e-14)
@@ -252,7 +251,7 @@ class TestNormRatio:
     )
     def test_measured_is_the_square_of_the_dressed_state_amplitude(self, s, psi, beta):
         p, choice = DeformationParam(s), FunctionChoice(psi, psi, beta, beta)
-        state = two_qubit_state(1, 0, TruncatedFockSpace(4), p, choice, choice)
+        state = two_qubit_state(1, 0, TruncatedFockSpace(4), p, choice)
         (amplitude,) = state.amplitudes.values()
         assert norm_ratio_experiment(p, psi, beta).measured == amplitude * amplitude
 

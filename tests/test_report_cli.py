@@ -128,6 +128,17 @@ class TestSweepConfig:
         with pytest.raises(ConfigError, match="\\(0, 1\\]"):
             config(s_grid=(0.5, 1.5))
 
+    def test_grid_dresses_each_point_by_both_families(self):
+        # each strength's (p, choice), in grid order: the psi family's value at that q on
+        # the control pair, the beta family's on the target pair
+        c = config(s_grid=(0.1, 0.5), psi_family=FunctionFamily("power_of_q", 2.0),
+                   beta_family=FunctionFamily("power_of_q", -1.0))
+        (p_first, _), (p, choice) = c.grid()
+        assert (p_first.s, p.s) == (0.1, 0.5)
+        q = math.exp(0.5)
+        assert choice.psi1 == choice.psi2 == pytest.approx(q**2)
+        assert choice.beta1 == choice.beta2 == pytest.approx(1 / q)
+
     def test_payload_round_trip(self):
         c = config(s_grid=(0.1, 0.4), psi_family=POWER_ONE, cutoff=8, tolerance=1e-9)
         assert SweepConfig.from_payload(c.to_payload()) == c
@@ -162,15 +173,21 @@ class TestSweepConfig:
     @example({"s_grid": [0.5, 10**400]})
     @example({"s_grid": [0.5], "psi_family": {"kind": "power_of_q", "exponent": 10**400}})
     @example({"s_grid": [0.5], "cutof": 8})
+    # q = exp(1e-17) rounds to 1.0, and 1.0**nan and 1.0**inf are 1.0: both used to be
+    # accepted, and the report wrote NaN and Infinity as their exponents
+    @example({"s_grid": [1e-17], "psi_family": "q^nan", "beta_family": "q^inf"})
+    @example({"s_grid": [1e-17], "psi_family": {"kind": "power_of_q", "exponent": math.nan},
+              "beta_family": {"kind": "power_of_q", "exponent": -math.inf}})
     def test_a_drawn_payload_is_refused_by_name_or_round_trips(self, payload):
         # configs only: no sweep runs; the 400-digit integers used to raise OverflowError
         try:
             c = SweepConfig.from_payload(payload)
         except ValueError:  # a ConfigError is one
             return
-        # repr, unlike ==, tells -0.0 from 0.0 and equates NaN with NaN: a q^nan family
-        # is accepted on a grid where q rounds to 1, since 1.0**nan is 1.0
+        # repr, unlike ==, tells -0.0 from 0.0
         assert repr(SweepConfig.from_payload(c.to_payload())) == repr(c)
+        # a report writes no NaN or Infinity
+        json.dumps(c.to_payload(), allow_nan=False)
 
     @pytest.mark.parametrize(
         "exponent,bad_s", [(900.0, 0.9), (-2000.0, 0.9), (-800.0, 0.9), (math.nan, 0.1)]
@@ -757,13 +774,17 @@ class TestCli:
     @pytest.mark.parametrize(
         "argv,expected",
         [
-            (["--s", "0.5", "--psi", "q"], "readme_example.txt"),
-            (["--s-grid", "0.1,0.5,0.9", "--psi", "q", "--beta", "q^2"], "three_point_grid.txt"),
+            (["states", "--s", "0.5", "--psi", "q"], "readme_example.txt"),
+            (["states", "--s-grid", "0.1,0.5,0.9", "--psi", "q", "--beta", "q^2"],
+             "three_point_grid.txt"),
+            (["infer", "--s-grid", "0.1,0.5,0.9", "--psi", "q^2", "--beta", "q", "--n-hat", "2"],
+             "infer_three_point_grid.txt"),
         ],
     )
     def test_states_stdout_is_pinned(self, argv, expected, capsys):
-        # the whole stdout, basis indices and amplitude digits included
-        assert main(["states", *argv]) == 0
+        # the whole stdout of states (basis indices and amplitude digits included) and of
+        # infer (every digit of each ratio and psi), which both walk the config's grid
+        assert main(argv) == 0
         pinned = Path(__file__).with_name("states_stdout") / expected
         assert capsys.readouterr().out == pinned.read_text()
 
@@ -853,6 +874,12 @@ class TestCli:
         assert main(["sweep", "--s-grid", "0.9,0.1"]) == 2
         assert main(["audit", "--psi", "bogus"]) == 2
         assert main(["audit", "--cutoff", "2"]) == 2
+        # where q rounds to 1, a non-finite exponent used to run, and to be written as NaN
+        assert main(["sweep", "--s", "1e-17", "--psi", "q^nan", "--beta", "q^inf"]) == 2
+        assert capsys.readouterr().err.endswith(
+            "\nconfiguration error: psi_family exponent must be finite, got nan; "
+            "beta_family exponent must be finite, got inf\n"
+        )
         # argparse owns the strength flags: it refuses both together, and a grid it cannot parse
         for strengths in (["--s", "0.5", "--s-grid", "0.1,0.2"], ["--s-grid", "0.1,x"]):
             with pytest.raises(SystemExit) as refused:
@@ -948,7 +975,7 @@ class TestCli:
             assert rows[check_id]["residual"] == -1.0 and not rows[check_id]["pass"]
         assert samples == []
         with pytest.raises(ValueError) as err:
-            two_qubit_state(1, 0, TruncatedFockSpace(4), p, choice, choice)
+            two_qubit_state(1, 0, TruncatedFockSpace(4), p, choice)
         assert str(err.value) == message
 
     @pytest.mark.parametrize("command", ["sweep", "states"])

@@ -69,6 +69,7 @@ from qdgates.qubits import (
     QUBIT_CUTOFF,
     OscillatorPairState,
     TwoQubitState,
+    _dressed_amplitude,
     _occupations,
     jm_state,
     norm_ratio_experiment,
@@ -119,9 +120,9 @@ def oracle_basis_two_qubit(x, y, space):
     return np.kron(oracle_qubit(x, space), oracle_qubit(y, space))
 
 
-def oracle_two_qubit(x, y, p, choice_a, choice_b, space):
-    ctrl = oracle_deformed_qubit(x, p, choice_a.psi1, choice_a.psi2, space)
-    tgt = oracle_deformed_qubit(y, p, choice_b.beta1, choice_b.beta2, space)
+def oracle_two_qubit(x, y, p, choice, space):
+    ctrl = oracle_deformed_qubit(x, p, choice.psi1, choice.psi2, space)
+    tgt = oracle_deformed_qubit(y, p, choice.beta1, choice.beta2, space)
     return np.kron(ctrl, tgt)
 
 
@@ -134,13 +135,13 @@ def at_held(vectors, entry):
     return out
 
 
-def oracle_cnot_truth_table(p, choice_a, choice_b, space):
+def oracle_cnot_truth_table(p, choice, space):
     """The deformed table, each row built from oracle states as before: the input
     labels, the expected output labels, the output's amplitude at the expected
     pattern and its largest magnitude at any other."""
 
     def state(x, y):
-        return oracle_two_qubit(x, y, p, choice_a, choice_b, space)
+        return oracle_two_qubit(x, y, p, choice, space)
 
     rows = []
     for x, y in ((0, 0), (0, 1), (1, 0), (1, 1)):
@@ -164,7 +165,7 @@ def oracle_cnot_truth_table(p, choice_a, choice_b, space):
 
 def cnot_table(space, *dressing):
     """The rows of :func:`oracle_cnot_truth_table` as ``apply_cnot`` gives them, on
-    the basis states plain or dressed by ``(p, choice_a, choice_b)``, read from the
+    the basis states plain or dressed by ``(p, choice)``, read from the
     amplitudes the output holds."""
     rows = []
     for x, y in ((0, 0), (0, 1), (1, 0), (1, 1)):
@@ -200,9 +201,7 @@ def superposed(space, amp_down, amp_up, basis_down, basis_up):
 
 
 def oracle_norm_ratio(x, y, p, psi, beta, space):
-    deformed = oracle_two_qubit(
-        x, y, p, FunctionChoice(psi1=psi, psi2=psi), FunctionChoice(beta1=beta, beta2=beta), space
-    )
+    deformed = oracle_two_qubit(x, y, p, FunctionChoice(psi, psi, beta, beta), space)
     plain = oracle_basis_two_qubit(x, y, space)
     return float(np.vdot(deformed, deformed).real / np.vdot(plain, plain).real)
 
@@ -286,12 +285,22 @@ def test_closed_form_equals_the_creation_matrix_oracle(point):
     ):
         hadamard_inputs.append(qubit_state(x, space, p, choice))
     assert_matches_oracle(
-        lambda: two_qubit_state(x, y, space, p, choice, choice),
-        lambda: oracle_two_qubit(x, y, p, choice, choice, space),
+        lambda: two_qubit_state(x, y, space, p, choice),
+        lambda: oracle_two_qubit(x, y, p, choice, space),
     )
+    # the choice's psi and beta pairs are drawn apart: the control reads the one and the
+    # target the other, and the amplitude is their product, or the error of the first
+    dressed = outcome(
+        lambda: two_qubit_state(x, y, space, p, choice).amplitudes[_occupations(x, y)]
+    )
+    product = outcome(
+        lambda: _dressed_amplitude(p, choice.psi1, choice.psi2)
+        * _dressed_amplitude(p, choice.beta1, choice.beta2)
+    )
+    assert dressed == product
     assert_matches_oracle(
-        lambda: cnot_table(space, p, choice, choice),
-        lambda: oracle_cnot_truth_table(p, choice, choice, space),
+        lambda: cnot_table(space, p, choice),
+        lambda: oracle_cnot_truth_table(p, choice, space),
     )
     assert_matches_oracle(
         lambda: norm_ratio_experiment(p, choice.psi1, choice.beta1).measured,
@@ -344,7 +353,7 @@ def test_run_sweep_builds_no_two_qubit_vectors(monkeypatch):
     p = DeformationParam(0.5)
     space = TruncatedFockSpace(4)
     choice = FunctionChoice()
-    apply_cnot(qubits_module.two_qubit_state(1, 0, space, p, choice, choice), p, choice, choice)
+    apply_cnot(qubits_module.two_qubit_state(1, 0, space, p, choice), p, choice)
     assert calls == ["two_qubit_state"]
 
 
@@ -391,7 +400,7 @@ def forked_phase(state, theta):
     return out
 
 
-def forked_cnot(state, deformed=False, p=None, choice_a=None, choice_b=None):
+def forked_cnot(state, deformed=False, p=None, choice=None):
     """The controlled flip as written before the one gate path, except that the
     deformed reference states are built, and the input divided by its
     reference amplitude, before the control-down shortcut, so that an invalid
@@ -399,8 +408,8 @@ def forked_cnot(state, deformed=False, p=None, choice_a=None, choice_b=None):
     space = state.space
     (x, y), amp = _basis_component(state)
     if deformed:
-        reference_in = dense(two_qubit_state(x, y, space, p, choice_a, choice_b))
-        reference_out = dense(two_qubit_state(x, 1 - y, space, p, choice_a, choice_b))
+        reference_in = dense(two_qubit_state(x, y, space, p, choice))
+        reference_out = dense(two_qubit_state(x, 1 - y, space, p, choice))
         scale = amp / complex(reference_in[basis_index(space, _occupations(x, y))])
     if x == 0:
         return dense(state)
@@ -485,20 +494,20 @@ def test_one_gate_path_equals_the_forked_gate_bodies(point, down, up, theta):
         pair_state,
     )
     cases = (
-        (apply_not, forked_not, pair_state, (choice,), (unit,)),
-        (apply_hadamard, forked_hadamard, pair_state, (choice,), (unit,)),
-        (apply_cnot, forked_cnot, quad_state, (choice, choice), (unit, unit)),
+        (apply_not, forked_not, pair_state),
+        (apply_hadamard, forked_hadamard, pair_state),
+        (apply_cnot, forked_cnot, quad_state),
     )
-    for gate, forked, state, choices, units in cases:
+    for gate, forked, state in cases:
         # the deformed gate keeps the deformed body's floating-point steps
         assert_gate_outcome(
-            gate_outcome(lambda: gate(state, p, *choices)),
-            forked_outcome(lambda: forked(state, True, p, *choices)),
+            gate_outcome(lambda: gate(state, p, choice)),
+            forked_outcome(lambda: forked(state, True, p, choice)),
             state,
         )
         # a plain gate is that body at unit dressing, whose amplitudes are exactly 1.0
         plain = gate_outcome(lambda: gate(state))
-        assert_gate_outcome(plain, forked_outcome(lambda: forked(state, True, p, *units)), state)
+        assert_gate_outcome(plain, forked_outcome(lambda: forked(state, True, p, unit)), state)
         # and the plain body's values, wherever that body gave finite ones; a
         # zero may change sign
         try:
@@ -531,8 +540,7 @@ def dressed_points(draw):
 # itself is 1 - 2**-53 when taken as the product with its reciprocal
 SELF_QUOTIENT_POINT = (
     TruncatedFockSpace(4),
-    P_HALF,
-    FunctionChoice.from_families(FunctionFamily.parse("q"), FunctionFamily.parse("1"), P_HALF.q),
+    *SweepConfig(s_grid=(0.5,), psi_family=FunctionFamily.parse("q")).grid()[0],
 )
 
 
@@ -553,9 +561,9 @@ def test_deformed_cnot_keeps_each_dressed_amplitude_exactly(point):
     label, noted = row["note"].rsplit(" ", 1)
     assert label == "common row amplitude"
     for x, y in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        basis = two_qubit_state(x, y, space, p, choice, choice)
+        basis = two_qubit_state(x, y, space, p, choice)
         (amp,) = basis.amplitudes.values()
-        image = apply_cnot(basis, p, choice, choice).amplitudes
+        image = apply_cnot(basis, p, choice).amplitudes
         assert image.keys() == {_occupations(x, y ^ x)}
         (out,) = image.values()
         assert bits(np.complex128(out)) == bits(np.complex128(amp))
@@ -597,7 +605,7 @@ def test_deformed_gates_are_the_plain_ones_conjugated_by_the_dressing(point, dow
     # control's (psi1, psi2) amplitude times the target's (beta1, beta2) one,
     # so D U D^-1 is the permutation itself
     for x, y in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        out = apply_cnot(TwoQubitState(space, {_occupations(x, y): down}), p, choice, choice)
+        out = apply_cnot(TwoQubitState(space, {_occupations(x, y): down}), p, choice)
         expected = np.zeros(space.cutoff**4, dtype=complex)
         expected[basis_index(space, _occupations(x, y ^ x))] = down
         assert_within_ulps(dense(out), expected, abs(down))
@@ -639,7 +647,7 @@ def test_the_universal_set_keeps_its_algebra_in_the_dressed_basis(point, c0, c1,
     assert_within_ulps(dense(phased), dense(apply_phase_shift(state, a + b)), scale)
     # CNOT CNOT = I exactly on all four basis states, plain and dressed
     for x, y in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        for dressing in ((), (p, choice, choice)):
+        for dressing in ((), (p, choice)):
             basis = two_qubit_state(x, y, space, *dressing)
             assert apply_cnot(apply_cnot(basis, *dressing), *dressing) == basis
 
@@ -715,9 +723,9 @@ def test_cnot_condition_agrees_with_the_deformed_table(point):
     # both read fockspace.radicand at argument 1: the condition fails exactly
     # where the table's target amplitude has a negative radicand or one beyond float64
     p, a, b = point
-    condition = outcome(lambda: check_cnot_condition(p, a, b))
-    unit, target = FunctionChoice(), FunctionChoice(beta1=a, beta2=b)
-    table = outcome(lambda: cnot_table(TruncatedFockSpace(QUBIT_CUTOFF), p, unit, target))
+    target = FunctionChoice(beta1=a, beta2=b)  # a unit psi pair: only the target is dressed
+    condition = outcome(lambda: check_cnot_condition(p, target))
+    table = outcome(lambda: cnot_table(TruncatedFockSpace(QUBIT_CUTOFF), p, target))
     assert raised(condition, RadicandError) == raised(table, RadicandError)
     assert raised(condition, CONDITION_OVERFLOW) == raised(table, OVERFLOW)
     if condition == bits(0.0):
@@ -729,6 +737,22 @@ def test_cnot_condition_agrees_with_the_deformed_table(point):
     margin = 2 * ZERO_ULPS * Decimal(sys.float_info.epsilon) * abs(head) + 4 * Decimal(5e-324)
     if abs(head + tail) >= margin:
         assert raised(condition, RadicandError) == (head + tail < 0)
+
+
+positive_floats = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@settings(deadline=None)
+@given(condition_points(), st.lists(positive_floats, min_size=4, max_size=4),
+       st.lists(positive_floats, min_size=4, max_size=4))
+def test_cnot_condition_reads_only_the_beta_pair(point, psis, other_psis):
+    # two choices that share the beta pair and differ anywhere in psi1..psi4 give the
+    # condition's residual bit for bit, or the same error type and text
+    p, a, b = point
+    first, second = (FunctionChoice(g1, g2, a, b, g3, g4) for g1, g2, g3, g4 in (psis, other_psis))
+    assert outcome(lambda: check_cnot_condition(p, first)) == outcome(
+        lambda: check_cnot_condition(p, second)
+    )
 
 
 @pytest.mark.parametrize("cutoff", range(2, 9))

@@ -23,11 +23,12 @@ evaluation: ``ln(1)`` is exactly 0, so nu is the integer levels; IEEE products
 commute, so ``s n`` is ``n s``; ``n + 1`` is exact; and both are the same
 ``np.sinh`` over the same longdouble values.
 
-The band is always in extended precision (:data:`BAND_DTYPE`,
-``np.longdouble``).  At cutoff 16 and s close to 1 the deformed diagonal
-reaches ~1e5, where one float64 ulp is already ~3e-11; an absolute residual
-budget of 1e-12 is only meaningful with the wider accumulator.  This is the
-only module that imports numpy.
+The band is always in extended precision (:data:`BAND_DTYPE`, ``np.longdouble``).  At
+cutoff 16 and s close to 1 the deformed diagonal reaches ~1e5, where one float64 ulp
+is already ~3e-11; an absolute residual budget of 1e-12 is only meaningful with the
+wider accumulator.  This is the only module that imports numpy, and so the only one
+that turns a longdouble residual into float64 (:func:`_row_residual`, which names
+the magnitude of one that overflows float64).
 """
 
 from __future__ import annotations
@@ -53,22 +54,6 @@ NUMBER_PRODUCTS = "number_products"
 SHIFT_RULE = "shift_rule"
 
 ALGEBRA_CHECK_IDS = (QCOMMUTATOR, NUMBER_COMMUTATORS, NUMBER_PRODUCTS, SHIFT_RULE)
-
-
-def float_residual(condition_id: str, residual) -> float:
-    """``residual`` as a float64; a ValueError if it is not finite and
-    nonnegative there, naming the longdouble magnitude of one that only
-    overflows float64."""
-    value = float(residual)
-    if math.isinf(value) and np.isfinite(residual):
-        magnitude = np.format_float_scientific(residual, precision=3)
-        raise ValueError(
-            f"{condition_id} residual {magnitude} is finite in longdouble "
-            f"but overflows float64"
-        )
-    if not math.isfinite(value) or value < 0:
-        raise ValueError(f"residual must be finite and nonnegative, got {value!r}")
-    return value
 
 
 def _band_rows(cutoff: int, points: Sequence[tuple]) -> tuple:
@@ -250,9 +235,15 @@ def _overflow_row(residuals: tuple, v_row, n_row, n1_row) -> tuple:
     )
 
 
-def _row_residual(row, i: int):
-    """Residual ``i`` of a grid row; the row's error, or an error in its place, is raised."""
+def _row_residual(row, i: int) -> float:
+    """Residual ``i`` of a grid row as a float64; the row's error, an error in its place, or
+    one naming the magnitude of a longdouble residual that overflows float64 is raised."""
     value = row if isinstance(row, ValueError) else row[i]
     if isinstance(value, ValueError):
         raise value
-    return value
+    residual = float(value)
+    if math.isinf(residual) and np.isfinite(value):
+        magnitude = np.format_float_scientific(value, precision=3)
+        raise ValueError(f"{ALGEBRA_CHECK_IDS[i]} residual {magnitude} is finite in longdouble "
+                         f"but overflows float64")
+    return residual

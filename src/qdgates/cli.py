@@ -15,6 +15,8 @@ import sys
 from dataclasses import fields
 
 from .qubits import (
+    LAW_PRODUCT,
+    LAW_SQRT,
     QUBIT_CUTOFF,
     TruncatedFockSpace,
     case2_consistency_table,
@@ -25,8 +27,6 @@ from .report import (
     ALGEBRA_LAYER,
     DEFAULT_LAW,
     GATE_LAYER,
-    LAW_PRODUCT,
-    LAW_SQRT,
     NORM_RATIO_LAYER,
     SWEEP_LAYERS,
     SweepConfig,

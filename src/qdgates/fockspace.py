@@ -94,9 +94,9 @@ class FunctionChoice:
 class FunctionFamily:
     """Either the constant function 1 or the power q**exponent.
 
-    A family is evaluated afresh at every grid point of a sweep (by
-    ``SweepConfig.grid``), so a single object describes the arbitrary-function
-    choice across all of them.
+    A sweep config evaluates its families once at each grid strength, when it
+    is built, so a single object describes the arbitrary-function choice
+    across all of them.
     """
 
     kind: str = CONSTANT_ONE

@@ -20,7 +20,6 @@ from __future__ import annotations
 import cmath
 import math
 
-from .audit import float_residual
 from .fockspace import FunctionChoice, RadicandError, radicand
 from .qnumber import DeformationParam
 from .qubits import OscillatorPairState, TwoQubitState, _dressed_amplitude, _occupations
@@ -78,7 +77,10 @@ def check_not_condition(p: DeformationParam, choice: FunctionChoice) -> float:
     invariant under a common rescaling of the pair.  The flip, superposition
     and phase gates share this condition.  A ratio beyond float64 range raises.
     """
-    return float_residual(NOT_CONDITION, abs(choice.psi1 / choice.psi2 - 1.0))
+    residual = abs(choice.psi1 / choice.psi2 - 1.0)
+    if residual == math.inf:
+        raise ValueError(f"residual must be finite and nonnegative, got {residual!r}")
+    return residual
 
 
 def apply_hadamard(

@@ -28,9 +28,9 @@ class DeformationParam:
     q: float = field(init=False)
 
     def __post_init__(self) -> None:
-        s = float(self.s)
-        if not (0.0 < s <= 1.0):
+        if not (0.0 < self.s <= 1.0):  # compared before float() can overflow on an int
             raise ValueError(f"deformation strength must satisfy 0 < s <= 1, got {self.s!r}")
+        s = float(self.s)
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "q", math.exp(s))
 

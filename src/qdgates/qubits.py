@@ -33,6 +33,9 @@ from .qnumber import DeformationParam
 
 # Qubit work occupies levels 0..1 only; cutoff 4 leaves margin.
 QUBIT_CUTOFF = 4
+# The norm-ratio laws a measured ratio is matched to: psi*beta, or its square root.
+LAW_PRODUCT = "product"
+LAW_SQRT = "sqrt_product"
 
 
 @dataclass(frozen=True)
@@ -190,7 +193,7 @@ class NormRatioResult(NamedTuple):
     measured: float
     prediction_product: float  # psi * beta
     prediction_sqrt: float  # sqrt(psi * beta)
-    matched_law: str  # "product" or "sqrt_product"
+    matched_law: str  # LAW_PRODUCT or LAW_SQRT
 
     def distance_to_matched(self) -> float:
         return min(
@@ -225,7 +228,7 @@ def norm_ratio_experiment(p: DeformationParam, psi: float, beta: float) -> NormR
             f"product prediction {_scientific(psi, beta)}"
         )
     sqrt = math.sqrt(product)
-    law = "product" if abs(measured - product) <= abs(measured - sqrt) else "sqrt_product"
+    law = LAW_PRODUCT if abs(measured - product) <= abs(measured - sqrt) else LAW_SQRT
     return NormRatioResult(p.s, psi, beta, measured, product, sqrt, law)
 
 

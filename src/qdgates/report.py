@@ -1,17 +1,17 @@
 """Sweep orchestration, the dressing-inference demo, and report serialization.
 
-A sweep walks its grid once.  At each point it makes the rows of every
-check of its layers, each from one row builder, :func:`_entry`, the only place a
-residual becomes a verdict: a row passes when its residual, a finite
-nonnegative float64, is at most ``tol``; a check that raises a domain error,
-or measures a residual that is no such float, becomes an error row
-(residual -1, fail) instead of aborting the sweep.  The known mismatch
-of the number-product relation away from unit dressing is scientific content
-and is recorded as an expected failure.  A report holds its points as the JSON
-report writes them: each grid point's cells once, with its rows in check-id
-order.  Serialization is bit-deterministic: sorted keys, canonical row order,
-no timestamps.  The JSON report is one ``json.dumps`` of a payload holding those
-points; the CSV report is one row per check.
+A config makes and checks its grid points once, when it is built, and a sweep walks
+them once.  At each point it makes the rows of every check of its layers, each from
+one row builder, :func:`_entry`, the only place a residual becomes a verdict: a row
+passes when its residual, a finite nonnegative float64, is at most ``tol``; a check
+that raises a domain error, or measures a residual that is no such float, becomes an
+error row (residual -1, fail) instead of aborting the sweep.  The known mismatch of
+the number-product relation away from unit dressing is scientific content and is
+recorded as an expected failure.  A report holds its points as the JSON report writes
+them: each grid point's cells once, with its rows in check-id order.  Serialization
+is bit-deterministic: sorted keys, canonical row order, no timestamps.  The JSON
+report is one ``json.dumps`` of a payload holding those points; the CSV report is
+one row per check.
 """
 
 from __future__ import annotations
@@ -26,12 +26,13 @@ from typing import NamedTuple, Sequence
 
 from . import __version__ as _tool_version
 from .audit import ALGEBRA_CHECK_IDS, MIN_AUDIT_CUTOFF, NUMBER_PRODUCTS
-from .audit import _row_residual, algebra_residual_grid, float_residual
+from .audit import _row_residual, algebra_residual_grid
 from .fockspace import FunctionChoice, FunctionFamily, TruncatedFockSpace, _is_number
 from .gates import CNOT_CONDITION, NOT_CONDITION
 from .gates import check_cnot_condition, check_not_condition
 from .qnumber import DeformationParam
-from .qubits import QUBIT_CUTOFF, NormRatioResult, _two_qubit_amplitude, norm_ratio_experiment
+from .qubits import LAW_PRODUCT, LAW_SQRT, QUBIT_CUTOFF, NormRatioResult, norm_ratio_experiment
+from .qubits import _two_qubit_amplitude
 
 SCHEMA_VERSION = "2"
 
@@ -66,8 +67,6 @@ _PRODUCTS_NOTE = (f"{EXPECTED_FAIL_MARK}: the dressed products match the deforme
 # rows fail but never abort the sweep.
 ERROR_RESIDUAL = -1.0
 
-LAW_PRODUCT = "product"
-LAW_SQRT = "sqrt_product"
 # Default inversion law: the one the constructed states are measured to obey,
 # pinned by the snapshot test in the suite.
 DEFAULT_LAW = LAW_PRODUCT
@@ -80,19 +79,6 @@ class ConfigError(ValueError):
     def __init__(self, problems: list[str]):
         self.problems = list(problems)
         super().__init__("; ".join(self.problems))
-
-
-def _first_bad_point(family: FunctionFamily, strengths: Sequence[float]) -> str | None:
-    """``"at s=..."`` for the first of ``strengths`` where ``family`` is not a finite positive
-    normal float (it overflows, underflows to 0 or to a subnormal it names, or is no number)."""
-    for s in strengths:
-        try:
-            value = family.evaluate(DeformationParam(s).q)
-        except OverflowError:
-            value = math.inf
-        if not (math.isfinite(value) and value >= sys.float_info.min):
-            return f"at s={s:g}" + (f" ({value!r} is subnormal)" if 0 < value < math.inf else "")
-    return None
 
 
 @dataclass(frozen=True)
@@ -113,16 +99,28 @@ class SweepConfig:
                 problems.append("s_grid must be nonempty")
         else:
             problems.append(f"s_grid must be a list of numbers, got {self.s_grid!r}")
-        strengths = [s for s in grid if 0.0 < s <= 1.0]  # the others are one grid problem
-        if len(strengths) < len(grid):
+        params = [DeformationParam(s) for s in grid if 0.0 < s <= 1.0]  # others: one problem
+        if len(params) < len(grid):
             problems.append("s_grid values must lie in (0, 1]")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             problems.append("s_grid must be strictly increasing")
+        values = []
         for name, family in (("psi_family", self.psi_family), ("beta_family", self.beta_family)):
-            where = _first_bad_point(family, strengths)
-            if where is not None:
-                problems.append(f"{name} {family.label()} is not a finite positive float {where}")
-            elif not math.isfinite(family.exponent):  # q**nan is 1.0 where q rounds to 1
+            column, bad = [], ""
+            for p in params:
+                try:
+                    value = family.evaluate(p.q)
+                except OverflowError:
+                    value = math.inf
+                column.append(value)
+                # the first point where the family is no finite positive normal float: it
+                # overflows, underflows to 0 or to a subnormal it names, or is no number
+                if not (bad or math.isfinite(value) and value >= sys.float_info.min):
+                    bad = f"{name} {family.label()} is not a finite positive float at s={p.s:g}"
+                    problems.append(bad + (f" ({value!r} is subnormal)"
+                                           if 0 < value < math.inf else ""))
+            values.append(column)
+            if not bad and not math.isfinite(family.exponent):  # q**nan is 1.0 where q rounds to 1
                 problems.append(f"{name} exponent must be finite, got {family.exponent!r}")
         if type(self.cutoff) is not int or self.cutoff < MIN_AUDIT_CUTOFF:
             problems.append(f"cutoff must be an integer >= {MIN_AUDIT_CUTOFF}, got {self.cutoff!r}")
@@ -136,15 +134,16 @@ class SweepConfig:
             problems.append("output_format must be 'json' or 'csv'")
         if problems:
             raise ConfigError(problems)
+        # the checked points, kept off the fields: no payload, repr or == reads them
+        object.__setattr__(self, "_points", tuple(
+            (p, FunctionChoice(psi1=psi, psi2=psi, beta1=beta, beta2=beta))
+            for p, psi, beta in zip(params, *values)))
 
-    def grid(self) -> list[tuple[DeformationParam, FunctionChoice]]:
+    def grid(self) -> tuple[tuple[DeformationParam, FunctionChoice], ...]:
         """Each grid strength's ``(p, choice)``, in grid order: the control pair dressed by
-        the psi family at that point's q, the target pair by the beta family."""
-        points = []
-        for p in map(DeformationParam, self.s_grid):
-            psi, beta = self.psi_family.evaluate(p.q), self.beta_family.evaluate(p.q)
-            points.append((p, FunctionChoice(psi1=psi, psi2=psi, beta1=beta, beta2=beta)))
-        return points
+        the psi family at that point's q, the target pair by the beta family.  The points
+        are made and checked once, when the config is built; each call returns them."""
+        return self._points
 
     def to_payload(self) -> dict:
         return {
@@ -227,13 +226,15 @@ class SweepReport:
 def _entry(check_id, cutoff, tolerance, note, measure, *args) -> dict:
     """The one report row builder and pass rule: ``measure(*args)`` gives the
     residual of a row noted ``note``, or ``(residual, note)`` if ``note`` is None;
-    a ValueError it raises, or one :func:`~qdgates.audit.float_residual` raises
-    on its residual, becomes an error row.  The row is the JSON report's."""
+    a ValueError it raises, or a residual that is no finite nonnegative float,
+    becomes an error row.  The row is the JSON report's."""
     try:
-        raw = measure(*args)
+        residual = measure(*args)
         if note is None:
-            raw, note = raw
-        residual = float_residual(check_id, raw)
+            residual, note = residual
+        residual = float(residual)
+        if not (math.isfinite(residual) and residual >= 0):
+            raise ValueError(f"residual must be finite and nonnegative, got {residual!r}")
         passed = residual <= tolerance
     except ValueError as exc:
         residual, passed, note = ERROR_RESIDUAL, False, f"error: {exc}"
@@ -371,6 +372,8 @@ def infer_psi_from_norm(
     """
     if measured_norm_ratio <= 0 or beta <= 0:
         raise ValueError("measured ratio and beta must be positive")
+    if not abs(n_hat) <= sys.float_info.max:  # int * float raises beyond float64
+        raise ValueError(f"n_hat must be an integer float64 can hold, got {n_hat!r}")
     if law not in (LAW_PRODUCT, LAW_SQRT):
         raise ValueError(f"unknown inversion law {law!r}; use {LAW_PRODUCT!r} or {LAW_SQRT!r}")
     try:

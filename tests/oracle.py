@@ -19,11 +19,15 @@ row, and both commutators' interior entries.  The q-commutator and
 number-product residuals are kept as each was before a block shared its terms,
 each building its own number diagonals, ``s * nu``, ``sinh(s)`` and spectrum.
 The shift rule's f(x) = x**2 + 1 is also evaluated as a general polynomial, by
-Horner's rule on its ascending coefficients.
+Horner's rule on its ascending coefficients.  A config makes and checks its grid
+points in one walk, when it is built; the two walks it replaced are kept here: the
+family check that stops at a family's first bad strength, and the grid that
+evaluates both families again at each point.
 """
 
 import decimal
 import math
+import sys
 from decimal import Decimal
 from operator import ne
 
@@ -32,7 +36,8 @@ import numpy as np
 from qdgates.audit import (
     BAND_DTYPE, _abs_max, _number_diagonals, algebra_residual_grid, ladder_band,
 )
-from qdgates.fockspace import ZERO_ULPS, RadicandError
+from qdgates.fockspace import ZERO_ULPS, FunctionChoice, RadicandError
+from qdgates.qnumber import DeformationParam
 
 LD = np.longdouble
 
@@ -255,3 +260,39 @@ def summarize(entries):
         "total_fail": sum(b["fail"] for b in per_check.values()),
         "unexpected_failures": unexpected,
     }
+
+
+def first_bad_point(family, strengths):
+    """``"at s=..."`` for the first of ``strengths`` where ``family`` is not a finite positive
+    normal float (it overflows, underflows to 0 or to a subnormal it names, or is no number)."""
+    for s in strengths:
+        try:
+            value = family.evaluate(DeformationParam(s).q)
+        except OverflowError:
+            value = math.inf
+        if not (math.isfinite(value) and value >= sys.float_info.min):
+            return f"at s={s:g}" + (f" ({value!r} is subnormal)" if 0 < value < math.inf else "")
+    return None
+
+
+def family_problems(s_grid, psi_family, beta_family):
+    """A config's problems with its two families, each checked at the grid's in-range
+    strengths: the first bad point, or else an exponent that is not finite."""
+    strengths = [s for s in s_grid if 0.0 < s <= 1.0]
+    problems = []
+    for name, family in (("psi_family", psi_family), ("beta_family", beta_family)):
+        where = first_bad_point(family, strengths)
+        if where is not None:
+            problems.append(f"{name} {family.label()} is not a finite positive float {where}")
+        elif not math.isfinite(family.exponent):
+            problems.append(f"{name} exponent must be finite, got {family.exponent!r}")
+    return problems
+
+
+def grid_points(config):
+    """Each grid strength's ``(p, choice)``, both families evaluated afresh at its q."""
+    points = []
+    for p in map(DeformationParam, config.s_grid):
+        psi, beta = config.psi_family.evaluate(p.q), config.beta_family.evaluate(p.q)
+        points.append((p, FunctionChoice(psi1=psi, psi2=psi, beta1=beta, beta2=beta)))
+    return points

@@ -12,7 +12,7 @@ from qdgates.audit import (
     NUMBER_PRODUCTS,
     QCOMMUTATOR,
     SHIFT_RULE,
-    float_residual,
+    _row_residual,
 )
 from qdgates.fockspace import FunctionChoice, TruncatedFockSpace
 from qdgates.qnumber import DeformationParam, q_number
@@ -157,14 +157,15 @@ class TestReportContract:
             assert large["pass"]
 
     def test_rejects_bad_residuals(self):
-        with pytest.raises(ValueError):
-            float_residual("x", -1.0)
-        with pytest.raises(ValueError):
-            float_residual("x", math.inf)
+        for bad in (-1.0, math.inf):
+            row = _entry("x", 16, 1.0, "", lambda: bad)
+            assert row["residual"] == -1.0 and not row["pass"]
+            assert row["note"] == f"error: residual must be finite and nonnegative, got {bad!r}"
 
     def test_float64_overflow_names_the_longdouble_magnitude(self):
+        row = (np.longdouble("7.941e379"), 0.0, 0.0, 0.0)
         with pytest.raises(ValueError, match=r"qcommutator residual 7\.941e\+379 .*overflows float64"):
-            float_residual("qcommutator", np.longdouble("7.941e379"))
+            _row_residual(row, ALGEBRA_CHECK_IDS.index(QCOMMUTATOR))
 
     def test_rejects_small_cutoff(self):
         with pytest.raises(ValueError, match="cutoff >= 4"):

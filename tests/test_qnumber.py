@@ -15,7 +15,8 @@ class TestDeformationParam:
         p = DeformationParam(0.37)
         assert p.q == math.exp(0.37)
 
-    @pytest.mark.parametrize("bad", [0.0, -0.2, 1.0001, 7.0])
+    # a 400-digit integer used to end in an OverflowError from float()
+    @pytest.mark.parametrize("bad", [0.0, -0.2, 1.0001, 7.0, pytest.param(10**400, id="10**400")])
     def test_rejects_out_of_range(self, bad):
         with pytest.raises(ValueError):
             DeformationParam(bad)

@@ -14,11 +14,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracle import canonical_order, group_points, summarize
+from oracle import canonical_order, family_problems, grid_points, group_points, summarize
 
 import qdgates
 import qdgates.report as report_module
-from qdgates.audit import ALGEBRA_CHECK_IDS, float_residual
+from qdgates.audit import ALGEBRA_CHECK_IDS
 from qdgates.cli import main, run
 from qdgates.fockspace import FunctionChoice, FunctionFamily, TruncatedFockSpace
 from qdgates.qnumber import DeformationParam
@@ -214,6 +214,56 @@ def sweep_configs(draw):
     )
 
 
+@st.composite
+def family_grids(draw):
+    """``(s_grid, psi_family, beta_family)``: strengths mostly in (0, 1], some where q rounds
+    to 1, now and then one out of range or out of order, and families whose values can
+    overflow, underflow to 0 or to a subnormal, or be no number.  An exponent near one of
+    ``ln(q**x)`` = +-709, +-745 at a grid strength puts that edge on the grid."""
+    strengths = st.floats(0.0, 1.0, exclude_min=True) | st.sampled_from([1e-17, 1.0])
+    grid = draw(st.lists(strengths, min_size=1, max_size=4, unique=True))
+    if draw(st.integers(0, 9)) == 5:
+        grid.append(draw(st.sampled_from([0.0, 1.5])))
+    edge = st.floats(-750, -700) | st.floats(700, 712)
+    exponents = (st.floats(-4, 4) | st.floats(-2e3, 2e3) | st.floats()
+                 | st.tuples(edge, st.sampled_from(grid)).map(lambda e: e[0] / max(e[1], 1e-3)))
+    family = st.just(FunctionFamily()) | st.builds(FunctionFamily, st.just("power_of_q"), exponents)
+    return tuple(grid if draw(st.integers(0, 9)) == 5 else sorted(grid)), draw(family), draw(family)
+
+
+class TestConfigGrid:
+    def test_each_family_is_evaluated_once_per_strength(self, monkeypatch):
+        # the grid is made when the config is built; each sweep used to evaluate both
+        # families again at every strength
+        calls = []
+        evaluate = FunctionFamily.evaluate
+        monkeypatch.setattr(FunctionFamily, "evaluate", lambda f, q: calls.append(q) or evaluate(f, q))
+        c = config(s_grid=S_GRID, psi_family=POWER_ONE, beta_family=FunctionFamily.parse("q^2"))
+        run_sweep(c)
+        run_sweep(c)
+        assert c.grid() is c.grid()
+        assert len(calls) == 2 * len(S_GRID)
+
+    @settings(deadline=None)
+    @given(sweep_configs().map(lambda c: (c.s_grid, c.psi_family, c.beta_family)) | family_grids())
+    # on (0.1, 0.9), q**900 overflows, q**-2000 underflows to 0 and q**-800 to a subnormal
+    # only at 0.9; where q rounds to 1, q**nan reads 1.0
+    @example(((0.1, 0.9), FunctionFamily("power_of_q", 900.0), FunctionFamily("power_of_q", -800.0)))
+    @example(((0.1, 0.9), FunctionFamily(), FunctionFamily("power_of_q", -2000.0)))
+    @example(((1e-17, 0.5), FunctionFamily("power_of_q", math.nan), FunctionFamily()))
+    def test_the_one_walk_gives_the_two_walks_points_and_problems(self, drawn):
+        s_grid, psi_family, beta_family = drawn
+        expected = family_problems(s_grid, psi_family, beta_family)
+        try:
+            c = SweepConfig(s_grid=s_grid, psi_family=psi_family, beta_family=beta_family)
+        except ConfigError as err:
+            families = [p for p in err.problems if p.startswith(("psi_family", "beta_family"))]
+            assert families == expected
+            return
+        assert expected == []
+        assert list(c.grid()) == grid_points(c)
+
+
 class TestRunSweep:
     def test_unit_functions_pass_everything(self):
         report = run_sweep(config(s_grid=(0.5,), cutoff=16, tolerance=1e-10))
@@ -300,14 +350,17 @@ class TestRunSweep:
         self, monkeypatch, layer, check_id, target, rigged, value
     ):
         # every layer's rows pass through the one row builder, which used to
-        # refuse such a residual for algebra rows only and write NaN for others
+        # refuse such a residual for algebra rows only and write NaN for others;
+        # only the algebra layer makes longdouble residuals, so only its rows name
+        # the magnitude of one that overflows float64
         monkeypatch.setattr(report_module, target, lambda *args, **kwargs: rigged(value))
-        with pytest.raises(ValueError) as refused:
-            float_residual(check_id, value)
+        refused = f"residual must be finite and nonnegative, got {float(value)!r}"
+        if layer == ALGEBRA_LAYER and np.isfinite(value):
+            refused = "qcommutator residual 1.e+400 is finite in longdouble but overflows float64"
         report = run_sweep(config(), layers=(layer,))
         (row,) = [e for e in report.entries if e.check_id == check_id]
         assert row.residual == -1.0 and not row.passed
-        assert row.note == f"error: {refused.value}"
+        assert row.note == f"error: {refused}"
         # an error row's norm-ratio sample used to stay behind, written as NaN
         assert report.norm_ratio == ()
 
@@ -879,6 +932,12 @@ class TestCli:
         assert capsys.readouterr().err.endswith(
             "\nconfiguration error: psi_family exponent must be finite, got nan; "
             "beta_family exponent must be finite, got inf\n"
+        )
+        # a 400-digit occupation used to end in an OverflowError traceback (exit 1)
+        huge = "1" + "0" * 400
+        assert main(["infer", "--s", "0.5", "--n-hat", huge]) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: n_hat must be an integer float64 can hold, got {huge}\n"
         )
         # argparse owns the strength flags: it refuses both together, and a grid it cannot parse
         for strengths in (["--s", "0.5", "--s-grid", "0.1,0.2"], ["--s-grid", "0.1,x"]):

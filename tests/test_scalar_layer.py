@@ -6,7 +6,9 @@ dressing at one point is ``math``, a state lists its amplitudes by
 occupation pattern and every gate is a few complex products.  This guard
 keeps numpy, and with it dense cutoff**2 and cutoff**4 vectors, from coming
 back into any other module.  Dense operators and vectors live only in the
-test oracle (``tests/oracle.py``).
+test oracle (``tests/oracle.py``).  The scalar layer (``qnumber``,
+``fockspace``, ``qubits`` and ``gates``) imports nothing from ``audit`` either:
+no value it makes is longdouble, so none of its checks needs the audit's.
 """
 
 import ast
@@ -36,6 +38,13 @@ def test_module_imports_no_numpy(module):
     imported = list(imported_modules((PACKAGE / module).read_text()))
     assert imported, "the parser found no imports at all"
     assert [name for name in imported if name.split(".")[0] == "numpy"] == []
+
+
+@pytest.mark.parametrize("module", ["qnumber.py", "fockspace.py", "qubits.py", "gates.py"])
+def test_scalar_layer_imports_nothing_from_audit(module):
+    # gates used to import audit, and with it numpy, for one float64 check
+    imported = list(imported_modules((PACKAGE / module).read_text()))
+    assert [name for name in imported if name in (".audit", "qdgates.audit")] == []
 
 
 def test_the_guard_sees_numpy_imports():
